@@ -473,12 +473,6 @@ class Observer:
             cell = nxt
         return cell
 
-    def cell_index(self, members: FrozenSet[State]) -> Optional[int]:
-        try:
-            return self.cells.index(members)
-        except ValueError:
-            return None
-
     def is_partition(self, states: Iterable[State]) -> bool:
         todo = set(states)
         for cell in self.cells:

@@ -51,12 +51,16 @@ def _verdict_word(holds: bool) -> str:
     return word
 
 
-def _load(path: str) -> Pdes:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}")
+
+
+def _load(path: str) -> Pdes:
+    text = _read(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pdes = loads_automaton(text)
@@ -152,8 +156,7 @@ def cmd_inf_pco(args) -> int:
 
 def cmd_simulate(args) -> int:
     plant = _load(args.plant)
-    with open(args.supervisor) as fh:
-        sup = loads_supervisor_map(fh.read())
+    sup = loads_supervisor_map(_read(args.supervisor))
     cfg = TrialConfig(trials=args.trials, max_depth=args.depth, seed=args.seed)
     report = run_trials(plant, sup, cfg)
     sys.stdout.write(report.to_tsv())

@@ -129,14 +129,3 @@ def distribution_from_marginals(factors: Sequence[Fraction], m: int, n: int) -> 
     probs[0] += 1 - sorted_vals[0]
     return PatternDistribution(tuple(probs))
 
-
-def format_distribution(dist: PatternDistribution) -> List[str]:
-    """Render as ``pattern <bitstring> <prob>`` lines, omitting zeros.
-    Bitstrings are written most-significant controllable event first."""
-    m = dist.m
-    lines = []
-    for j, p in dist.support():
-        bits = format(j, f"0{m}b") if m else "-"
-        lines.append(f"pattern {bits} {p.numerator}/{p.denominator}" if p.denominator != 1
-                     else f"pattern {bits} {p.numerator}")
-    return lines

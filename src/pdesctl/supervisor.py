@@ -35,7 +35,6 @@ from .patterns import (
     PatternDistribution,
     distribution_from_marginals,
     marginals_of,
-    pattern_enables,
     validate_scaling_vector,
 )
 from .values import EpsProb, ONE, ZERO, format_rat, parse_rat
@@ -121,6 +120,7 @@ def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> Observation
     paired with itself when no specification is given)."""
     spec = spec if spec is not None else plant
     pairs, _ = _pair_graph(plant, spec)
+    canonical = {pair: pair for pair in pairs}
     alphabet = plant.alphabet
     unobs = alphabet.unobservable
 
@@ -138,7 +138,12 @@ def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> Observation
                     frontier.append(dst)
         return frozenset(reach)
 
-    first = closure([(plant.initial, spec.initial)])
+    def intern(cell):
+        """The same class built from the pair graph's tuples, so a pair in
+        many classes is stored once."""
+        return frozenset(canonical[pair] for pair in cell)
+
+    first = intern(closure([(plant.initial, spec.initial)]))
     cells = [first]
     index = {first: 0}
     trans: Dict[Tuple[int, str], int] = {}
@@ -157,6 +162,7 @@ def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> Observation
                 continue
             nxt = closure(targets)
             if nxt not in index:
+                nxt = intern(nxt)
                 index[nxt] = len(cells)
                 cells.append(nxt)
                 queue.append(nxt)
@@ -341,6 +347,15 @@ def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
     return Pdes(plant.alphabet, initial, trans)
 
 
+def _enable_vector(sup: SupervisorMap, cls: Optional[int]) -> Tuple[Fraction, ...]:
+    """Per-event enable probabilities under the roulette of a class (None
+    outside the mapped classes): the marginals of its pattern distribution.
+    The one-step controlled probability of event i at plant state x is
+    ``rho(x, event i) * _enable_vector(sup, cls)[i]``."""
+    alphabet = sup.alphabet
+    return marginals_of(sup.distribution(cls), alphabet.m, alphabet.n)
+
+
 def controlled_xi(plant: Pdes, sup: SupervisorMap, word: Iterable[str], event: str) -> EpsProb:
     """One-step controlled transition probability after an executed string:
     the plant probability times the total enable probability of the event
@@ -350,12 +365,7 @@ def controlled_xi(plant: Pdes, sup: SupervisorMap, word: Iterable[str], event: s
     if x is None:
         raise InvariantError(f"string {word!r} is not in the plant's support")
     i = plant.alphabet.index(event)
-    cls = sup.classes.locate(word)
-    dist = sup.distribution(cls)
-    enable = Fraction(0)
-    for j, pj in enumerate(dist.probs):
-        if i >= plant.alphabet.m or pattern_enables(j, i):
-            enable += pj
+    enable = _enable_vector(sup, sup.classes.locate(word))[i]
     return plant.rho(x, event) * EpsProb(enable)
 
 
@@ -363,14 +373,16 @@ def controlled_language_value(plant: Pdes, sup: SupervisorMap, word: Iterable[st
     """Value of the controlled language on a string (recursive product of
     one-step controlled probabilities; zero once the plant support is left)."""
     value = ONE
-    prefix: Word = ()
+    x, cls = plant.initial, sup.classes.initial
     for e in word:
-        if not plant.supports(prefix + (e,)):
+        i = plant.alphabet.index(e)
+        edge = plant.step(x, e)
+        if edge is None:
             return ZERO
-        value = value * controlled_xi(plant, sup, prefix, e)
+        value = value * edge[1] * EpsProb(_enable_vector(sup, cls)[i])
         if value.is_zero:
             return ZERO
-        prefix += (e,)
+        x, cls = edge[0], sup.classes.step(cls, e)
     return value
 
 
@@ -391,6 +403,23 @@ def _dump_header(alphabet: Alphabet, classes: ObservationClasses) -> List[str]:
     return lines
 
 
+def _index(field: str, lineno: int) -> int:
+    """A nonnegative integer, such as a class written ``t<i>``."""
+    try:
+        value = int(field.lstrip("t"))
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise FormatError(f"expected a nonnegative integer, got {field!r}", lineno)
+    return value
+
+
+def _single_field(key: str, fields: List[str], lineno: int) -> str:
+    if len(fields) != 1:
+        raise FormatError(f"{key} takes exactly one value", lineno)
+    return fields[0]
+
+
 def _parse_header(text: str):
     controllable: List[str] = []
     uncontrollable: List[str] = []
@@ -398,6 +427,7 @@ def _parse_header(text: str):
     count = None
     initial = None
     trans: Dict[Tuple[int, str], int] = {}
+    refs: List[Tuple[int, int]] = []  # (line, class index) to check against the count
     body: List[Tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -419,20 +449,48 @@ def _parse_header(text: str):
         elif key == "unobservable":
             pass
         elif key == "obs-classes":
-            count = int(fields[0])
+            count = _index(_single_field(key, fields, lineno), lineno)
         elif key == "obs-initial":
-            initial = int(fields[0].lstrip("t"))
+            initial = _index(_single_field(key, fields, lineno), lineno)
+            refs.append((lineno, initial))
         elif key == "obs-trans":
             if len(fields) != 3:
                 raise FormatError("obs-trans takes: <src> <event> <dst>", lineno)
-            trans[(int(fields[0].lstrip("t")), fields[1])] = int(fields[2].lstrip("t"))
+            src, dst = _index(fields[0], lineno), _index(fields[2], lineno)
+            trans[(src, fields[1])] = dst
+            refs += [(lineno, src), (lineno, dst)]
         else:
             body.append((lineno, key, rest.strip()))
     if count is None or initial is None:
         raise FormatError("missing obs-classes/obs-initial lines")
-    alphabet = Alphabet.make(controllable, uncontrollable, observable)
+    for lineno, cls in refs:
+        _check_class(cls, count, lineno)
+    try:
+        alphabet = Alphabet.make(controllable, uncontrollable, observable)
+    except InvariantError as e:
+        raise FormatError(str(e)) from None
     classes = ObservationClasses(alphabet, initial, count, trans)
     return alphabet, classes, body
+
+
+def _check_class(cls: int, count: int, lineno: int) -> int:
+    if cls >= count:
+        raise FormatError(f"observation class t{cls} out of range (obs-classes: {count})", lineno)
+    return cls
+
+
+def _class_line(fields: List[str], count: int, lineno: int) -> int:
+    """Class index of a ``class t<i> ...`` line."""
+    if not fields:
+        raise FormatError("class takes an observation class", lineno)
+    return _check_class(_index(fields[0], lineno), count, lineno)
+
+
+def _rationals(fields: List[str], lineno: int) -> Tuple[Fraction, ...]:
+    try:
+        return tuple(parse_rat(f) for f in fields)
+    except ValueError as e:
+        raise FormatError(str(e), lineno) from None
 
 
 def dumps_scaling_map(scaling: ScalingMap) -> str:
@@ -451,10 +509,10 @@ def loads_scaling_map(text: str) -> ScalingMap:
     for lineno, key, rest in body:
         fields = rest.split()
         if key == "class":
-            cls = int(fields[0].lstrip("t"))
-            vectors[cls] = tuple(parse_rat(f) for f in fields[1:])
+            cls = _class_line(fields, classes.count, lineno)
+            vectors[cls] = _rationals(fields[1:], lineno)
         elif key == "default":
-            default = tuple(parse_rat(f) for f in fields)
+            default = _rationals(fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     try:
@@ -488,6 +546,7 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
     dists: Dict[int, PatternDistribution] = {}
     current: Optional[int] = None
     in_default = False
+    section_line = 0
     pending: Dict[int, Fraction] = {}
     default = None
 
@@ -498,7 +557,10 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
         probs = [Fraction(0)] * (2**m)
         for j, p in pending.items():
             probs[j] = p
-        dist = PatternDistribution(tuple(probs))
+        try:
+            dist = PatternDistribution(tuple(probs))
+        except InvariantError as e:
+            raise FormatError(str(e), section_line) from None
         if in_default:
             default = dist
         else:
@@ -510,15 +572,26 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
         if key == "class":
             flush()
             in_default = False
-            current = int(fields[0].lstrip("t"))
+            current = _class_line(fields, classes.count, lineno)
+            section_line = lineno
         elif key == "default":
             flush()
             current = None
             in_default = True
+            section_line = lineno
         elif key == "pattern":
+            if len(fields) != 2:
+                raise FormatError("pattern takes: <bitstring> <prob>", lineno)
+            if current is None and not in_default:
+                raise FormatError("pattern outside a class or default section", lineno)
             bits, prob = fields
-            j = 0 if bits == "-" else int(bits, 2)
-            pending[j] = parse_rat(prob)
+            try:
+                j = 0 if bits == "-" else int(bits, 2)
+            except ValueError:
+                j = -1
+            if not 0 <= j < 2**m:
+                raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
+            pending[j] = _rationals([prob], lineno)[0]
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     flush()

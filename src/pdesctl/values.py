@@ -24,7 +24,10 @@ def parse_rat(text: str) -> Fraction:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"malformed rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rat(value: Fraction, style: str = "decimal") -> str:

@@ -61,6 +61,15 @@ class TestCheckCommands:
         assert main(["check-ctrl", str(bad), str(bad)]) == 2
 
 
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        text = dumps_automaton(robot_plant())
+        assert " 0.25\n" in text
+        bad = tmp_path / "bad.pda"
+        bad.write_text(text.replace(" 0.25\n", " 1/0\n"))
+        assert main(["check-ctrl", str(bad), str(bad)]) == 2
+        assert "line " in capsys.readouterr().err
+
+
 class TestSynthesize:
     def test_writes_maps(self, robot_files, tmp_path, capsys):
         g, h = robot_files
@@ -121,6 +130,63 @@ class TestSimulateCommand:
         assert out.startswith("string\tcount")
         line = next(l for l in out.splitlines() if l.startswith("s3.s1\t"))
         assert float(line.split("\t")[3]) == pytest.approx(0.1)
+
+
+ROBOT_MAP = """\
+controllable: s1 s2
+uncontrollable: s3 s4 s5
+observable: s1 s2 s3
+unobservable: s4 s5
+obs-classes: 1
+obs-initial: t0
+class t0
+pattern 11 1
+default
+pattern 11 1
+"""
+
+
+class TestMalformedSupervisorMap:
+    """Every malformed map exits 2 with a line-numbered message."""
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("class t0", "class", 7),
+        ("obs-classes: 1", "obs-classes: x", 5),
+        ("pattern 11 1\ndefault", "pattern 11\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 111 1\ndefault", 8),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t5", 7),
+        ("class t0", "class t7", 7),
+        ("obs-initial: t0", "obs-initial: t3", 6),
+        ("obs-initial: t0", "obs-initial: x", 6),
+        ("pattern 11 1\ndefault", "pattern 11 1/0\ndefault", 8),
+    ])
+    def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
+        g, _ = robot_files
+        assert old in ROBOT_MAP
+        bad = tmp_path / "bad.map"
+        bad.write_text(ROBOT_MAP.replace(old, new, 1))
+        rc = main(["simulate", "--plant", g, "--supervisor", str(bad),
+                   "--trials", "10", "--depth", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"line {line}:" in err
+        assert "Traceback" not in err
+
+    def test_valid_map_simulates(self, robot_files, tmp_path):
+        g, _ = robot_files
+        good = tmp_path / "good.map"
+        good.write_text(ROBOT_MAP)
+        assert main(["simulate", "--plant", g, "--supervisor", str(good),
+                     "--trials", "10", "--depth", "2"]) == 0
+
+    def test_missing_supervisor_file(self, robot_files, tmp_path, capsys):
+        g, _ = robot_files
+        rc = main(["simulate", "--plant", g, "--supervisor", str(tmp_path / "nope.map"),
+                   "--trials", "10", "--depth", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "cannot read" in err and "nope.map" in err
+        assert "Traceback" not in err
 
 
 class TestUtilityCommands:

@@ -1,19 +1,26 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pdesctl import (
+    Alphabet,
     InvariantError,
     ScalingMap,
     TrialConfig,
+    controlled_automaton,
     controlled_language_value,
     observation_classes,
     run_trials,
     scaling_from_spec,
+    scaling_from_supervisor,
     supervisor_from_scaling,
 )
+from conftest import loop_plant, loop_spec, random_fraction, random_plant, random_subspec
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def full_supervisor(plant):
@@ -122,3 +129,46 @@ class TestReportFormat:
         assert lines[0] == "string\tcount\tempirical\ttarget\tstderr"
         assert lines[1].startswith("eps\t50\t")
         assert all(len(line.split("\t")) == 5 for line in lines[1:])
+
+
+class TestExactTargets:
+    """Every reported target is the controlled language value, checked
+    against the controlled automaton of the supervisor's marginals."""
+
+    def test_random_plants_and_maps(self):
+        rng = random.Random(2718)
+        outside = zero_factor = 0
+        for case in range(40):
+            m = rng.randint(1, 4)
+            events = [f"e{i}" for i in range(m + rng.randint(1, 2))]
+            observable = [e for e in events if rng.random() < 0.6] or [events[0]]
+            alphabet = Alphabet.make(events[:m], events[m:], observable)
+            plant = random_plant(rng, alphabet, max_states=6)
+            # classes of a random sub-spec: plant strings can leave them
+            classes = observation_classes(plant, random_subspec(rng, plant))
+
+            def vector():
+                return tuple(random_fraction(rng) for _ in range(m)) + (F(1),) * (len(events) - m)
+
+            vectors = {cls: vector() for cls in range(classes.count) if rng.random() < 0.8}
+            default = vector()
+            sup = supervisor_from_scaling(ScalingMap(classes, vectors, default))
+            report = run_trials(plant, sup, TrialConfig(trials=150, max_depth=6, seed=case))
+            controlled = controlled_automaton(plant, scaling_from_supervisor(sup))
+            for word, row in report.rows.items():
+                assert row.target == controlled.eval_language(word).magnitude, (case, word)
+                outside += classes.locate(word) is None
+            zero_factor += any(0 in v[:m] for v in [default, *vectors.values()])
+        assert outside and zero_factor
+
+
+class TestGolden:
+    def test_report_bytes(self):
+        """A seeded report with partial observation, unmapped classes and
+        observations outside the mapped classes, pinned byte for byte."""
+        plant = loop_plant()
+        classes = observation_classes(plant, loop_spec())
+        vectors = {0: (F(3, 4), F(1, 3), F(1)), 1: (F(0), F(1, 2), F(1))}
+        sup = supervisor_from_scaling(ScalingMap(classes, vectors, (F(1, 2), F(2, 3), F(1))))
+        report = run_trials(plant, sup, TrialConfig(trials=400, max_depth=5, seed=2024))
+        assert report.to_tsv() == (DATA / "simulate_loop_seed2024.tsv").read_text()

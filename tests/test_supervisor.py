@@ -5,6 +5,7 @@ import pytest
 
 from pdesctl import (
     EpsProb,
+    FormatError,
     NotControllableError,
     NotObservableError,
     NotSublanguageError,
@@ -271,3 +272,28 @@ class TestSerialization:
         text = dumps_supervisor_map(supervisor_from_scaling(scaling_from_spec(plant, spec)))
         assert "pattern 11 4/5" in text
         assert "pattern 10 1/5" in text
+
+    @pytest.mark.parametrize("body, line", [
+        ("class", 7),
+        ("class t1 1 1 1 1 1", 7),
+        ("class t0 1 x 1 1 1", 7),
+        ("obs-trans: t0 s1 t1", 7),
+    ])
+    def test_scaling_rejects_with_line(self, body, line):
+        text = (
+            "controllable: s1 s2\nuncontrollable: s3 s4 s5\nobservable: s1 s2 s3\n"
+            "unobservable: s4 s5\nobs-classes: 1\nobs-initial: t0\n" + body + "\n"
+        )
+        with pytest.raises(FormatError) as exc:
+            loads_scaling_map(text)
+        assert exc.value.line == line
+
+    def test_pattern_outside_section_rejected(self, robot):
+        plant, spec = robot
+        text = dumps_supervisor_map(supervisor_from_scaling(scaling_from_spec(plant, spec)))
+        lines = text.splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("class"))
+        lines.insert(first, "pattern 11 1")
+        with pytest.raises(FormatError) as exc:
+            loads_supervisor_map("\n".join(lines))
+        assert exc.value.line == first + 1

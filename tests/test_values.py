@@ -31,6 +31,12 @@ class TestRationals:
             with pytest.raises(ValueError):
                 parse_rat(bad)
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError):
+            parse_rat("1/0")
+        with pytest.raises(ValueError):
+            parse_prob("0+^1·3/0")
+
     def test_format_decimal_when_finite(self):
         assert format_rat(F(4, 5)) == "0.8"
         assert format_rat(F(1, 8)) == "0.125"
