@@ -2,7 +2,7 @@
 partial observation: verification, supervisor synthesis, and infimal
 achievable superlanguages, all in exact arithmetic."""
 
-from .values import EPS, ONE, ZERO, EpsProb, Rat, eps_cmp, eps_mul, eps_sum_lower, format_prob, format_rat, parse_prob, parse_rat
+from .values import EPS, ONE, ZERO, EpsProb, Rat, format_prob, format_rat, parse_prob, parse_rat
 from .automata import (
     Alphabet,
     AlphabetMismatchError,
@@ -15,6 +15,7 @@ from .automata import (
     Witness,
     add_self_loops,
     dumps_automaton,
+    explore,
     is_subautomaton,
     is_sublanguage,
     language_equivalent,

@@ -11,8 +11,9 @@ automata (all probabilities one) skip the liveness bound.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .values import ONE, ZERO, EpsProb, format_prob, parse_prob
 
@@ -59,10 +60,13 @@ class Alphabet:
     events: Tuple[str, ...]
     controllable: FrozenSet[str]
     observable: FrozenSet[str]
+    _position: Dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.events)) != len(self.events):
+        position = {e: i for i, e in enumerate(self.events)}
+        if len(position) != len(self.events):
             raise InvariantError("duplicate event names")
+        object.__setattr__(self, "_position", position)
         if not self.controllable <= set(self.events):
             raise InvariantError("controllable events not a subset of the alphabet")
         if not self.observable <= set(self.events):
@@ -82,10 +86,6 @@ class Alphabet:
         return cls(events, frozenset(controllable), frozenset(observable))
 
     @property
-    def uncontrollable(self) -> FrozenSet[str]:
-        return frozenset(self.events) - self.controllable
-
-    @property
     def unobservable(self) -> FrozenSet[str]:
         return frozenset(self.events) - self.observable
 
@@ -100,8 +100,8 @@ class Alphabet:
     def index(self, event: str) -> int:
         """0-based position of the event; controllable events come first."""
         try:
-            return self.events.index(event)
-        except ValueError:
+            return self._position[event]
+        except KeyError:
             raise InvariantError(f"unknown event {event!r}") from None
 
     def controllable_events(self) -> Tuple[str, ...]:
@@ -114,7 +114,7 @@ class Alphabet:
         """Erase unobservable events, preserving order."""
         out = []
         for e in word:
-            if e not in self.events:
+            if e not in self._position:
                 raise InvariantError(f"unknown event {e!r}")
             if e in self.observable:
                 out.append(e)
@@ -150,6 +150,19 @@ class Verdict:
         return self.holds
 
 
+def _exceeds_one(row) -> bool:
+    """Whether the dominant-term sum of the row's probabilities exceeds one:
+    infinitesimal terms lie below every positive rational, so it does when
+    the ordinary terms, summed as one unreduced integer ratio, exceed one."""
+    num, den = 0, 1
+    for _, p in row.values():
+        if not p.eps_degree:
+            m = p.magnitude
+            num = num * m.denominator + m.numerator * den
+            den *= m.denominator
+    return num > den
+
+
 class Pdes:
     """A deterministic probabilistic automaton (a PDES)."""
 
@@ -167,72 +180,61 @@ class Pdes:
         self.alphabet = alphabet
         self.initial = initial
         trans = dict(transitions)
-        known: list = [initial]
-        seen = {initial}
-        if states is not None:
-            for s in states:
-                if s not in seen:
-                    seen.add(s)
-                    known.append(s)
-        for (src, event), (dst, prob) in trans.items():
-            if event not in alphabet.events:
+        # one row {event: (target, probability)} per state, in the order the
+        # states are first named: initial, then `states`, then transitions
+        out: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {initial: {}}
+        for s in states or ():
+            out.setdefault(s, {})
+        events = alphabet._position
+        for key, edge in trans.items():
+            src, event = key
+            dst, prob = edge
+            if event not in events:
                 raise InvariantError(f"transition uses unknown event {event!r}")
             if not isinstance(prob, EpsProb):
                 raise InvariantError("transition probabilities must be EpsProb values")
-            if prob.is_zero:
+            if not prob.magnitude:
                 raise InvariantError(f"stored transition ({src!r},{event!r}) must have positive probability")
-            for s in (src, dst):
-                if s not in seen:
-                    seen.add(s)
-                    known.append(s)
+            row = out.get(src)
+            if row is None:
+                row = out[src] = {}
+            row[event] = edge
+            if dst not in out:
+                out[dst] = {}
 
-        reachable = self._reach(trans, initial)
-        if len(reachable) != len(known):
-            unreachable = [s for s in known if s not in reachable]
-            if on_unreachable == "trim":
-                warnings.warn(
-                    f"dropping {len(unreachable)} unreachable state(s)", UnreachableStateWarning
-                )
-                trans = {k: v for k, v in trans.items() if k[0] in reachable}
-                known = [s for s in known if s in reachable]
-            else:
+        reachable = explore([initial], lambda s: [edge[0] for edge in out[s].values()])
+        if len(reachable) != len(out):
+            keep = set(reachable)
+            unreachable = [s for s in out if s not in keep]
+            if on_unreachable != "trim":
                 raise InvariantError(f"unreachable states: {unreachable!r}")
+            warnings.warn(f"dropping {len(unreachable)} unreachable state(s)", UnreachableStateWarning)
+            trans = {k: v for k, v in trans.items() if k[0] in keep}
+            out = {s: row for s, row in out.items() if s in keep}
 
-        self._states = tuple(known)
+        self._states = tuple(out)
         self._trans = trans
-        out: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {s: {} for s in self._states}
-        for (src, event), edge in trans.items():
-            out[src][event] = edge
         self._out = out
-
         if check_liveness:
-            for s in self._states:
-                total = ZERO
-                for _, prob in out[s].values():
-                    total = total + prob
-                if total > ONE:
+            for s, row in out.items():
+                if _exceeds_one(row):
                     raise InvariantError(f"liveness exceeds 1 at state {s!r}")
 
-    @staticmethod
-    def _reach(trans, initial):
-        reachable = {initial}
-        frontier = [initial]
-        succ: Dict[State, list] = {}
-        for (src, _), (dst, _) in trans.items():
-            succ.setdefault(src, []).append(dst)
-        while frontier:
-            s = frontier.pop()
-            for dst in succ.get(s, ()):
-                if dst not in reachable:
-                    reachable.add(dst)
-                    frontier.append(dst)
-        return reachable
+    def _targets(self, state: State) -> List[State]:
+        """Targets of the state's transitions, in event order."""
+        row = self._out[state]
+        return [row[e][0] for e in self.alphabet.events if e in row]
 
     # -- basic structure ------------------------------------------------
 
     @property
     def states(self) -> Tuple[State, ...]:
         return self._states
+
+    def row(self, state: State) -> Dict[str, Tuple[State, EpsProb]]:
+        """The state's outgoing transitions as ``{event: (target, probability)}``.
+        This is the automaton's own table: read it, never modify it."""
+        return self._out[state]
 
     def step(self, state: State, event: str) -> Optional[Tuple[State, EpsProb]]:
         return self._out[state].get(event)
@@ -274,7 +276,7 @@ class Pdes:
 
     def delta(self, state: State, word: Iterable[str]) -> Optional[State]:
         for e in word:
-            if e not in self.alphabet.events:
+            if e not in self.alphabet._position:
                 raise InvariantError(f"unknown event {e!r}")
             edge = self._out[state].get(e)
             if edge is None:
@@ -291,7 +293,7 @@ class Pdes:
         value = ONE
         state = self.initial
         for e in word:
-            if e not in self.alphabet.events:
+            if e not in self.alphabet._position:
                 raise InvariantError(f"unknown event {e!r}")
             edge = self._out[state].get(e)
             if edge is None:
@@ -308,7 +310,7 @@ class Pdes:
         return Pdes(self.alphabet, self.initial, trans, states=self._states, check_liveness=False)
 
     def accessible(self) -> "Pdes":
-        reachable = self._reach(self._trans, self.initial)
+        reachable = set(explore([self.initial], self._targets))
         trans = {k: v for k, v in self._trans.items() if k[0] in reachable}
         states = [s for s in self._states if s in reachable]
         return Pdes(self.alphabet, self.initial, trans, states=states, check_liveness=False)
@@ -322,17 +324,7 @@ class Pdes:
 
     def canonical_names(self, prefix: str = "x") -> "Pdes":
         """Rename states ``x0, x1, ...`` in breadth-first discovery order."""
-        order = [self.initial]
-        seen = {self.initial}
-        i = 0
-        while i < len(order):
-            s = order[i]
-            i += 1
-            for e in self.alphabet.events:
-                edge = self._out[s].get(e)
-                if edge and edge[0] not in seen:
-                    seen.add(edge[0])
-                    order.append(edge[0])
+        order = explore([self.initial], self._targets)
         mapping = {s: f"{prefix}{k}" for k, s in enumerate(order)}
         return self.rename(mapping)
 
@@ -345,27 +337,44 @@ def require_same_alphabet(a: Pdes, b: Pdes):
         raise AlphabetMismatchError("operands must share one alphabet")
 
 
+def explore(initial: Iterable[State], successors: Callable[[State], Iterable[State]]) -> List[State]:
+    """Breadth-first search: every state reachable from the initial ones,
+    once each, in discovery order.  ``successors(s)`` is called once per
+    state in that order, so it may record transitions as it goes."""
+    seen = dict.fromkeys(initial)
+    queue = deque(seen)
+    pop, push = queue.popleft, queue.append
+    while queue:
+        for nxt in successors(pop()):
+            if nxt not in seen:
+                seen[nxt] = None
+                push(nxt)
+    return list(seen)
+
+
 def product(a: Pdes, b: Pdes) -> Pdes:
     """Synchronous product; each transition carries the minimum of the two
     component probabilities and exists only where that minimum is positive."""
     require_same_alphabet(a, b)
-    initial = (a.initial, b.initial)
+    events = a.alphabet.events
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        sa, sb = queue.pop(0)
-        for e in a.alphabet.events:
-            pa = a.rho(sa, e)
-            pb = b.rho(sb, e)
-            if pa.is_zero or pb.is_zero:
+
+    def successors(state):
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        for e in events:
+            ea = ra.get(e)
+            if ea is None:
                 continue
-            p = pa if pa <= pb else pb
-            dst = (a.target(sa, e), b.target(sb, e))
-            trans[((sa, sb), e)] = (dst, p)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            eb = rb.get(e)
+            if eb is None:
+                continue
+            pa, pb = ea[1], eb[1]
+            dst = (ea[0], eb[0])
+            trans[(state, e)] = (dst, pa if pa <= pb else pb)
+            yield dst
+
+    initial = (a.initial, b.initial)
+    explore([initial], successors)
     return Pdes(a.alphabet, initial, trans, check_liveness=False)
 
 
@@ -373,39 +382,46 @@ def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
     """Whether a's language is a probabilistic sublanguage of b's: on a's
     support every one-step extension ratio of a is bounded by b's."""
     require_same_alphabet(a, b)
+    events = a.alphabet.events
     initial = (a.initial, b.initial)
-    queue: list = [(initial, ())]
-    seen = {initial}
-    while queue:
-        (sa, sb), word = queue.pop(0)
-        for e in a.alphabet.events:
-            ra = a.rho(sa, e)
-            if ra.is_zero:
+    words = {initial: ()}  # shortest access string of each pair
+    witness = None
+
+    def successors(state):
+        nonlocal witness
+        if witness is not None:
+            return
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        word = words[state]
+        for e in events:
+            ea = ra.get(e)
+            if ea is None:
                 continue
-            rb = b.rho(sb, e)
-            if ra > rb:
-                return Verdict(False, Witness((word,), e, ra, rb))
-            dst = (a.target(sa, e), b.target(sb, e))
-            if dst not in seen:
-                seen.add(dst)
-                queue.append((dst, word + (e,)))
-    return Verdict(True)
+            eb = rb.get(e)
+            rb_e = eb[1] if eb else ZERO
+            if ea[1] > rb_e:
+                witness = Witness((word,), e, ea[1], rb_e)
+                return
+            dst = (ea[0], eb[0])
+            if dst not in words:
+                words[dst] = word + (e,)
+            yield dst
+
+    explore([initial], successors)
+    return Verdict(witness is None, witness)
 
 
 def is_subautomaton(a: Pdes, b: Pdes) -> bool:
     """Structural containment: a's diagram is a subgraph of b's (same
     initial state, same targets) with pointwise smaller probabilities."""
-    if a.alphabet != b.alphabet:
+    if a.alphabet != b.alphabet or a.initial != b.initial:
         return False
-    if a.initial != b.initial:
+    bout = b._out
+    if any(s not in bout for s in a._out):
         return False
-    bstates = set(b.states)
-    if not set(a.states) <= bstates:
-        return False
-    for (src, e), (dst, p) in a.transition_map().items():
-        if b.target(src, e) != dst:
-            return False
-        if p > b.rho(src, e):
+    for (src, e), (dst, p) in a._trans.items():
+        edge = bout[src].get(e)
+        if edge is None or edge[0] != dst or p > edge[1]:
             return False
     return True
 
@@ -413,23 +429,23 @@ def is_subautomaton(a: Pdes, b: Pdes) -> bool:
 def language_equivalent(a: Pdes, b: Pdes) -> bool:
     """Exact equality of generated languages, by synchronized traversal."""
     require_same_alphabet(a, b)
-    initial = (a.initial, b.initial)
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        sa, sb = queue.pop(0)
-        for e in a.alphabet.events:
-            pa = a.rho(sa, e)
-            pb = b.rho(sb, e)
-            if pa != pb:
-                return False
-            if pa.is_zero:
-                continue
-            dst = (a.target(sa, e), b.target(sb, e))
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return True
+    differ = False
+
+    def successors(state):
+        nonlocal differ
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        if differ or len(ra) != len(rb):
+            differ = True
+            return
+        for e, (ta, pa) in ra.items():
+            eb = rb.get(e)
+            if eb is None or eb[1] != pa:
+                differ = True
+                return
+            yield (ta, eb[0])
+
+    explore([(a.initial, b.initial)], successors)
+    return not differ
 
 
 def add_self_loops(a: Pdes, events: Iterable[str]) -> Pdes:
@@ -482,41 +498,50 @@ class Observer:
         return not todo
 
 
-def _unobservable_reach(a: Pdes, states: Iterable[State]) -> FrozenSet[State]:
-    unobs = a.alphabet.unobservable
-    reach = set(states)
-    frontier = list(states)
-    while frontier:
-        s = frontier.pop()
-        for e in unobs:
-            t = a.target(s, e)
-            if t is not None and t not in reach:
-                reach.add(t)
-                frontier.append(t)
-    return frozenset(reach)
+def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]]:
+    """The closure of a nonempty set of states under unobservable events,
+    as a function.  The closure of a set is the union of the closures of
+    its members, and the function computes each member's closure once."""
+    out = a._out
+    unobs = [e for e in a.alphabet.events if e not in a.alphabet.observable]
+    single: Dict[State, FrozenSet[State]] = {}
+
+    def successors(s):
+        row = out[s]
+        return [row[e][0] for e in unobs if e in row]
+
+    def reach(states):
+        parts = []
+        for s in states:
+            part = single.get(s)
+            if part is None:
+                part = single[s] = frozenset(explore([s], successors))
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+    return reach
 
 
 def observer(a: Pdes) -> Observer:
     """Standard subset construction on the logic part of the automaton."""
-    initial = _unobservable_reach(a, [a.initial])
-    cells = [initial]
-    index = {initial: 0}
-    trans: Dict[Tuple[int, str], int] = {}
-    queue = [initial]
+    out = a._out
     observable = [e for e in a.alphabet.events if e in a.alphabet.observable]
-    while queue:
-        cell = queue.pop(0)
+    reach = _unobservable_reach(a)
+    initial = reach([a.initial])
+    index = {initial: 0}  # numbered as `explore` discovers them
+    trans: Dict[Tuple[int, str], int] = {}
+
+    def successors(cell):
         i = index[cell]
+        rows = [out[s] for s in cell]
         for e in observable:
-            targets = {a.target(s, e) for s in cell} - {None}
-            if not targets:
-                continue
-            nxt = _unobservable_reach(a, targets)
-            if nxt not in index:
-                index[nxt] = len(cells)
-                cells.append(nxt)
-                queue.append(nxt)
-            trans[(i, e)] = index[nxt]
+            targets = {row[e][0] for row in rows if e in row}
+            if targets:
+                nxt = reach(targets)
+                trans[(i, e)] = index.setdefault(nxt, len(index))
+                yield nxt
+
+    cells = explore([initial], successors)
     return Observer(a.alphabet, tuple(cells), 0, trans)
 
 
@@ -537,15 +562,15 @@ def minimize_logic(a: Pdes) -> Pdes:
     if any(p != ONE for _, _, _, p in a.transitions()):
         raise InvariantError("minimize_logic expects a logic automaton")
     states = list(a.states)
+    events = a.alphabet.events
+    # per state, the target on each event in event order (None if undefined)
+    succ = {s: [row[e][0] if e in row else None for e in events] for s, row in a._out.items()}
     block = {s: 0 for s in states}
     nblocks = 1
     while True:
         sigs = {}
         for s in states:
-            sig = (block[s],) + tuple(
-                block[a.target(s, e)] if a.target(s, e) is not None else -1
-                for e in a.alphabet.events
-            )
+            sig = (block[s], *[-1 if t is None else block[t] for t in succ[s]])
             sigs.setdefault(sig, []).append(s)
         if len(sigs) == nblocks:
             break
@@ -558,8 +583,7 @@ def minimize_logic(a: Pdes) -> Pdes:
         reps.setdefault(block[s], s)
     trans = {}
     for b, rep in reps.items():
-        for e in a.alphabet.events:
-            t = a.target(rep, e)
+        for e, t in zip(events, succ[rep]):
             if t is not None:
                 trans[(f"m{b}", e)] = (f"m{block[t]}", ONE)
     return Pdes(a.alphabet, f"m{block[a.initial]}", trans, check_liveness=False)

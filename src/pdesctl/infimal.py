@@ -29,6 +29,7 @@ from .automata import (
     PdesError,
     State,
     add_self_loops,
+    explore,
     is_subautomaton,
     is_sublanguage,
     language_equivalent,
@@ -65,24 +66,26 @@ def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
     """Logic automaton for the spec's support, as plant/spec state pairs.
     Rejects specs whose support leaves the plant's."""
     require_same_alphabet(plant, spec)
-    initial = (plant.initial, spec.initial)
+    events = plant.alphabet.events
     trans = {}
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        x, q = queue.pop(0)
-        for e in plant.alphabet.events:
-            if spec.rho(q, e).is_zero:
+
+    def successors(state):
+        rx, rq = plant.row(state[0]), spec.row(state[1])
+        for e in events:
+            eq = rq.get(e)
+            if eq is None:
                 continue
-            if plant.rho(x, e).is_zero:
+            ex = rx.get(e)
+            if ex is None:
                 raise NotSublanguageError(
                     f"specification support leaves the plant support on {e!r}"
                 )
-            dst = (plant.target(x, e), spec.target(q, e))
-            trans[((x, q), e)] = (dst, ONE)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            dst = (ex[0], eq[0])
+            trans[(state, e)] = (dst, ONE)
+            yield dst
+
+    initial = (plant.initial, spec.initial)
+    explore([initial], successors)
     return Pdes(plant.alphabet, initial, trans, check_liveness=False)
 
 
@@ -93,37 +96,34 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
     extension, or a controllable one that some observation-equivalent
     support string already performs."""
     alphabet = plant.alphabet
+    controllable, observable = alphabet.controllable, alphabet.observable
     obs = observer(support)
-    enabled: List[Set[str]] = []
-    for cell in obs.cells:
-        evs: Set[str] = set()
-        for s in cell:
-            for e in alphabet.controllable_events():
-                if not support.rho(s, e).is_zero:
-                    evs.add(e)
-        enabled.append(evs)
+    enabled: List[Set[str]] = [
+        {e for s in cell for e in support.row(s) if e in controllable} for cell in obs.cells
+    ]
 
-    initial = (support.initial, plant.initial, obs.initial)
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    queue = [initial]
-    seen = {initial}
     added = False
-    while queue:
-        state = queue.pop(0)
+
+    def successors(state):
+        nonlocal added
         k, x, o = state
+        rk = support.row(k) if k is not None else {}
+        rx = plant.row(x)
         for e in alphabet.events:
-            kt = support.target(k, e) if k is not None else None
-            xt = plant.target(x, e)
+            ek, ex = rk.get(e), rx.get(e)
+            kt = ek[0] if ek is not None else None
+            xt = ex[0] if ex is not None else None
             if kt is not None:
                 if xt is None:
                     raise InvariantError("support left the plant during saturation")
-                o2 = o if e not in alphabet.observable else obs.step(o, e)
+                o2 = o if e not in observable else obs.step(o, e)
             elif xt is not None and (
-                e not in alphabet.controllable
+                e not in controllable
                 or (o is not None and e in enabled[o])
             ):
                 added = True
-                if e not in alphabet.observable:
+                if e not in observable:
                     o2 = o
                 else:
                     o2 = obs.step(o, e) if o is not None else None
@@ -131,9 +131,10 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
                 continue
             dst = (kt, xt, o2)
             trans[(state, e)] = (dst, ONE)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            yield dst
+
+    initial = (support.initial, plant.initial, obs.initial)
+    explore([initial], successors)
     return Pdes(alphabet, initial, trans, check_liveness=False), added
 
 
@@ -182,9 +183,7 @@ def _complete_to_sink(a: Pdes) -> Pdes:
     left the original automaton' decidable from the state, which the
     probability assignment below relies on."""
     trans = a.transition_map()
-    missing = [
-        (s, e) for s in a.states for e in a.alphabet.events if (s, e) not in trans
-    ]
+    missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a.row(s)]
     if not missing:
         return a
     for key in missing:
@@ -197,21 +196,19 @@ def _complete_to_sink(a: Pdes) -> Pdes:
 def _triple_product(a: Pdes, b: Pdes, c: Pdes) -> Pdes:
     require_same_alphabet(a, b)
     require_same_alphabet(a, c)
-    initial = (a.initial, b.initial, c.initial)
+    events = a.alphabet.events
     trans = {}
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        sa, sb, sc = queue.pop(0)
-        for e in a.alphabet.events:
-            ta, tb, tc = a.target(sa, e), b.target(sb, e), c.target(sc, e)
-            if ta is None or tb is None or tc is None:
-                continue
-            dst = (ta, tb, tc)
-            trans[((sa, sb, sc), e)] = (dst, ONE)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+
+    def successors(state):
+        ra, rb, rc = a.row(state[0]), b.row(state[1]), c.row(state[2])
+        for e in events:
+            if e in ra and e in rb and e in rc:
+                dst = (ra[e][0], rb[e][0], rc[e][0])
+                trans[(state, e)] = (dst, ONE)
+                yield dst
+
+    initial = (a.initial, b.initial, c.initial)
+    explore([initial], successors)
     return Pdes(a.alphabet, initial, trans, check_liveness=False)
 
 
@@ -228,28 +225,29 @@ def _assign_probs(base: Pdes, prob_fn) -> Pdes:
 def _pair_with_observer(base: Pdes, obs_dfa: Pdes) -> Pdes:
     """Normalization: pair each state with its observation class; observable
     events advance the class, unobservable ones keep it."""
-    initial = (base.initial, obs_dfa.initial)
+    events = base.alphabet.events
     observable = base.alphabet.observable
     trans = {}
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        x, o = queue.pop(0)
-        for e in base.alphabet.events:
-            edge = base.step(x, e)
+
+    def successors(state):
+        o = state[1]
+        rx, ro = base.row(state[0]), obs_dfa.row(o)
+        for e in events:
+            edge = rx.get(e)
             if edge is None:
                 continue
             if e in observable:
-                o2 = obs_dfa.target(o, e)
-                if o2 is None:
+                oe = ro.get(e)
+                if oe is None:
                     raise InvariantError("observer lacks a transition during normalization")
+                dst = (edge[0], oe[0])
             else:
-                o2 = o
-            dst = (edge[0], o2)
-            trans[((x, o), e)] = (dst, edge[1])
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+                dst = (edge[0], o)
+            trans[(state, e)] = (dst, edge[1])
+            yield dst
+
+    initial = (base.initial, obs_dfa.initial)
+    explore([initial], successors)
     return Pdes(base.alphabet, initial, trans)
 
 
@@ -315,20 +313,15 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
 def _check_spec_values(spec: Pdes, h_n: Pdes):
     """On the spec's support, the refined automaton must carry exactly the
     spec's probabilities."""
-    queue = [(spec.initial, h_n.initial)]
-    seen = {queue[0]}
-    while queue:
-        q, y = queue.pop(0)
-        for e in spec.alphabet.events:
-            rs = spec.rho(q, e)
-            if rs.is_zero:
-                continue
-            if h_n.rho(y, e) != rs:
+    def successors(state):
+        rq, ry = spec.row(state[0]), h_n.row(state[1])
+        for e, (tq, p) in rq.items():
+            ey = ry.get(e)
+            if ey is None or ey[1] != p:
                 raise InvariantError("spec refinement altered a spec probability")
-            dst = (spec.target(q, e), h_n.target(y, e))
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            yield (tq, ey[0])
+
+    explore([(spec.initial, h_n.initial)], successors)
 
 
 def reweight_infimal(pair: NormalPair) -> Pdes:
@@ -355,13 +348,12 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
             extra.append(state)
 
     for x in h_n.states:
+        gx = g_n.row(x)
         for e in alphabet.uncontrollable_events():
-            gp = g_n.rho(x, e)
-            if gp.is_zero:
-                continue
-            target = g_n.target(x, e)
-            trans[(x, e)] = (target, gp)
-            adopt(target)
+            edge = gx.get(e)
+            if edge is not None:
+                trans[(x, e)] = edge
+                adopt(edge[0])
 
     obs = observer(h_n)
     if not obs.is_partition(h_n.states):
@@ -377,12 +369,10 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
             if best.is_zero:
                 continue
             for x in cell:
-                gp = g_n.rho(x, e)
-                if gp.is_zero:
-                    continue
-                target = g_n.target(x, e)
-                trans[(x, e)] = (target, best * gp)
-                adopt(target)
+                edge = g_n.row(x).get(e)
+                if edge is not None:
+                    trans[(x, e)] = (edge[0], best * edge[1])
+                    adopt(edge[0])
 
     states = list(h_n.states) + extra
     return Pdes(alphabet, h_n.initial, trans, states=states)
@@ -418,9 +408,13 @@ def infimal_superlanguage(plant: Pdes, spec: Pdes) -> Pdes:
 
 def strip_eps_edges(a: Pdes) -> Pdes:
     """Drop infinitesimal-probability transitions (display helper)."""
+    def successors(s):
+        return [dst for dst, p in a.row(s).values() if p.is_ordinary]
+
+    keep = set(explore([a.initial], successors))
     trans = {
-        key: edge for key, edge in a.transition_map().items() if edge[1].is_ordinary
+        key: edge
+        for key, edge in a.transition_map().items()
+        if edge[1].is_ordinary and key[0] in keep
     }
-    keep = Pdes._reach(trans, a.initial)
-    trans = {key: edge for key, edge in trans.items() if key[0] in keep}
     return Pdes(a.alphabet, a.initial, trans, check_liveness=False)

@@ -28,7 +28,10 @@ from .automata import (
     State,
     Witness,
     Word,
+    explore,
     is_sublanguage,
+    observer,
+    product,
     require_same_alphabet,
 )
 from .patterns import (
@@ -98,76 +101,30 @@ def _pair_graph(plant: Pdes, spec: Pdes):
     """Reachable (plant, spec) state pairs over the common support, with a
     shortest access string for each pair."""
     require_same_alphabet(plant, spec)
+    events = plant.alphabet.events
     initial = (plant.initial, spec.initial)
     access: Dict[Tuple[State, State], Word] = {initial: ()}
-    order = [initial]
-    queue = [initial]
-    while queue:
-        x, q = queue.pop(0)
-        for e in plant.alphabet.events:
-            if spec.rho(q, e).is_zero or plant.rho(x, e).is_zero:
-                continue
-            dst = (plant.target(x, e), spec.target(q, e))
-            if dst not in access:
-                access[dst] = access[(x, q)] + (e,)
-                order.append(dst)
-                queue.append(dst)
-    return order, access
+
+    def successors(pair):
+        rx, rq = plant.row(pair[0]), spec.row(pair[1])
+        word = access[pair]
+        for e in events:
+            if e in rx and e in rq:
+                dst = (rx[e][0], rq[e][0])
+                if dst not in access:
+                    access[dst] = word + (e,)
+                yield dst
+
+    return explore([initial], successors), access
 
 
 def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> ObservationClasses:
-    """Observation classes of the synchronized pair graph (the plant is
-    paired with itself when no specification is given)."""
+    """Observation classes: the observer of the synchronized pair graph,
+    which is the product of plant and spec (the plant is paired with
+    itself when no specification is given)."""
     spec = spec if spec is not None else plant
-    pairs, _ = _pair_graph(plant, spec)
-    canonical = {pair: pair for pair in pairs}
-    alphabet = plant.alphabet
-    unobs = alphabet.unobservable
-
-    def closure(seed):
-        reach = set(seed)
-        frontier = list(seed)
-        while frontier:
-            x, q = frontier.pop()
-            for e in unobs:
-                if plant.rho(x, e).is_zero or spec.rho(q, e).is_zero:
-                    continue
-                dst = (plant.target(x, e), spec.target(q, e))
-                if dst not in reach:
-                    reach.add(dst)
-                    frontier.append(dst)
-        return frozenset(reach)
-
-    def intern(cell):
-        """The same class built from the pair graph's tuples, so a pair in
-        many classes is stored once."""
-        return frozenset(canonical[pair] for pair in cell)
-
-    first = intern(closure([(plant.initial, spec.initial)]))
-    cells = [first]
-    index = {first: 0}
-    trans: Dict[Tuple[int, str], int] = {}
-    queue = [first]
-    observable = [e for e in alphabet.events if e in alphabet.observable]
-    while queue:
-        cell = queue.pop(0)
-        i = index[cell]
-        for e in observable:
-            targets = set()
-            for x, q in cell:
-                if plant.rho(x, e).is_zero or spec.rho(q, e).is_zero:
-                    continue
-                targets.add((plant.target(x, e), spec.target(q, e)))
-            if not targets:
-                continue
-            nxt = closure(targets)
-            if nxt not in index:
-                nxt = intern(nxt)
-                index[nxt] = len(cells)
-                cells.append(nxt)
-                queue.append(nxt)
-            trans[(i, e)] = index[nxt]
-    return ObservationClasses(alphabet, 0, len(cells), trans, tuple(cells))
+    obs = observer(product(plant, spec))
+    return ObservationClasses(plant.alphabet, obs.initial, len(obs.cells), obs.trans, obs.cells)
 
 
 def _all_ones(alphabet: Alphabet) -> Tuple[Fraction, ...]:
@@ -326,24 +283,26 @@ def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
     factor, and zero-probability transitions are dropped."""
     if scaling.alphabet != plant.alphabet:
         raise InvariantError("scaling map alphabet does not match the plant")
-    initial = (plant.initial, scaling.classes.initial)
+    events = plant.alphabet.events
+    classes = scaling.classes
     trans = {}
-    queue = [initial]
-    seen = {initial}
-    while queue:
-        x, cls = queue.pop(0)
-        for e in plant.alphabet.events:
-            rp = plant.rho(x, e)
-            if rp.is_zero:
+
+    def successors(state):
+        x, cls = state
+        rx, vector = plant.row(x), scaling.vector(cls)
+        for i, e in enumerate(events):
+            edge = rx.get(e)
+            if edge is None:
                 continue
-            p = rp * scaling.factor(cls, e)
+            p = edge[1] * vector[i]
             if p.is_zero:
                 continue
-            dst = (plant.target(x, e), scaling.classes.step(cls, e))
-            trans[((x, cls), e)] = (dst, p)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            dst = (edge[0], classes.step(cls, e))
+            trans[(state, e)] = (dst, p)
+            yield dst
+
+    initial = (plant.initial, classes.initial)
+    explore([initial], successors)
     return Pdes(plant.alphabet, initial, trans)
 
 
@@ -428,6 +387,7 @@ def _parse_header(text: str):
     initial = None
     trans: Dict[Tuple[int, str], int] = {}
     refs: List[Tuple[int, int]] = []  # (line, class index) to check against the count
+    moves: List[Tuple[int, str]] = []  # (line, obs-trans event) to check against the alphabet
     body: List[Tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -459,6 +419,7 @@ def _parse_header(text: str):
             src, dst = _index(fields[0], lineno), _index(fields[2], lineno)
             trans[(src, fields[1])] = dst
             refs += [(lineno, src), (lineno, dst)]
+            moves.append((lineno, fields[1]))
         else:
             body.append((lineno, key, rest.strip()))
     if count is None or initial is None:
@@ -469,6 +430,11 @@ def _parse_header(text: str):
         alphabet = Alphabet.make(controllable, uncontrollable, observable)
     except InvariantError as e:
         raise FormatError(str(e)) from None
+    for lineno, event in moves:
+        if event not in alphabet.events:
+            raise FormatError(f"obs-trans uses unknown event {event!r}", lineno)
+        if event not in alphabet.observable:
+            raise FormatError(f"obs-trans uses unobservable event {event!r}", lineno)
     classes = ObservationClasses(alphabet, initial, count, trans)
     return alphabet, classes, body
 

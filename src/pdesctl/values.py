@@ -10,7 +10,7 @@ every ordinary positive rational and multiplies by adding degrees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 Rat = Fraction
@@ -60,34 +60,50 @@ def format_rat(value: Fraction, style: str = "decimal") -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-@dataclass(frozen=True)
 class EpsProb:
     """A nonnegative rational magnitude times the infinitesimal to a power.
 
     The canonical zero has degree 0.  Total order for positive values:
-    lower degree wins, then larger magnitude; zero is least.
+    lower degree wins, then larger magnitude; zero is least.  Values are
+    immutable, and equal exactly when magnitude and degree are equal.
     """
 
-    magnitude: Fraction = Fraction(0)
-    eps_degree: int = 0
+    __slots__ = ("magnitude", "eps_degree")
 
-    def __post_init__(self):
-        if not isinstance(self.magnitude, Fraction):
-            object.__setattr__(self, "magnitude", Fraction(self.magnitude))
-        if self.magnitude < 0:
+    def __init__(self, magnitude=Fraction(0), eps_degree: int = 0):
+        if not isinstance(magnitude, Fraction):
+            magnitude = Fraction(magnitude)
+        if magnitude < 0:
             raise ValueError("probability magnitude must be nonnegative")
-        if self.eps_degree < 0:
+        if eps_degree < 0:
             raise ValueError("infinitesimal degree must be nonnegative")
-        if self.magnitude == 0 and self.eps_degree != 0:
-            object.__setattr__(self, "eps_degree", 0)
+        if not magnitude:
+            eps_degree = 0
+        _set_magnitude(self, magnitude)
+        _set_degree(self, eps_degree)
 
-    @classmethod
-    def from_rat(cls, value) -> "EpsProb":
-        return cls(Fraction(value), 0)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (EpsProb, (self.magnitude, self.eps_degree))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not EpsProb:
+            return NotImplemented
+        return self.eps_degree == other.eps_degree and self.magnitude == other.magnitude
+
+    def __hash__(self):
+        return hash((self.magnitude, self.eps_degree))
 
     @property
     def is_zero(self) -> bool:
-        return self.magnitude == 0
+        return not self.magnitude
 
     @property
     def is_ordinary(self) -> bool:
@@ -95,19 +111,22 @@ class EpsProb:
         return self.eps_degree == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.magnitude)
 
     def _cmp(self, other: "EpsProb") -> int:
-        if self.magnitude == other.magnitude and self.eps_degree == other.eps_degree:
-            return 0
-        if self.is_zero:
-            return -1
-        if other.is_zero:
+        """-1, 0 or 1 under the total order."""
+        a, b = self.magnitude, other.magnitude
+        if not a:
+            return -1 if b else 0
+        if not b:
             return 1
-        if self.eps_degree != other.eps_degree:
+        da, db = self.eps_degree, other.eps_degree
+        if da != db:
             # higher degree means a smaller value
-            return -1 if self.eps_degree > other.eps_degree else 1
-        return -1 if self.magnitude < other.magnitude else 1
+            return -1 if da > db else 1
+        if a is b or a == b:
+            return 0
+        return -1 if a < b else 1
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -122,35 +141,38 @@ class EpsProb:
         return self._cmp(other) >= 0
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            other = EpsProb(Fraction(other))
-        if not isinstance(other, EpsProb):
-            return NotImplemented
-        return EpsProb(self.magnitude * other.magnitude, self.eps_degree + other.eps_degree)
+        """Magnitudes multiply, degrees add."""
+        if other.__class__ is not EpsProb:
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = EpsProb(other)
+        if not (self.magnitude and other.magnitude):
+            return ZERO
+        return _trusted(self.magnitude * other.magnitude, self.eps_degree + other.eps_degree)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (Fraction, int)):
-            other = EpsProb(Fraction(other))
-        if not isinstance(other, EpsProb):
-            return NotImplemented
-        if other.is_zero:
+        if other.__class__ is not EpsProb:
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = EpsProb(other)
+        if not other.magnitude:
             raise ZeroDivisionError("division of a probability by zero")
         if self.eps_degree < other.eps_degree:
             raise ValueError("quotient would have negative infinitesimal degree")
-        return EpsProb(self.magnitude / other.magnitude, self.eps_degree - other.eps_degree)
+        return _trusted(self.magnitude / other.magnitude, self.eps_degree - other.eps_degree)
 
     def __add__(self, other):
         """Dominant-term addition: the lower-degree term absorbs the other."""
-        if not isinstance(other, EpsProb):
+        if other.__class__ is not EpsProb:
             return NotImplemented
-        if self.is_zero:
+        if not self.magnitude:
             return other
-        if other.is_zero:
+        if not other.magnitude:
             return self
         if self.eps_degree == other.eps_degree:
-            return EpsProb(self.magnitude + other.magnitude, self.eps_degree)
+            return _trusted(self.magnitude + other.magnitude, self.eps_degree)
         return self if self.eps_degree < other.eps_degree else other
 
     def __str__(self) -> str:
@@ -160,24 +182,22 @@ class EpsProb:
         return f"EpsProb({self.magnitude!r}, {self.eps_degree})"
 
 
+_set_magnitude = EpsProb.magnitude.__set__
+_set_degree = EpsProb.eps_degree.__set__
+
+
+def _trusted(magnitude: Fraction, eps_degree: int) -> EpsProb:
+    """An EpsProb from parts that are already canonical: a nonnegative
+    Fraction, a nonnegative degree, and degree 0 when the magnitude is 0."""
+    p = object.__new__(EpsProb)
+    _set_magnitude(p, magnitude)
+    _set_degree(p, eps_degree)
+    return p
+
+
 ZERO = EpsProb()
 ONE = EpsProb(Fraction(1))
 EPS = EpsProb(Fraction(1), 1)
-
-
-def eps_mul(a: EpsProb, b: EpsProb) -> EpsProb:
-    """Product: magnitudes multiply, degrees add."""
-    return a * b
-
-
-def eps_cmp(a: EpsProb, b: EpsProb) -> int:
-    """-1, 0 or 1 under the total order described on EpsProb."""
-    return a._cmp(b)
-
-
-def eps_sum_lower(a: EpsProb, b: EpsProb) -> EpsProb:
-    """Dominant-term sum, used when checking per-state liveness bounds."""
-    return a + b
 
 
 def parse_prob(text: str) -> EpsProb:

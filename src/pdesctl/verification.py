@@ -24,9 +24,10 @@ from .automata import (
     Verdict,
     Witness,
     Word,
+    explore,
     require_same_alphabet,
 )
-from .values import EpsProb
+from .values import ZERO, EpsProb
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
@@ -45,10 +46,6 @@ class TestingAutomatonTC:
     @property
     def state_count(self) -> int:
         return len(self.pairs) + (1 if self.dump_edges else 0)
-
-    @property
-    def dump_reachable(self) -> bool:
-        return bool(self.dump_edges)
 
 
 @dataclass
@@ -71,9 +68,9 @@ class TestingAutomatonTO:
     def state_count(self) -> int:
         return len(self.quads) + (1 if self.dump_edges else 0)
 
-    @property
-    def dump_reachable(self) -> bool:
-        return bool(self.dump_edges)
+
+# the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
+_ABSENT = (None, ZERO)
 
 
 def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
@@ -81,33 +78,32 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
     alphabet = plant.alphabet
     initial = (plant.initial, spec.initial)
     access: Dict[Pair, Word] = {initial: ()}
-    pairs = [initial]
     trans: Dict[Tuple[Pair, str], Pair] = {}
     dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]] = []
-    queue = [initial]
-    while queue:
-        pair = queue.pop(0)
-        x, q = pair
+
+    def successors(pair):
+        rx, rq = plant.row(pair[0]), spec.row(pair[1])
         for e in alphabet.uncontrollable_events():
-            rs = spec.rho(q, e)
-            if rs.is_zero:
+            eq = rq.get(e)
+            if eq is None:
                 continue
-            rp = plant.rho(x, e)
-            if rp != rs:
-                dump_edges.append((pair, e, rp, rs))
+            rp = rx.get(e, _ABSENT)[1]
+            if rp != eq[1]:
+                dump_edges.append((pair, e, rp, eq[1]))
+        word = access[pair]
         for e in alphabet.events:
-            rp = plant.rho(x, e)
-            rs = spec.rho(q, e)
-            if rp.is_zero or rs.is_zero:
+            ex, eq = rx.get(e), rq.get(e)
+            if ex is None or eq is None:
                 continue
-            if e not in alphabet.controllable and rp != rs:
+            if e not in alphabet.controllable and ex[1] != eq[1]:
                 continue  # this move dumps instead of advancing
-            dst = (plant.target(x, e), spec.target(q, e))
+            dst = (ex[0], eq[0])
             trans[(pair, e)] = dst
             if dst not in access:
-                access[dst] = access[pair] + (e,)
-                pairs.append(dst)
-                queue.append(dst)
+                access[dst] = word + (e,)
+            yield dst
+
+    pairs = explore([initial], successors)
     return TestingAutomatonTC(pairs, initial, trans, dump_edges, access)
 
 
@@ -127,40 +123,32 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     alphabet = plant.alphabet
     initial = (plant.initial, spec.initial, plant.initial, spec.initial)
     access: Dict[Quad, Tuple[Word, Word]] = {initial: ((), ())}
-    quads = [initial]
     trans: Dict[Tuple[Quad, Tuple[Optional[str], Optional[str]]], Quad] = {}
     dump_edges: List[Tuple[Quad, str, EpsProb, EpsProb]] = []
-    queue = [initial]
 
-    def defined(x, q, e):
-        return not plant.rho(x, e).is_zero and not spec.rho(q, e).is_zero
-
-    while queue:
-        quad = queue.pop(0)
+    def successors(quad):
         x1, q1, x2, q2 = quad
+        g1, h1, g2, h2 = plant.row(x1), spec.row(q1), plant.row(x2), spec.row(q2)
         s1, s2 = access[quad]
-        for e in alphabet.controllable_events():
-            lhs = plant.rho(x1, e) * spec.rho(q2, e)
-            rhs = plant.rho(x2, e) * spec.rho(q1, e)
-            if lhs != rhs:
-                dump_edges.append((quad, e, lhs, rhs))
+        dumped = set()
+        if g1 is not g2 or h1 is not h2:  # on the diagonal both cross-products are one product
+            for e in alphabet.controllable_events():
+                lhs = g1.get(e, _ABSENT)[1] * h2.get(e, _ABSENT)[1]
+                rhs = g2.get(e, _ABSENT)[1] * h1.get(e, _ABSENT)[1]
+                if lhs != rhs:
+                    dump_edges.append((quad, e, lhs, rhs))
+                    dumped.add(e)
         moves: List[Tuple[Tuple[Optional[str], Optional[str]], Quad]] = []
         for e in alphabet.events:
-            if not (defined(x1, q1, e) and defined(x2, q2, e)):
-                continue
-            if e in alphabet.controllable:
-                if plant.rho(x1, e) * spec.rho(q2, e) != plant.rho(x2, e) * spec.rho(q1, e):
-                    continue  # dumps instead of advancing
-            moves.append(
-                ((e, e), (plant.target(x1, e), spec.target(q1, e), plant.target(x2, e), spec.target(q2, e)))
-            )
+            if e in g1 and e in h1 and e in g2 and e in h2 and e not in dumped:
+                moves.append(((e, e), (g1[e][0], h1[e][0], g2[e][0], h2[e][0])))
         for e in alphabet.events:
             if e in alphabet.observable:
                 continue
-            if defined(x1, q1, e):
-                moves.append(((e, None), (plant.target(x1, e), spec.target(q1, e), x2, q2)))
-            if defined(x2, q2, e):
-                moves.append(((None, e), (x1, q1, plant.target(x2, e), spec.target(q2, e))))
+            if e in g1 and e in h1:
+                moves.append(((e, None), (g1[e][0], h1[e][0], x2, q2)))
+            if e in g2 and e in h2:
+                moves.append(((None, e), (x1, q1, g2[e][0], h2[e][0])))
         for label, dst in moves:
             trans[(quad, label)] = dst
             if dst not in access:
@@ -169,8 +157,9 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
                     s1 + ((l1,) if l1 else ()),
                     s2 + ((l2,) if l2 else ()),
                 )
-                quads.append(dst)
-                queue.append(dst)
+            yield dst
+
+    quads = explore([initial], successors)
     return TestingAutomatonTO(quads, initial, trans, dump_edges, access)
 
 
@@ -201,10 +190,16 @@ def brute_controllable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
     """
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
-    queue: List[Tuple[Word, State, State]] = [((), plant.initial, spec.initial)]
-    seen = {(plant.initial, spec.initial)}
-    while queue:
-        word, x, q = queue.pop(0)
+    initial = (plant.initial, spec.initial)
+    words: Dict[Pair, Word] = {initial: ()}
+    witness = None
+
+    def successors(cfg):
+        nonlocal witness
+        if witness is not None:
+            return
+        x, q = cfg
+        word = words[cfg]
         lg = plant.eval_language(word)
         lh = spec.eval_language(word)
         for e in alphabet.uncontrollable_events():
@@ -213,20 +208,20 @@ def brute_controllable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
                 continue
             lg_ext = plant.eval_language(word + (e,))
             if lh_ext * lg != lg_ext * lh:
-                return Verdict(
-                    False,
-                    Witness((word,), e, plant.rho(x, e), spec.rho(q, e)),
-                )
+                witness = Witness((word,), e, plant.rho(x, e), spec.rho(q, e))
+                return
         if len(word) >= depth:
-            continue
+            return
         for e in alphabet.events:
             if spec.rho(q, e).is_zero or plant.rho(x, e).is_zero:
                 continue
             dst = (plant.target(x, e), spec.target(q, e))
-            if dst not in seen:
-                seen.add(dst)
-                queue.append((word + (e,), dst[0], dst[1]))
-    return Verdict(True)
+            if dst not in words:
+                words[dst] = word + (e,)
+            yield dst
+
+    explore([initial], successors)
+    return Verdict(witness is None, witness)
 
 
 def brute_observable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
@@ -239,15 +234,24 @@ def brute_observable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
     """
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
-    start = ((), (), plant.initial, spec.initial, plant.initial, spec.initial)
-    queue = [start]
-    seen = {(plant.initial, spec.initial, plant.initial, spec.initial)}
+    initial = (plant.initial, spec.initial, plant.initial, spec.initial)
+    words: Dict[Quad, Tuple[Word, Word]] = {initial: ((), ())}
+    witness = None
 
     def ok(x, q, e):
         return not plant.rho(x, e).is_zero and not spec.rho(q, e).is_zero
 
-    while queue:
-        s1, s2, x1, q1, x2, q2 = queue.pop(0)
+    def extend(s1, s2, cfg):
+        """Record the first string pair reaching the configuration."""
+        words.setdefault(cfg, (s1, s2))
+        return cfg
+
+    def successors(cfg):
+        nonlocal witness
+        if witness is not None:
+            return
+        x1, q1, x2, q2 = cfg
+        s1, s2 = words[cfg]
         g1, h1 = plant.eval_language(s1), spec.eval_language(s1)
         g2, h2 = plant.eval_language(s2), spec.eval_language(s2)
         for e in alphabet.controllable_events():
@@ -256,42 +260,27 @@ def brute_observable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
             h1e = spec.eval_language(s1 + (e,))
             h2e = spec.eval_language(s2 + (e,))
             if g1e * h2e * g2 * h1 != g2e * h1e * g1 * h2:
-                return Verdict(
-                    False,
-                    Witness(
-                        (s1, s2),
-                        e,
-                        plant.rho(x1, e) * spec.rho(q2, e),
-                        plant.rho(x2, e) * spec.rho(q1, e),
-                    ),
+                witness = Witness(
+                    (s1, s2),
+                    e,
+                    plant.rho(x1, e) * spec.rho(q2, e),
+                    plant.rho(x2, e) * spec.rho(q1, e),
                 )
+                return
         if max(len(s1), len(s2)) >= depth:
-            continue
-        extensions = []
+            return
         for e in alphabet.events:
             if ok(x1, q1, e) and ok(x2, q2, e):
-                extensions.append(
-                    (
-                        s1 + (e,),
-                        s2 + (e,),
-                        plant.target(x1, e),
-                        spec.target(q1, e),
-                        plant.target(x2, e),
-                        spec.target(q2, e),
-                    )
+                yield extend(
+                    s1 + (e,),
+                    s2 + (e,),
+                    (plant.target(x1, e), spec.target(q1, e), plant.target(x2, e), spec.target(q2, e)),
                 )
             if e not in alphabet.observable:
                 if ok(x1, q1, e):
-                    extensions.append(
-                        (s1 + (e,), s2, plant.target(x1, e), spec.target(q1, e), x2, q2)
-                    )
+                    yield extend(s1 + (e,), s2, (plant.target(x1, e), spec.target(q1, e), x2, q2))
                 if ok(x2, q2, e):
-                    extensions.append(
-                        (s1, s2 + (e,), x1, q1, plant.target(x2, e), spec.target(q2, e))
-                    )
-        for item in extensions:
-            cfg = item[2:]
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(item)
-    return Verdict(True)
+                    yield extend(s1, s2 + (e,), (x1, q1, plant.target(x2, e), spec.target(q2, e)))
+
+    explore([initial], successors)
+    return Verdict(witness is None, witness)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdesctl import Alphabet, EpsProb, Pdes
+from pdesctl import Alphabet, EpsProb, Pdes, explore
 
 F = Fraction
 
@@ -211,7 +211,7 @@ def random_subspec(rng, plant, touch_uncontrollable=True):
             trans[(src, e)] = (dst, p * EpsProb(Fraction(num, den)))
         else:
             trans[(src, e)] = (dst, p)
-    keep = Pdes._reach(trans, plant.initial)
+    keep = set(explore([plant.initial], lambda s: [d for (x, _), (d, _) in trans.items() if x == s]))
     trans = {k: v for k, v in trans.items() if k[0] in keep}
     return Pdes(plant.alphabet, plant.initial, trans)
 

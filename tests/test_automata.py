@@ -12,6 +12,7 @@ from pdesctl import (
     ONE,
     add_self_loops,
     dumps_automaton,
+    explore,
     is_subautomaton,
     is_sublanguage,
     language_equivalent,
@@ -41,6 +42,19 @@ class TestAlphabet:
         with pytest.raises(InvariantError):
             a.project(("nope",))
 
+    def test_index(self):
+        a = Alphabet.make(["c1", "c2"], ["u1"], ["c1", "u1"])
+        assert [a.index(e) for e in a.events] == [0, 1, 2]
+        with pytest.raises(InvariantError):
+            a.index("nope")
+
+    def test_index_table_is_not_part_of_the_value(self):
+        a = Alphabet.make(["c"], ["u"], ["u"])
+        b = Alphabet(("c", "u"), frozenset(["c"]), frozenset(["u"]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Alphabet.make(["c"], ["u"], ["c"])
+        assert "_position" not in repr(a)
+
 
 class TestConstruction:
     def test_rejects_zero_probability(self):
@@ -69,6 +83,106 @@ class TestConstruction:
             ("y", "u"): ("x", E(1, 2)),
         })
         assert p.liveness("x") == ONE
+
+
+class TestConstructionChecks:
+    """The checks `Pdes(...)` makes that TestConstruction does not cover,
+    and the state order it keeps."""
+
+    A = Alphabet.make(["c"], ["u"], ["c", "u"])
+
+    def test_unknown_event(self):
+        with pytest.raises(InvariantError, match="unknown event 'z'"):
+            Pdes(self.A, "x", {("x", "c"): ("x", E(1, 2)), ("x", "z"): ("x", E(1, 2))})
+
+    def test_probability_must_be_epsprob(self):
+        with pytest.raises(InvariantError, match="EpsProb"):
+            Pdes(self.A, "x", {("x", "c"): ("x", F(1, 2))})
+
+    def test_unreachable_error_lists_the_states(self):
+        with pytest.raises(InvariantError, match=r"unreachable states: \['z', 'y'\]"):
+            Pdes(self.A, "x", {("y", "c"): ("z", E(1, 2))}, states=["x", "z"])
+
+    def test_trim_keeps_the_state_order(self):
+        trans = {
+            ("x", "c"): ("b", E(1, 2)),
+            ("dead", "c"): ("a", E(1)),
+            ("b", "u"): ("a", E(1, 2)),
+            ("a", "u"): ("x", E(1)),
+        }
+        with pytest.warns(UserWarning, match="dropping 1"):
+            p = Pdes(self.A, "x", trans, states=["a", "x"], on_unreachable="trim")
+        assert p.states == ("x", "a", "b")
+        assert ("dead", "c") not in p.transition_map()
+        assert list(p.transition_map()) == [("x", "c"), ("b", "u"), ("a", "u")]
+
+    def test_state_order_is_first_mention(self):
+        trans = {("y", "c"): ("z", E(1, 2)), ("x", "u"): ("y", E(1, 2)), ("z", "u"): ("x", E(1))}
+        assert Pdes(self.A, "x", trans).states == ("x", "y", "z")
+        assert Pdes(self.A, "x", trans, states=["z"]).states == ("x", "z", "y")
+
+    def test_rows_follow_the_transitions(self):
+        p = Pdes(self.A, "x", {("x", "u"): ("y", E(1, 4)), ("x", "c"): ("x", E(1, 2))})
+        assert p.row("x") == {"u": ("y", E(1, 4)), "c": ("x", E(1, 2))}
+        assert p.row("y") == {}
+        assert p.enabled("x") == ("c", "u")
+        assert [t[:3] for t in p.transitions()] == [("x", "c", "x"), ("x", "u", "y")]
+
+    def test_liveness_bound(self):
+        with pytest.raises(InvariantError, match="liveness exceeds 1 at state 'y'"):
+            Pdes(self.A, "x", {("x", "c"): ("y", E(1)), ("y", "c"): ("y", E(2, 3)),
+                               ("y", "u"): ("x", E(2, 5))})
+        with pytest.raises(InvariantError, match="liveness"):
+            Pdes(self.A, "x", {("x", "c"): ("x", E(3, 2))})
+        exact = Pdes(self.A, "x", {("x", "c"): ("x", E(1, 3)), ("x", "u"): ("x", E(2, 3))})
+        assert exact.liveness("x") == ONE
+        # infinitesimal terms never push the sum above one
+        Pdes(self.A, "x", {("x", "c"): ("x", E(1)), ("x", "u"): ("x", EpsProb(F(7), 1))})
+        Pdes(self.A, "x", {("x", "c"): ("x", EpsProb(F(5), 2)), ("x", "u"): ("x", EpsProb(F(7), 1))})
+
+    def test_liveness_check_can_be_skipped(self):
+        p = Pdes(self.A, "x", {("x", "c"): ("x", E(1)), ("x", "u"): ("x", E(1))}, check_liveness=False)
+        assert p.liveness("x") == E(2)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_liveness_check_matches_the_dominant_sum(self, seed):
+        rng = random.Random(seed)
+        trans = {}
+        for e in self.A.events:
+            if rng.random() < 0.8:
+                trans[("x", e)] = ("x", EpsProb(F(rng.randint(1, 9), rng.randint(1, 9)), rng.choice([0, 0, 1])))
+        p = Pdes(self.A, "x", trans, check_liveness=False)
+        over = p.liveness("x") > ONE
+        if over:
+            with pytest.raises(InvariantError):
+                Pdes(self.A, "x", trans)
+        else:
+            Pdes(self.A, "x", trans)
+
+
+class TestExplore:
+    def test_breadth_first_discovery_order(self):
+        graph = {0: [2, 1], 1: [3, 0], 2: [3, 4], 3: [5], 4: [], 5: [0]}
+        calls = []
+
+        def successors(s):
+            calls.append(s)
+            return graph[s]
+
+        assert explore([0], successors) == [0, 2, 1, 3, 4, 5]
+        assert calls == [0, 2, 1, 3, 4, 5]
+
+    def test_several_initial_states(self):
+        graph = {0: [1], 1: [], 2: [1, 3], 3: []}
+        assert explore([2, 0, 2], graph.__getitem__) == [2, 0, 1, 3]
+
+    def test_generator_successors(self):
+        def successors(n):
+            if n < 5:
+                yield n + 1
+                yield n + 2
+
+        assert explore([0], successors) == [0, 1, 2, 3, 4, 5, 6]
 
 
 class TestAccessible:

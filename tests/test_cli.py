@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from pdesctl.cli import main
 from conftest import branch_plant, branch_spec, loop_plant, loop_spec, robot_plant, robot_spec
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +118,13 @@ class TestInfPco:
         assert main(["inf-pco", g, h, "--strip-eps", "--out", out]) == 0
         assert "0+" not in open(out).read()
 
+    def test_golden_output(self, capsys):
+        """A fixed random 4-state plant and unachievable sub-spec: the
+        output must stay byte-identical."""
+        plant, spec = str(DATA / "infimal_plant.pda"), str(DATA / "infimal_spec.pda")
+        assert main(["inf-pco", plant, spec]) == 0
+        assert capsys.readouterr().out == (DATA / "infimal_golden.pda").read_text()
+
     def test_non_sublanguage_is_failure(self, loop_files):
         g, h = loop_files
         assert main(["inf-pco", h, g]) == 1
@@ -155,6 +168,8 @@ class TestMalformedSupervisorMap:
         ("pattern 11 1\ndefault", "pattern 11\ndefault", 8),
         ("pattern 11 1\ndefault", "pattern 111 1\ndefault", 8),
         ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t5", 7),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 zz t0", 7),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s4 t0", 7),
         ("class t0", "class t7", 7),
         ("obs-initial: t0", "obs-initial: t3", 6),
         ("obs-initial: t0", "obs-initial: x", 6),
@@ -217,3 +232,36 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
+
+    def test_repeated_calls_share_nothing(self, tmp_path, capsys):
+        """One process, several commands: each call parses its own arguments."""
+        g, h = write(tmp_path, "g.pda", robot_plant()), write(tmp_path, "h.pda", robot_spec())
+        lg, lh = write(tmp_path, "lg.pda", loop_plant()), write(tmp_path, "lh.pda", loop_spec())
+        assert main(["check-ctrl", g, h]) == 0
+        assert main(["eval", g, "s3 s1"]) == 0
+        assert main(["check-ctrl", lg, lh]) == 1
+        with pytest.raises(SystemExit):
+            main(["eval", g])
+        assert main(["eval", g, "s1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "probabilistic controllability: HOLDS"
+        assert out[1] == "s3,s1\t1/8"
+        assert out[2] == "probabilistic controllability: FAILS"
+        assert out[-1] == "s1\t0"
+
+
+class TestModuleEntryPoint:
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PDES_COLOR="0")
+        return subprocess.run([sys.executable, "-m", "pdesctl", *args],
+                              capture_output=True, text=True, env=env)
+
+    def test_runs_cli_main(self, robot_files):
+        g, h = robot_files
+        done = self.run("check-ctrl", g, h)
+        assert done.returncode == 0
+        assert done.stdout == "probabilistic controllability: HOLDS\n"
+
+    def test_exit_codes(self, tmp_path):
+        assert self.run().returncode == 2
+        assert self.run("eval", str(tmp_path / "nope.pda"), "s1").returncode == 2

@@ -278,6 +278,8 @@ class TestSerialization:
         ("class t1 1 1 1 1 1", 7),
         ("class t0 1 x 1 1 1", 7),
         ("obs-trans: t0 s1 t1", 7),
+        ("obs-trans: t0 zz t0", 7),
+        ("obs-trans: t0 s4 t0", 7),
     ])
     def test_scaling_rejects_with_line(self, body, line):
         text = (
@@ -287,6 +289,20 @@ class TestSerialization:
         with pytest.raises(FormatError) as exc:
             loads_scaling_map(text)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("event, message", [
+        ("zz", "unknown event 'zz'"),
+        ("s4", "unobservable event 's4'"),
+    ])
+    def test_obs_trans_event_must_be_observable(self, robot, event, message):
+        plant, spec = robot
+        text = dumps_supervisor_map(supervisor_from_scaling(scaling_from_spec(plant, spec)))
+        lines = text.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("obs-initial"))
+        lines.insert(at + 1, f"obs-trans: t0 {event} t0")
+        with pytest.raises(FormatError, match=message) as exc:
+            loads_supervisor_map("\n".join(lines))
+        assert exc.value.line == at + 2
 
     def test_pattern_outside_section_rejected(self, robot):
         plant, spec = robot

@@ -1,10 +1,13 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pdesctl import EPS, ONE, ZERO, EpsProb, eps_cmp, eps_mul, eps_sum_lower, format_prob, format_rat, parse_prob, parse_rat
+from pdesctl import EPS, ONE, ZERO, EpsProb, format_prob, format_rat, parse_prob, parse_rat
 
 F = Fraction
 
@@ -52,19 +55,22 @@ class TestRationals:
 
 class TestEpsProb:
     def test_mul_examples(self):
-        assert eps_mul(ep(1, 2), ep(2, 5)) == ep(1, 5)
-        assert eps_mul(ep(1, 1, 1), ep(1, 2)) == ep(1, 2, 1)
-        assert eps_mul(ep(0), ep(1, 1, 1)) == ZERO
+        assert ep(1, 2) * ep(2, 5) == ep(1, 5)
+        assert ep(1, 1, 1) * ep(1, 2) == ep(1, 2, 1)
+        assert ep(0) * ep(1, 1, 1) == ZERO
 
     def test_cmp_examples(self):
-        assert eps_cmp(ep(1, 1, 1), ep(1, 100)) < 0
-        assert eps_cmp(ep(1, 4), ep(1, 2)) < 0
-        assert eps_cmp(ZERO, ep(1, 1, 2)) < 0
+        assert ep(1, 1, 1)._cmp(ep(1, 100)) < 0
+        assert ep(1, 4)._cmp(ep(1, 2)) < 0
+        assert ZERO._cmp(ep(1, 1, 2)) < 0
+        assert ep(1, 1, 1) < ep(1, 100)
+        assert ep(1, 4) < ep(1, 2)
+        assert ZERO < ep(1, 1, 2)
 
     def test_sum_examples(self):
-        assert eps_sum_lower(ep(1, 2), ep(1, 4)) == ep(3, 4)
-        assert eps_sum_lower(ep(1, 2), ep(1, 1, 1)) == ep(1, 2)
-        assert eps_sum_lower(ep(1, 1, 1), ep(1, 1, 1)) == ep(2, 1, 1)
+        assert ep(1, 2) + ep(1, 4) == ep(3, 4)
+        assert ep(1, 2) + ep(1, 1, 1) == ep(1, 2)
+        assert ep(1, 1, 1) + ep(1, 1, 1) == ep(2, 1, 1)
 
     def test_canonical_zero(self):
         assert EpsProb(F(0), 5) == ZERO
@@ -106,8 +112,70 @@ class TestEpsProb:
 
     @given(probs, probs)
     def test_dominant_sum_bounds(self, a, b):
-        s = eps_sum_lower(a, b)
+        s = a + b
         assert s >= a or s >= b
+
+
+class TestEpsProbValue:
+    """EpsProb behaves as an immutable value of (magnitude, eps_degree)."""
+
+    @given(probs, probs)
+    def test_eq_and_hash_follow_the_fields(self, a, b):
+        assert (a == b) == ((a.magnitude, a.eps_degree) == (b.magnitude, b.eps_degree))
+        assert hash(a) == hash((a.magnitude, a.eps_degree))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_not_equal_to_other_types(self):
+        assert ONE != 1
+        assert ONE != (F(1), 0)
+        assert len({ep(1, 2), EpsProb(F(2, 4)), ep(1, 2, 1)}) == 2
+
+    def test_attributes_cannot_be_set(self):
+        p = ep(1, 2)
+        with pytest.raises(FrozenInstanceError):
+            p.magnitude = F(1)
+        with pytest.raises(FrozenInstanceError):
+            p.eps_degree = 3
+        with pytest.raises(FrozenInstanceError):
+            del p.magnitude
+        with pytest.raises(AttributeError):
+            p.other = 1
+        assert p == ep(1, 2)
+
+    @pytest.mark.parametrize("value", [ZERO, ONE, EPS, ep(3, 7, 2)])
+    def test_copy_and_pickle_round_trip(self, value):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value
+            assert type(clone) is EpsProb
+            assert hash(clone) == hash(value)
+
+    def test_constructor_coerces_and_validates(self):
+        p = EpsProb(1)
+        assert type(p.magnitude) is Fraction
+        assert p == ONE
+        with pytest.raises(ValueError):
+            EpsProb(-1)
+        with pytest.raises(ValueError):
+            EpsProb(F(0), -1)
+        assert EpsProb(0, 5) == ZERO
+        assert EpsProb(0, 5).eps_degree == 0
+
+    @given(probs, probs)
+    @example(ZERO, EPS)
+    @example(EPS, ZERO)
+    @example(ZERO, ep(1, 3))
+    @example(ep(1, 3, 2), ep(1, 3, 2))
+    def test_arithmetic_results_are_canonical(self, a, b):
+        results = [a * b, a + b, a * b.magnitude]
+        if b and a.eps_degree >= b.eps_degree:
+            results.append(a / b)
+        for r in results:
+            assert type(r) is EpsProb
+            assert type(r.magnitude) is Fraction
+            assert r.magnitude >= 0 and r.eps_degree >= 0
+            assert r.magnitude or r.eps_degree == 0
+            assert r == EpsProb(r.magnitude, r.eps_degree)
 
 
 class TestProbText:
