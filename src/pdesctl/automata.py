@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .values import ONE, ZERO, EpsProb, format_prob, parse_prob
@@ -150,17 +151,23 @@ class Verdict:
         return self.holds
 
 
-def _exceeds_one(row) -> bool:
-    """Whether the dominant-term sum of the row's probabilities exceeds one:
-    infinitesimal terms lie below every positive rational, so it does when
-    the ordinary terms, summed as one unreduced integer ratio, exceed one."""
-    num, den = 0, 1
+def _dominant_sum(row) -> Tuple[int, int, int]:
+    """The dominant-term sum of a row's probabilities as (numerator,
+    denominator, degree): the magnitudes of the lowest-degree terms summed
+    as one unreduced integer ratio.  Stored probabilities are positive;
+    an empty row sums to 0/1."""
+    num, den, degree = 0, 1, 0
     for _, p in row.values():
-        if not p.eps_degree:
-            m = p.magnitude
-            num = num * m.denominator + m.numerator * den
-            den *= m.denominator
-    return num > den
+        d = p.eps_degree
+        if num and d != degree:
+            if d > degree:
+                continue
+            num, den = 0, 1  # a lower degree dominates
+        degree = d
+        m = p.magnitude
+        num = num * m.denominator + m.numerator * den
+        den *= m.denominator
+    return num, den, degree
 
 
 class Pdes:
@@ -217,7 +224,8 @@ class Pdes:
         self._out = out
         if check_liveness:
             for s, row in out.items():
-                if _exceeds_one(row):
+                num, den, degree = _dominant_sum(row)
+                if not degree and num > den:
                     raise InvariantError(f"liveness exceeds 1 at state {s!r}")
 
     def _targets(self, state: State) -> List[State]:
@@ -230,11 +238,6 @@ class Pdes:
     @property
     def states(self) -> Tuple[State, ...]:
         return self._states
-
-    def row(self, state: State) -> Dict[str, Tuple[State, EpsProb]]:
-        """The state's outgoing transitions as ``{event: (target, probability)}``.
-        This is the automaton's own table: read it, never modify it."""
-        return self._out[state]
 
     def step(self, state: State, event: str) -> Optional[Tuple[State, EpsProb]]:
         return self._out[state].get(event)
@@ -264,10 +267,9 @@ class Pdes:
         return dict(self._trans)
 
     def liveness(self, state: State) -> EpsProb:
-        total = ZERO
-        for _, p in self._out[state].values():
-            total = total + p
-        return total
+        """Dominant-term sum of the outgoing probabilities."""
+        num, den, degree = _dominant_sum(self._out[state])
+        return EpsProb(Fraction(num, den), degree)
 
     def has_eps_probabilities(self) -> bool:
         return any(not p.is_ordinary for _, p in self._trans.values())
@@ -414,14 +416,17 @@ def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
 def is_subautomaton(a: Pdes, b: Pdes) -> bool:
     """Structural containment: a's diagram is a subgraph of b's (same
     initial state, same targets) with pointwise smaller probabilities."""
-    if a.alphabet != b.alphabet or a.initial != b.initial:
+    if a.alphabet != b.alphabet:
         return False
-    bout = b._out
-    if any(s not in bout for s in a._out):
+    if a.initial != b.initial:
         return False
-    for (src, e), (dst, p) in a._trans.items():
-        edge = bout[src].get(e)
-        if edge is None or edge[0] != dst or p > edge[1]:
+    bstates = set(b.states)
+    if not set(a.states) <= bstates:
+        return False
+    for (src, e), (dst, p) in a.transition_map().items():
+        if b.target(src, e) != dst:
+            return False
+        if p > b.rho(src, e):
             return False
     return True
 
@@ -499,27 +504,15 @@ class Observer:
 
 
 def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]]:
-    """The closure of a nonempty set of states under unobservable events,
-    as a function.  The closure of a set is the union of the closures of
-    its members, and the function computes each member's closure once."""
+    """The closure of a set of states under unobservable events, as a function."""
     out = a._out
     unobs = [e for e in a.alphabet.events if e not in a.alphabet.observable]
-    single: Dict[State, FrozenSet[State]] = {}
 
     def successors(s):
         row = out[s]
         return [row[e][0] for e in unobs if e in row]
 
-    def reach(states):
-        parts = []
-        for s in states:
-            part = single.get(s)
-            if part is None:
-                part = single[s] = frozenset(explore([s], successors))
-            parts.append(part)
-        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
-
-    return reach
+    return lambda states: frozenset(explore(states, successors))
 
 
 def observer(a: Pdes) -> Observer:
@@ -562,15 +555,15 @@ def minimize_logic(a: Pdes) -> Pdes:
     if any(p != ONE for _, _, _, p in a.transitions()):
         raise InvariantError("minimize_logic expects a logic automaton")
     states = list(a.states)
-    events = a.alphabet.events
-    # per state, the target on each event in event order (None if undefined)
-    succ = {s: [row[e][0] if e in row else None for e in events] for s, row in a._out.items()}
     block = {s: 0 for s in states}
     nblocks = 1
     while True:
         sigs = {}
         for s in states:
-            sig = (block[s], *[-1 if t is None else block[t] for t in succ[s]])
+            sig = (block[s],) + tuple(
+                block[a.target(s, e)] if a.target(s, e) is not None else -1
+                for e in a.alphabet.events
+            )
             sigs.setdefault(sig, []).append(s)
         if len(sigs) == nblocks:
             break
@@ -583,7 +576,8 @@ def minimize_logic(a: Pdes) -> Pdes:
         reps.setdefault(block[s], s)
     trans = {}
     for b, rep in reps.items():
-        for e, t in zip(events, succ[rep]):
+        for e in a.alphabet.events:
+            t = a.target(rep, e)
             if t is not None:
                 trans[(f"m{b}", e)] = (f"m{block[t]}", ONE)
     return Pdes(a.alphabet, f"m{block[a.initial]}", trans, check_liveness=False)

@@ -78,24 +78,19 @@ def _print_verdict(name: str, verdict: Verdict) -> int:
     if verdict.holds:
         return 0
     w = verdict.witness
-    lhs, rhs = format_prob(w.lhs), format_prob(w.rhs)
-    words = [_fmt_word(s) for s in w.strings]
-    if len(words) == 1:
-        print(f"violation after {words[0]} on event {w.event}: {lhs} vs {rhs}")
-        words.append("-")
+    strings = list(w.strings) + [()] * (2 - len(w.strings))
+    s1, s2 = strings[0], strings[1] if len(w.strings) > 1 else ()
+    if len(w.strings) == 1:
+        print(f"violation after {_fmt_word(s1)} on event {w.event}: "
+              f"{format_prob(w.lhs)} vs {format_prob(w.rhs)}")
+        print(f"WITNESS s1={_fmt_word(s1)} s2=- event={w.event} "
+              f"lhs={format_prob(w.lhs)} rhs={format_prob(w.rhs)}")
     else:
-        print(f"violation for {words[0]} / {words[1]} on event {w.event}: {lhs} vs {rhs}")
-    print(f"WITNESS s1={words[0]} s2={words[1]} event={w.event} lhs={lhs} rhs={rhs}")
+        print(f"violation for {_fmt_word(w.strings[0])} / {_fmt_word(w.strings[1])} "
+              f"on event {w.event}: {format_prob(w.lhs)} vs {format_prob(w.rhs)}")
+        print(f"WITNESS s1={_fmt_word(w.strings[0])} s2={_fmt_word(w.strings[1])} "
+              f"event={w.event} lhs={format_prob(w.lhs)} rhs={format_prob(w.rhs)}")
     return 1
-
-
-def _emit(text: str, path: Optional[str]):
-    """Write the text to the file, or to standard output without one."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_check_ctrl(args) -> int:
@@ -149,9 +144,13 @@ def cmd_inf_pco(args) -> int:
     result = infimal_pipeline(plant, spec).result
     if args.strip_eps:
         result = strip_eps_edges(result)
-    _emit(dumps_automaton(result.canonical_names()), args.out)
+    text = dumps_automaton(result.canonical_names())
     if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
         print(f"infimal superlanguage generator written to {args.out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -167,13 +166,23 @@ def cmd_simulate(args) -> int:
 def cmd_product(args) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    _emit(dumps_automaton(product(a, b).canonical_names()), args.out)
+    text = dumps_automaton(product(a, b).canonical_names())
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_observer(args) -> int:
     a = _load(args.automaton)
-    _emit(dumps_automaton(observer_automaton(a).canonical_names("t")), args.out)
+    text = dumps_automaton(observer_automaton(a).canonical_names("t"))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -70,7 +70,7 @@ def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
     trans = {}
 
     def successors(state):
-        rx, rq = plant.row(state[0]), spec.row(state[1])
+        rx, rq = plant._out[state[0]], spec._out[state[1]]
         for e in events:
             eq = rq.get(e)
             if eq is None:
@@ -99,7 +99,7 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
     controllable, observable = alphabet.controllable, alphabet.observable
     obs = observer(support)
     enabled: List[Set[str]] = [
-        {e for s in cell for e in support.row(s) if e in controllable} for cell in obs.cells
+        {e for s in cell for e in support._out[s] if e in controllable} for cell in obs.cells
     ]
 
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
@@ -108,8 +108,8 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
     def successors(state):
         nonlocal added
         k, x, o = state
-        rk = support.row(k) if k is not None else {}
-        rx = plant.row(x)
+        rk = support._out[k] if k is not None else {}
+        rx = plant._out[x]
         for e in alphabet.events:
             ek, ex = rk.get(e), rx.get(e)
             kt = ek[0] if ek is not None else None
@@ -183,7 +183,7 @@ def _complete_to_sink(a: Pdes) -> Pdes:
     left the original automaton' decidable from the state, which the
     probability assignment below relies on."""
     trans = a.transition_map()
-    missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a.row(s)]
+    missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a._out[s]]
     if not missing:
         return a
     for key in missing:
@@ -200,7 +200,7 @@ def _triple_product(a: Pdes, b: Pdes, c: Pdes) -> Pdes:
     trans = {}
 
     def successors(state):
-        ra, rb, rc = a.row(state[0]), b.row(state[1]), c.row(state[2])
+        ra, rb, rc = a._out[state[0]], b._out[state[1]], c._out[state[2]]
         for e in events:
             if e in ra and e in rb and e in rc:
                 dst = (ra[e][0], rb[e][0], rc[e][0])
@@ -231,7 +231,7 @@ def _pair_with_observer(base: Pdes, obs_dfa: Pdes) -> Pdes:
 
     def successors(state):
         o = state[1]
-        rx, ro = base.row(state[0]), obs_dfa.row(o)
+        rx, ro = base._out[state[0]], obs_dfa._out[o]
         for e in events:
             edge = rx.get(e)
             if edge is None:
@@ -314,7 +314,7 @@ def _check_spec_values(spec: Pdes, h_n: Pdes):
     """On the spec's support, the refined automaton must carry exactly the
     spec's probabilities."""
     def successors(state):
-        rq, ry = spec.row(state[0]), h_n.row(state[1])
+        rq, ry = spec._out[state[0]], h_n._out[state[1]]
         for e, (tq, p) in rq.items():
             ey = ry.get(e)
             if ey is None or ey[1] != p:
@@ -348,7 +348,7 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
             extra.append(state)
 
     for x in h_n.states:
-        gx = g_n.row(x)
+        gx = g_n._out[x]
         for e in alphabet.uncontrollable_events():
             edge = gx.get(e)
             if edge is not None:
@@ -369,7 +369,7 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
             if best.is_zero:
                 continue
             for x in cell:
-                edge = g_n.row(x).get(e)
+                edge = g_n._out[x].get(e)
                 if edge is not None:
                     trans[(x, e)] = (edge[0], best * edge[1])
                     adopt(edge[0])
@@ -409,7 +409,7 @@ def infimal_superlanguage(plant: Pdes, spec: Pdes) -> Pdes:
 def strip_eps_edges(a: Pdes) -> Pdes:
     """Drop infinitesimal-probability transitions (display helper)."""
     def successors(s):
-        return [dst for dst, p in a.row(s).values() if p.is_ordinary]
+        return [dst for dst, p in a._out[s].values() if p.is_ordinary]
 
     keep = set(explore([a.initial], successors))
     trans = {

@@ -106,7 +106,7 @@ def _pair_graph(plant: Pdes, spec: Pdes):
     access: Dict[Tuple[State, State], Word] = {initial: ()}
 
     def successors(pair):
-        rx, rq = plant.row(pair[0]), spec.row(pair[1])
+        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
         word = access[pair]
         for e in events:
             if e in rx and e in rq:
@@ -289,7 +289,7 @@ def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
 
     def successors(state):
         x, cls = state
-        rx, vector = plant.row(x), scaling.vector(cls)
+        rx, vector = plant._out[x], scaling.vector(cls)
         for i, e in enumerate(events):
             edge = rx.get(e)
             if edge is None:

@@ -82,7 +82,7 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
     dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]] = []
 
     def successors(pair):
-        rx, rq = plant.row(pair[0]), spec.row(pair[1])
+        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
         for e in alphabet.uncontrollable_events():
             eq = rq.get(e)
             if eq is None:
@@ -128,7 +128,7 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
 
     def successors(quad):
         x1, q1, x2, q2 = quad
-        g1, h1, g2, h2 = plant.row(x1), spec.row(q1), plant.row(x2), spec.row(q2)
+        g1, h1, g2, h2 = plant._out[x1], spec._out[q1], plant._out[x2], spec._out[q2]
         s1, s2 = access[quad]
         dumped = set()
         if g1 is not g2 or h1 is not h2:  # on the diagonal both cross-products are one product
