@@ -59,6 +59,14 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {e.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise FormatError(f"cannot write {path}: {e.strerror}")
+
+
 def _load(path: str) -> Pdes:
     text = _read(path)
     with warnings.catch_warnings(record=True) as caught:
@@ -129,10 +137,8 @@ def cmd_synthesize(args) -> int:
         print(f"synthesis failed: {e}")
         return 1
     sup = supervisor_from_scaling(scaling)
-    with open(args.scaling_out, "w") as fh:
-        fh.write(dumps_scaling_map(scaling))
-    with open(args.supervisor_out, "w") as fh:
-        fh.write(dumps_supervisor_map(sup))
+    _write(args.scaling_out, dumps_scaling_map(scaling))
+    _write(args.supervisor_out, dumps_supervisor_map(sup))
     print(f"scaling map written to {args.scaling_out}")
     print(f"supervisor written to {args.supervisor_out}")
     return 0
@@ -146,8 +152,7 @@ def cmd_inf_pco(args) -> int:
         result = strip_eps_edges(result)
     text = dumps_automaton(result.canonical_names())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"infimal superlanguage generator written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -168,8 +173,7 @@ def cmd_product(args) -> int:
     b = _load(args.right)
     text = dumps_automaton(product(a, b).canonical_names())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -179,8 +183,7 @@ def cmd_observer(args) -> int:
     a = _load(args.automaton)
     text = dumps_automaton(observer_automaton(a).canonical_names("t"))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -21,10 +21,12 @@ from above is computed in three stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 from .automata import (
     InvariantError,
+    Observer,
     Pdes,
     PdesError,
     State,
@@ -54,12 +56,18 @@ class NormalPair:
     g_n: Pdes
     h_n: Pdes
 
+    @cached_property
+    def spec_observer(self) -> Observer:
+        """The observer of h_n, built once for `validate` and `reweight_infimal`."""
+        return observer(self.h_n)
+
     def validate(self):
         if not is_subautomaton(self.h_n, self.g_n):
             raise InvariantError("spec refinement is not a subautomaton of the plant refinement")
-        for a in (self.g_n, self.h_n):
-            if not observer(a).is_partition(a.states):
-                raise InvariantError("refined automaton is not normal")
+        if not observer(self.g_n).is_partition(self.g_n.states):
+            raise InvariantError("refined automaton is not normal")
+        if not self.spec_observer.is_partition(self.h_n.states):
+            raise InvariantError("refined automaton is not normal")
 
 
 def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
@@ -355,7 +363,7 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
                 trans[(x, e)] = edge
                 adopt(edge[0])
 
-    obs = observer(h_n)
+    obs = pair.spec_observer
     if not obs.is_partition(h_n.states):
         raise InvariantError("refined spec is not normal")
     for cell in obs.cells:

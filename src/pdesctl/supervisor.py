@@ -220,20 +220,22 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                 )
     classes = observation_classes(plant, spec)
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
+    uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
     for cls in range(classes.count):
-        members = classes.members[cls]
+        rows = [
+            (pair, plant._out[pair[0]], spec._out[pair[1]])
+            for pair in sorted(classes.members[cls], key=access.__getitem__)
+        ]
         factors: List[Fraction] = []
-        for i, e in enumerate(alphabet.events):
-            if i >= alphabet.m:
-                factors.append(Fraction(1))
-                continue
+        for e in alphabet.controllable_events():
             ratio: Optional[Fraction] = None
             first: Optional[Tuple[State, State]] = None
-            for x, q in sorted(members, key=lambda p: access[p]):
-                rp = plant.rho(x, e)
-                if rp.is_zero:
+            for (x, q), gx, hq in rows:
+                edge = gx.get(e)
+                if edge is None:
                     continue
-                rs = spec.rho(q, e)
+                rp = edge[1]
+                rs = hq[e][1] if e in hq else ZERO
                 if not (rp.is_ordinary and rs.is_ordinary):
                     raise InvariantError("synthesis requires ordinary probabilities")
                 r = rs.magnitude / rp.magnitude
@@ -251,7 +253,7 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                         ),
                     )
             factors.append(ratio if ratio is not None else Fraction(0))
-        vectors[cls] = tuple(factors)
+        vectors[cls] = tuple(factors) + uncontrollable_factors
     return ScalingMap(classes, vectors)
 
 
@@ -417,6 +419,8 @@ def _parse_header(text: str):
             if len(fields) != 3:
                 raise FormatError("obs-trans takes: <src> <event> <dst>", lineno)
             src, dst = _index(fields[0], lineno), _index(fields[2], lineno)
+            if (src, fields[1]) in trans:
+                raise FormatError(f"duplicate obs-trans from t{src} on {fields[1]!r}", lineno)
             trans[(src, fields[1])] = dst
             refs += [(lineno, src), (lineno, dst)]
             moves.append((lineno, fields[1]))
@@ -476,8 +480,12 @@ def loads_scaling_map(text: str) -> ScalingMap:
         fields = rest.split()
         if key == "class":
             cls = _class_line(fields, classes.count, lineno)
+            if cls in vectors:
+                raise FormatError(f"duplicate class t{cls}", lineno)
             vectors[cls] = _rationals(fields[1:], lineno)
         elif key == "default":
+            if default is not None:
+                raise FormatError("duplicate default", lineno)
             default = _rationals(fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
@@ -539,9 +547,13 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             flush()
             in_default = False
             current = _class_line(fields, classes.count, lineno)
+            if current in dists:
+                raise FormatError(f"duplicate class t{current}", lineno)
             section_line = lineno
         elif key == "default":
             flush()
+            if default is not None:
+                raise FormatError("duplicate default", lineno)
             current = None
             in_default = True
             section_line = lineno
@@ -557,6 +569,8 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
                 j = -1
             if not 0 <= j < 2**m:
                 raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
+            if j in pending:
+                raise FormatError(f"duplicate pattern {bits!r}", lineno)
             pending[j] = _rationals([prob], lineno)[0]
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)

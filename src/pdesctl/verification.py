@@ -16,6 +16,7 @@ the specification uncontrollable.  (Synthesis is stricter; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .automata import (
@@ -31,6 +32,20 @@ from .values import ZERO, EpsProb
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
+Label = Tuple[Optional[str], Optional[str]]
+
+
+def _path(parent: Dict, node) -> list:
+    """Labels along the first-discovery path from the root to the node;
+    ``parent`` maps each node to (previous node, label), the root to None."""
+    labels = []
+    step = parent[node]
+    while step is not None:
+        node, label = step
+        labels.append(label)
+        step = parent[node]
+    labels.reverse()
+    return labels
 
 
 @dataclass
@@ -39,13 +54,16 @@ class TestingAutomatonTC:
 
     pairs: List[Pair]
     initial: Pair
-    trans: Dict[Tuple[Pair, str], Pair]
     dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]]
-    access: Dict[Pair, Word]
+    parent: Dict[Pair, Optional[Tuple[Pair, str]]]
 
     @property
     def state_count(self) -> int:
         return len(self.pairs) + (1 if self.dump_edges else 0)
+
+    def access(self, pair: Pair) -> Word:
+        """The shortest string reaching the pair (ties broken by event order)."""
+        return tuple(_path(self.parent, pair))
 
 
 @dataclass
@@ -55,18 +73,30 @@ class TestingAutomatonTO:
     Moves carry label pairs over the alphabet extended with the empty
     label (None); a one-sided move is only available for unobservable
     events, so reachable quadruples correspond exactly to string pairs
-    with equal observations.
+    with equal observations.  A quadruple (x1, q1, x2, q2) is keyed by
+    ``i * n + j``, where i and j index (x1, q1) and (x2, q2) in the
+    breadth-first order of the n pairs of the joint support.
     """
 
     quads: List[Quad]
     initial: Quad
-    trans: Dict[Tuple[Quad, Tuple[Optional[str], Optional[str]]], Quad]
     dump_edges: List[Tuple[Quad, str, EpsProb, EpsProb]]
-    access: Dict[Quad, Tuple[Word, Word]]
+    parent: Dict[int, Optional[Tuple[int, Label]]]
+    pair_index: Dict[Pair, int]
 
     @property
     def state_count(self) -> int:
         return len(self.quads) + (1 if self.dump_edges else 0)
+
+    def access(self, quad: Quad) -> Tuple[Word, Word]:
+        """The first-discovered string pair reaching the quadruple."""
+        index = self.pair_index
+        key = index[quad[:2]] * len(index) + index[quad[2:]]
+        labels = _path(self.parent, key)
+        return (
+            tuple(l1 for l1, _ in labels if l1 is not None),
+            tuple(l2 for _, l2 in labels if l2 is not None),
+        )
 
 
 # the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
@@ -77,8 +107,7 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
     initial = (plant.initial, spec.initial)
-    access: Dict[Pair, Word] = {initial: ()}
-    trans: Dict[Tuple[Pair, str], Pair] = {}
+    parent: Dict[Pair, Optional[Tuple[Pair, str]]] = {initial: None}
     dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]] = []
 
     def successors(pair):
@@ -90,7 +119,6 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
             rp = rx.get(e, _ABSENT)[1]
             if rp != eq[1]:
                 dump_edges.append((pair, e, rp, eq[1]))
-        word = access[pair]
         for e in alphabet.events:
             ex, eq = rx.get(e), rq.get(e)
             if ex is None or eq is None:
@@ -98,13 +126,12 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
             if e not in alphabet.controllable and ex[1] != eq[1]:
                 continue  # this move dumps instead of advancing
             dst = (ex[0], eq[0])
-            trans[(pair, e)] = dst
-            if dst not in access:
-                access[dst] = word + (e,)
+            if dst not in parent:
+                parent[dst] = (pair, e)
             yield dst
 
     pairs = explore([initial], successors)
-    return TestingAutomatonTC(pairs, initial, trans, dump_edges, access)
+    return TestingAutomatonTC(pairs, initial, dump_edges, parent)
 
 
 def check_controllable(plant: Pdes, spec: Pdes) -> Verdict:
@@ -115,52 +142,102 @@ def check_controllable(plant: Pdes, spec: Pdes) -> Verdict:
     if not tc.dump_edges:
         return Verdict(True)
     pair, e, rp, rs = tc.dump_edges[0]
-    return Verdict(False, Witness((tc.access[pair],), e, rp, rs))
+    return Verdict(False, Witness((tc.access(pair),), e, rp, rs))
+
+
+# ratio classes of a plant edge and a spec edge at a controllable event;
+# the classes of both-sided ratios are numbered from _RATIO up
+_ANY = 0  # neither side has the event: both cross-products are zero
+_SPEC_ONLY = 1
+_PLANT_ONLY = 2  # the ratio is zero
+_RATIO = 3
+
+
+def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
+    """Class of a plant edge g and a spec edge h, each (target,
+    probability) or None.  For two such pairs the cross-products
+    rho_g1·rho_h2 and rho_g2·rho_h1 agree exactly when the classes are
+    equal or either is _ANY.  A both-sided class stands for the spec/plant
+    ratio as (magnitude quotient, degree difference), numbered in
+    ``ratios``."""
+    if g is None:
+        return _ANY if h is None else _SPEC_ONLY
+    if h is None:
+        return _PLANT_ONLY
+    gp, hp = g[1], h[1]
+    key = (hp.magnitude / gp.magnitude, hp.eps_degree - gp.eps_degree)
+    return ratios.setdefault(key, _RATIO + len(ratios))
+
+
+def _joint_support(plant: Pdes, spec: Pdes):
+    """The pairs (x, q) of the joint support in breadth-first order and
+    their positions; per pair, its row {event: position of the target
+    pair} in event order and its ratio classes over the controllable
+    events (equal class tuples are one object)."""
+    events, controllable = plant.alphabet.events, plant.alphabet.controllable_events()
+    targets: List[Dict[str, Pair]] = []
+    classes: List[Tuple[int, ...]] = []
+    ratios: Dict[Tuple[Fraction, int], int] = {}
+    interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+    def successors(pair):
+        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
+        row = {e: (rx[e][0], rq[e][0]) for e in events if e in rx and e in rq}
+        targets.append(row)
+        cls = tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable)
+        classes.append(interned.setdefault(cls, cls))
+        return row.values()
+
+    pairs = explore([(plant.initial, spec.initial)], successors)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    rows = [{e: index[dst] for e, dst in row.items()} for row in targets]
+    return pairs, index, rows, classes
 
 
 def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
-    initial = (plant.initial, spec.initial, plant.initial, spec.initial)
-    access: Dict[Quad, Tuple[Word, Word]] = {initial: ((), ())}
-    trans: Dict[Tuple[Quad, Tuple[Optional[str], Optional[str]]], Quad] = {}
-    dump_edges: List[Tuple[Quad, str, EpsProb, EpsProb]] = []
+    pairs, index, rows, classes = _joint_support(plant, spec)
+    controllable = alphabet.controllable_events()
+    unobservable = [e for e in alphabet.events if e not in alphabet.observable]
+    n = len(pairs)
+    parent: Dict[int, Optional[Tuple[int, Label]]] = {0: None}
+    dumps: List[Tuple[int, str]] = []
 
-    def successors(quad):
-        x1, q1, x2, q2 = quad
-        g1, h1, g2, h2 = plant._out[x1], spec._out[q1], plant._out[x2], spec._out[q2]
-        s1, s2 = access[quad]
-        dumped = set()
-        if g1 is not g2 or h1 is not h2:  # on the diagonal both cross-products are one product
-            for e in alphabet.controllable_events():
-                lhs = g1.get(e, _ABSENT)[1] * h2.get(e, _ABSENT)[1]
-                rhs = g2.get(e, _ABSENT)[1] * h1.get(e, _ABSENT)[1]
-                if lhs != rhs:
-                    dump_edges.append((quad, e, lhs, rhs))
-                    dumped.add(e)
-        moves: List[Tuple[Tuple[Optional[str], Optional[str]], Quad]] = []
-        for e in alphabet.events:
-            if e in g1 and e in h1 and e in g2 and e in h2 and e not in dumped:
-                moves.append(((e, e), (g1[e][0], h1[e][0], g2[e][0], h2[e][0])))
-        for e in alphabet.events:
-            if e in alphabet.observable:
-                continue
-            if e in g1 and e in h1:
-                moves.append(((e, None), (g1[e][0], h1[e][0], x2, q2)))
-            if e in g2 and e in h2:
-                moves.append(((None, e), (x1, q1, g2[e][0], h2[e][0])))
-        for label, dst in moves:
-            trans[(quad, label)] = dst
-            if dst not in access:
-                l1, l2 = label
-                access[dst] = (
-                    s1 + ((l1,) if l1 else ()),
-                    s2 + ((l2,) if l2 else ()),
-                )
-            yield dst
+    def successors(key):
+        i, j = divmod(key, n)
+        ri, rj = rows[i], rows[j]
+        ci, cj = classes[i], classes[j]
+        dumped = ()
+        if ci is not cj:
+            dumped = [e for e, a, b in zip(controllable, ci, cj) if a != b and a and b]
+            for e in dumped:
+                dumps.append((key, e))
+        moves = []
+        for e, ti in ri.items():
+            tj = rj.get(e)
+            if tj is not None and e not in dumped:
+                moves.append((ti * n + tj, (e, e)))
+        for e in unobservable:
+            ti = ri.get(e)
+            if ti is not None:
+                moves.append((ti * n + j, (e, None)))
+            tj = rj.get(e)
+            if tj is not None:
+                moves.append((i * n + tj, (None, e)))
+        for dst, label in moves:
+            if dst not in parent:
+                parent[dst] = (key, label)
+        return [dst for dst, _ in moves]
 
-    quads = explore([initial], successors)
-    return TestingAutomatonTO(quads, initial, trans, dump_edges, access)
+    keys = explore([0], successors)
+    quads = [pairs[k // n] + pairs[k % n] for k in keys]
+    dump_edges = []
+    for key, e in dumps:
+        x1, q1, x2, q2 = quad = pairs[key // n] + pairs[key % n]
+        lhs, rhs = plant.rho(x1, e) * spec.rho(q2, e), plant.rho(x2, e) * spec.rho(q1, e)
+        dump_edges.append((quad, e, lhs, rhs))
+    return TestingAutomatonTO(quads, quads[0], dump_edges, parent, index)
 
 
 def check_observable(plant: Pdes, spec: Pdes) -> Verdict:
@@ -171,8 +248,7 @@ def check_observable(plant: Pdes, spec: Pdes) -> Verdict:
     if not to.dump_edges:
         return Verdict(True)
     quad, e, lhs, rhs = to.dump_edges[0]
-    s1, s2 = to.access[quad]
-    return Verdict(False, Witness((s1, s2), e, lhs, rhs))
+    return Verdict(False, Witness(to.access(quad), e, lhs, rhs))
 
 
 # -- definitional brute forces ----------------------------------------

@@ -83,10 +83,11 @@ class TestSynthesize:
         sup_out = str(tmp_path / "sp.map")
         rc = main(["synthesize", g, h, "--scaling-out", scaling_out, "--supervisor-out", sup_out])
         assert rc == 0
-        scaling = loads_scaling_map(open(scaling_out).read())
+        scaling_text = Path(scaling_out).read_text()
+        scaling = loads_scaling_map(scaling_text)
         assert any(F(4, 5) in vec for vec in scaling.vectors.values())
-        assert "0.8" in open(scaling_out).read()
-        sup = loads_supervisor_map(open(sup_out).read())
+        assert "0.8" in scaling_text
+        sup = loads_supervisor_map(Path(sup_out).read_text())
         assert any(d.probs == (F(0), F(0), F(1, 5), F(4, 5)) for d in sup.dists.values())
 
     def test_unachievable_spec_reports_and_fails(self, loop_files, tmp_path, capsys):
@@ -106,7 +107,7 @@ class TestInfPco:
         h = write(tmp_path, "h.pda", branch_spec())
         out = str(tmp_path / "tilde.pda")
         assert main(["inf-pco", g, h, "--out", out]) == 0
-        tilde = loads_automaton(open(out).read())
+        tilde = loads_automaton(Path(out).read_text())
         assert tilde.eval_language(("s3", "s2", "s3")) == tilde.eval_language(("s3",)) * F(1, 4)
         ratio = tilde.eval_language(("s3", "s2", "s3", "s2")) / tilde.eval_language(("s3", "s2", "s3"))
         assert ratio.magnitude == F(3, 5)
@@ -116,7 +117,7 @@ class TestInfPco:
         h = write(tmp_path, "h.pda", branch_spec())
         out = str(tmp_path / "tilde.pda")
         assert main(["inf-pco", g, h, "--strip-eps", "--out", out]) == 0
-        assert "0+" not in open(out).read()
+        assert "0+" not in Path(out).read_text()
 
     def test_golden_output(self, capsys):
         """A fixed random 4-state plant and unachievable sub-spec: the
@@ -174,6 +175,10 @@ class TestMalformedSupervisorMap:
         ("obs-initial: t0", "obs-initial: t3", 6),
         ("obs-initial: t0", "obs-initial: x", 6),
         ("pattern 11 1\ndefault", "pattern 11 1/0\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 11 1/2\npattern 11 1/2\ndefault", 9),
+        ("pattern 11 1\ndefault", "pattern 11 1\nclass t0\npattern 11 1\ndefault", 9),
+        ("default\npattern 11 1\n", "default\npattern 11 1\ndefault\npattern 11 1\n", 11),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t0\nobs-trans: t0 s1 t0", 8),
     ])
     def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
         g, _ = robot_files
@@ -225,6 +230,26 @@ class TestUtilityCommands:
         out = capsys.readouterr().out
         assert "s3,s1\t1/8" in out
         assert "s1\t0" in out
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with a message."""
+
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "{g}", "{h}", "--scaling-out", "{bad}", "--supervisor-out", "{ok}"],
+        ["synthesize", "{g}", "{h}", "--scaling-out", "{ok}", "--supervisor-out", "{bad}"],
+        ["inf-pco", "{g}", "{h}", "--out", "{bad}"],
+        ["product", "{g}", "{h}", "--out", "{bad}"],
+        ["observer", "{g}", "--out", "{bad}"],
+    ])
+    def test_exit_2(self, robot_files, tmp_path, capsys, command):
+        g, h = robot_files
+        bad = str(tmp_path / "missing" / "out.txt")
+        argv = [a.format(g=g, h=h, bad=bad, ok=str(tmp_path / "ok.map")) for a in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {bad}:" in err
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

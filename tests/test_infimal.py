@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from pdesctl import (
+    Alphabet,
     EpsProb,
+    InvariantError,
+    NormalPair,
     NotSublanguageError,
     Pdes,
     ZERO,
@@ -19,6 +22,7 @@ from pdesctl import (
     observer,
     product,
     refine_to_normal,
+    reweight_infimal,
     strip_eps_edges,
 )
 from conftest import (
@@ -288,6 +292,15 @@ class TestReweight:
         res = infimal_pipeline(plant, spec)
         assert check_controllable(res.plant_normal, res.result).holds
         assert check_observable(res.plant_normal, res.result).holds
+
+    def test_rejects_non_normal_spec(self):
+        # the unobservable u puts b in the initial cell and in the cell after o
+        alphabet = Alphabet.make(["c"], ["o", "u"], ["c", "o"])
+        a = Pdes(alphabet, "a", {("a", "u"): ("b", E(1, 2)), ("a", "o"): ("b", E(1, 2)),
+                                 ("b", "c"): ("b", E(1, 2))})
+        assert not observer(a).is_partition(a.states)
+        with pytest.raises(InvariantError, match="not normal"):
+            reweight_infimal(NormalPair(a, a))
 
     def test_argmax_witness_exists(self, branches):
         plant, spec = branches

@@ -280,6 +280,9 @@ class TestSerialization:
         ("obs-trans: t0 s1 t1", 7),
         ("obs-trans: t0 zz t0", 7),
         ("obs-trans: t0 s4 t0", 7),
+        ("class t0 1 1 1 1 1\nclass t0 1 1 1 1 1", 8),
+        ("default 1 1 1 1 1\ndefault 1 1 1 1 1", 8),
+        ("obs-trans: t0 s1 t0\nobs-trans: t0 s1 t0", 8),
     ])
     def test_scaling_rejects_with_line(self, body, line):
         text = (
