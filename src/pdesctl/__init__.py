@@ -27,12 +27,9 @@ from .automata import (
 )
 from .patterns import (
     PatternDistribution,
-    complete_containment_matrix,
-    containment_matrix,
     distribution_from_marginals,
     marginals_of,
     pattern_enables,
-    pattern_events,
 )
 from .supervisor import (
     NotControllableError,

@@ -86,18 +86,12 @@ def _print_verdict(name: str, verdict: Verdict) -> int:
     if verdict.holds:
         return 0
     w = verdict.witness
-    strings = list(w.strings) + [()] * (2 - len(w.strings))
-    s1, s2 = strings[0], strings[1] if len(w.strings) > 1 else ()
-    if len(w.strings) == 1:
-        print(f"violation after {_fmt_word(s1)} on event {w.event}: "
-              f"{format_prob(w.lhs)} vs {format_prob(w.rhs)}")
-        print(f"WITNESS s1={_fmt_word(s1)} s2=- event={w.event} "
-              f"lhs={format_prob(w.lhs)} rhs={format_prob(w.rhs)}")
-    else:
-        print(f"violation for {_fmt_word(w.strings[0])} / {_fmt_word(w.strings[1])} "
-              f"on event {w.event}: {format_prob(w.lhs)} vs {format_prob(w.rhs)}")
-        print(f"WITNESS s1={_fmt_word(w.strings[0])} s2={_fmt_word(w.strings[1])} "
-              f"event={w.event} lhs={format_prob(w.lhs)} rhs={format_prob(w.rhs)}")
+    words = [_fmt_word(s) for s in w.strings]
+    where = f"after {words[0]}" if len(words) == 1 else f"for {words[0]} / {words[1]}"
+    lhs, rhs = format_prob(w.lhs), format_prob(w.rhs)
+    print(f"violation {where} on event {w.event}: {lhs} vs {rhs}")
+    s2 = words[1] if len(words) > 1 else "-"
+    print(f"WITNESS s1={words[0]} s2={s2} event={w.event} lhs={lhs} rhs={rhs}")
     return 1
 
 

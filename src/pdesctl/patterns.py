@@ -1,37 +1,19 @@
-"""Control patterns, containment matrices, and pattern distributions.
+"""Control patterns and pattern distributions.
 
 A control pattern is a set of enabled events that always contains every
 uncontrollable event.  Pattern j (0 <= j < 2^m) enables controllable
-event number i exactly when bit i-1 of j is set, so the columns of the
-containment matrix run through the binary numbers in order.
+event number i exactly when bit i-1 of j is set.  A pattern distribution
+stores only its support: the patterns of positive probability, in
+increasing pattern order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Set, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .automata import Alphabet, InvariantError
-
-Matrix = List[List[int]]
-
-
-def containment_matrix(m: int) -> Matrix:
-    """m x 2^m binary matrix whose column j is the binary form of j."""
-    if m < 0:
-        raise InvariantError("m must be nonnegative")
-    return [[(j >> i) & 1 for j in range(2**m)] for i in range(m)]
-
-
-def complete_containment_matrix(m: int, n: int) -> Matrix:
-    """containment_matrix(m) extended with n-m all-ones rows for the
-    uncontrollable events, which belong to every pattern."""
-    if n < m:
-        raise InvariantError("n must be at least m")
-    rows = containment_matrix(m)
-    rows.extend([[1] * (2**m) for _ in range(n - m)])
-    return rows
+from .automata import InvariantError
 
 
 def pattern_enables(j: int, i: int) -> bool:
@@ -39,35 +21,32 @@ def pattern_enables(j: int, i: int) -> bool:
     return (j >> i) & 1 == 1
 
 
-def pattern_events(j: int, alphabet: Alphabet) -> Set[str]:
-    """The event set of pattern j: selected controllables plus all
-    uncontrollables."""
-    enabled = {e for k, e in enumerate(alphabet.controllable_events()) if pattern_enables(j, k)}
-    return enabled | set(alphabet.uncontrollable_events())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternDistribution:
-    """Probability vector over the 2^m control patterns."""
+    """Probability distribution over the 2^m control patterns of m
+    controllable events, built from a ``{pattern: probability}`` mapping;
+    zero entries are dropped."""
 
-    probs: Tuple[Fraction, ...]
+    m: int
+    _support: Tuple[Tuple[int, Fraction], ...]
 
-    def __post_init__(self):
-        size = len(self.probs)
-        if size == 0 or size & (size - 1):
-            raise InvariantError("distribution length must be a power of two")
-        object.__setattr__(self, "probs", tuple(Fraction(p) for p in self.probs))
-        if any(p < 0 for p in self.probs):
+    def __init__(self, m: int, probs: Mapping[int, Fraction]):
+        if m < 0:
+            raise InvariantError("m must be nonnegative")
+        support = tuple(sorted((j, Fraction(p)) for j, p in probs.items() if p != 0))
+        if any(not 0 <= j < 2**m for j, _ in support):
+            raise InvariantError(f"pattern index out of range for m = {m}")
+        if any(p < 0 for _, p in support):
             raise InvariantError("pattern probabilities must be nonnegative")
-        if sum(self.probs) != 1:
+        if sum(p for _, p in support) != 1:
             raise InvariantError("pattern probabilities must sum to exactly 1")
-
-    @property
-    def m(self) -> int:
-        return len(self.probs).bit_length() - 1
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_support", support)
 
     def support(self) -> List[Tuple[int, Fraction]]:
-        return [(j, p) for j, p in enumerate(self.probs) if p > 0]
+        """The (pattern, probability) pairs of positive probability, in
+        increasing pattern order."""
+        return list(self._support)
 
 
 def validate_scaling_vector(factors: Sequence[Fraction], m: int, n: int) -> Tuple[Fraction, ...]:
@@ -93,9 +72,11 @@ def marginals_of(dist: PatternDistribution, m: int, n: int) -> Tuple[Fraction, .
     """
     if dist.m != m:
         raise InvariantError("distribution size does not match m")
-    out = []
-    for i in range(m):
-        out.append(sum((p for j, p in enumerate(dist.probs) if pattern_enables(j, i)), Fraction(0)))
+    out = [Fraction(0)] * m
+    for j, p in dist.support():
+        for i in range(m):
+            if pattern_enables(j, i):
+                out[i] += p
     out.extend([Fraction(1)] * (n - m))
     return validate_scaling_vector(out, m, n)
 
@@ -110,22 +91,11 @@ def distribution_from_marginals(factors: Sequence[Fraction], m: int, n: int) -> 
     m+1 patterns receive positive probability and the result is exact.
     """
     factors = validate_scaling_vector(factors, m, n)
-    probs = [Fraction(0)] * (2**m)
-    if m == 0:
-        probs[0] = Fraction(1)
-        return PatternDistribution(tuple(probs))
     order = sorted(range(m), key=lambda i: (-factors[i], i))
-    sorted_vals = [factors[i] for i in order]
-    # pattern enabling the top-j sorted events
-    def top_pattern(j: int) -> int:
-        code = 0
-        for i in order[:j]:
-            code |= 1 << i
-        return code
-
-    probs[top_pattern(m)] += sorted_vals[m - 1]
-    for j in range(1, m):
-        probs[top_pattern(j)] += sorted_vals[j - 1] - sorted_vals[j]
-    probs[0] += 1 - sorted_vals[0]
-    return PatternDistribution(tuple(probs))
-
+    sorted_vals = [factors[i] for i in order] + [Fraction(0)]
+    probs = {0: 1 - sorted_vals[0]}
+    code = 0
+    for j, i in enumerate(order):
+        code |= 1 << i  # the pattern enabling the top j+1 sorted events
+        probs[code] = sorted_vals[j] - sorted_vals[j + 1]
+    return PatternDistribution(m, probs)

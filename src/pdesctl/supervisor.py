@@ -140,12 +140,11 @@ class ScalingMap:
     default: Tuple[Fraction, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        alphabet = self.classes.alphabet
-        if self.default is None:
-            object.__setattr__(self, "default", _all_ones(alphabet))
-        validate_scaling_vector(self.default, alphabet.m, alphabet.n)
-        for cls, vec in self.vectors.items():
-            self.vectors[cls] = validate_scaling_vector(vec, alphabet.m, alphabet.n)
+        m, n = self.classes.alphabet.m, self.classes.alphabet.n
+        default = _all_ones(self.classes.alphabet) if self.default is None else self.default
+        object.__setattr__(self, "default", validate_scaling_vector(default, m, n))
+        vectors = {cls: validate_scaling_vector(vec, m, n) for cls, vec in self.vectors.items()}
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -528,11 +527,8 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
         nonlocal pending, default
         if current is None and not in_default:
             return
-        probs = [Fraction(0)] * (2**m)
-        for j, p in pending.items():
-            probs[j] = p
         try:
-            dist = PatternDistribution(tuple(probs))
+            dist = PatternDistribution(m, pending)
         except InvariantError as e:
             raise FormatError(str(e), section_line) from None
         if in_default:

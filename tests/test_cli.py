@@ -88,7 +88,7 @@ class TestSynthesize:
         assert any(F(4, 5) in vec for vec in scaling.vectors.values())
         assert "0.8" in scaling_text
         sup = loads_supervisor_map(Path(sup_out).read_text())
-        assert any(d.probs == (F(0), F(0), F(1, 5), F(4, 5)) for d in sup.dists.values())
+        assert any(d.support() == [(2, F(1, 5)), (3, F(4, 5))] for d in sup.dists.values())
 
     def test_unachievable_spec_reports_and_fails(self, loop_files, tmp_path, capsys):
         g, h = loop_files
@@ -175,6 +175,7 @@ class TestMalformedSupervisorMap:
         ("obs-initial: t0", "obs-initial: t3", 6),
         ("obs-initial: t0", "obs-initial: x", 6),
         ("pattern 11 1\ndefault", "pattern 11 1/0\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 01 -1/2\npattern 11 3/2\ndefault", 7),
         ("pattern 11 1\ndefault", "pattern 11 1/2\npattern 11 1/2\ndefault", 9),
         ("pattern 11 1\ndefault", "pattern 11 1\nclass t0\npattern 11 1\ndefault", 9),
         ("default\npattern 11 1\n", "default\npattern 11 1\ndefault\npattern 11 1\n", 11),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,98 +8,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdesctl import (
-    Alphabet,
     InvariantError,
     PatternDistribution,
-    complete_containment_matrix,
-    containment_matrix,
     distribution_from_marginals,
     marginals_of,
     pattern_enables,
-    pattern_events,
 )
 
 F = Fraction
 
 
-class TestContainmentMatrix:
-    def test_two_controllable(self):
-        assert containment_matrix(2) == [[0, 1, 0, 1], [0, 0, 1, 1]]
-
-    def test_empty(self):
-        assert containment_matrix(0) == []
-        assert complete_containment_matrix(0, 2) == [[1], [1]]
-
-    def test_single(self):
-        assert containment_matrix(1) == [[0, 1]]
-
-    def test_complete_adds_all_ones_rows(self):
-        assert complete_containment_matrix(2, 3) == [
-            [0, 1, 0, 1],
-            [0, 0, 1, 1],
-            [1, 1, 1, 1],
-        ]
-        assert complete_containment_matrix(2, 2) == containment_matrix(2)
-
-    def test_columns_are_binary_encodings(self):
-        m = 3
-        mat = containment_matrix(m)
-        for j in range(2**m):
-            assert sum(mat[i][j] << i for i in range(m)) == j
-
-    def test_pattern_events(self):
-        a = Alphabet.make(["c1", "c2"], ["u"], ["c1", "c2", "u"])
-        assert pattern_events(0, a) == {"u"}
-        assert pattern_events(1, a) == {"c1", "u"}
-        assert pattern_events(2, a) == {"c2", "u"}
-        assert pattern_events(3, a) == {"c1", "c2", "u"}
-
-
 class TestPatternDistribution:
     def test_validates(self):
-        with pytest.raises(InvariantError):
-            PatternDistribution((F(1, 2),) * 3)
-        with pytest.raises(InvariantError):
-            PatternDistribution((F(1, 2), F(1, 4)))
-        with pytest.raises(InvariantError):
-            PatternDistribution((F(3, 2), F(-1, 2)))
+        with pytest.raises(InvariantError, match="out of range"):
+            PatternDistribution(1, {2: F(1)})
+        with pytest.raises(InvariantError, match="out of range"):
+            PatternDistribution(2, {-1: F(1, 2), 0: F(1, 2)})
+        with pytest.raises(InvariantError, match="sum to exactly 1"):
+            PatternDistribution(1, {0: F(1, 2), 1: F(1, 4)})
+        with pytest.raises(InvariantError, match="nonnegative"):
+            PatternDistribution(1, {0: F(3, 2), 1: F(-1, 2)})
+        with pytest.raises(InvariantError, match="nonnegative"):
+            PatternDistribution(-1, {0: F(1)})
 
     def test_support(self):
-        d = PatternDistribution((F(0), F(0), F(1, 5), F(4, 5)))
+        d = PatternDistribution(2, {3: F(4, 5), 0: F(0), 2: F(1, 5)})
         assert d.support() == [(2, F(1, 5)), (3, F(4, 5))]
         assert d.m == 2
+        assert d == PatternDistribution(2, {2: F(1, 5), 3: F(4, 5)})
 
 
 class TestMarginals:
     def test_worked_vector(self):
-        d = PatternDistribution((F(0), F(0), F(1, 5), F(4, 5)))
+        d = PatternDistribution(2, {2: F(1, 5), 3: F(4, 5)})
         assert marginals_of(d, 2, 5) == (F(4, 5), F(1), F(1), F(1), F(1))
 
     def test_full_pattern_point_mass(self):
-        d = PatternDistribution((F(0), F(0), F(0), F(1)))
+        d = PatternDistribution(2, {3: F(1)})
         assert marginals_of(d, 2, 3) == (F(1), F(1), F(1))
 
     def test_empty_pattern_point_mass(self):
-        d = PatternDistribution((F(1), F(0), F(0), F(0)))
+        d = PatternDistribution(2, {0: F(1)})
         assert marginals_of(d, 2, 3) == (F(0), F(0), F(1))
 
 
 class TestNestedConstruction:
     def test_worked_vector(self):
         d = distribution_from_marginals((F(4, 5), F(1), F(1), F(1), F(1)), 2, 5)
-        assert d.probs == (F(0), F(0), F(1, 5), F(4, 5))
+        assert d.support() == [(2, F(1, 5)), (3, F(4, 5))]
 
     def test_all_ones(self):
         d = distribution_from_marginals((F(1), F(1), F(1)), 2, 3)
-        assert d.probs == (F(0), F(0), F(0), F(1))
+        assert d.support() == [(3, F(1))]
 
     def test_all_zero_controllables(self):
         d = distribution_from_marginals((F(0), F(0), F(1)), 2, 3)
-        assert d.probs == (F(1), F(0), F(0), F(0))
+        assert d.support() == [(0, F(1))]
 
     def test_no_controllables(self):
         d = distribution_from_marginals((F(1),), 0, 1)
-        assert d.probs == (F(1),)
+        assert d.support() == [(0, F(1))]
 
     def test_rejects_invalid_vectors(self):
         with pytest.raises(InvariantError):
@@ -122,8 +91,19 @@ class TestNestedConstruction:
         vec = tuple(ctrl) + (F(1),)
         d = distribution_from_marginals(vec, m, m + 1)
         assert marginals_of(d, m, m + 1) == vec
-        assert sum(d.probs) == 1
-        assert all(p >= 0 for p in d.probs)
+        assert sum(p for _, p in d.support()) == 1
+        assert all(p > 0 for _, p in d.support())
+
+    def test_roundtrip_at_forty_events(self):
+        rng = random.Random(40)
+        m = 40
+        vec = tuple(rng.choice([F(0), F(1), F(1, 3), F(rng.randint(0, 9), 9)]) for _ in range(m))
+        vec += (F(1), F(1))
+        start = time.perf_counter()
+        d = distribution_from_marginals(vec, m, m + 2)
+        assert marginals_of(d, m, m + 2) == vec
+        assert time.perf_counter() - start < 0.5
+        assert len(d.support()) <= m + 1
 
 
 def vertex_solutions(vec, m):
@@ -180,5 +160,5 @@ class TestFeasibilityOracle:
             d = distribution_from_marginals(vec, m, m + 1)
             target = marginals_of(d, m, m + 1)
             for sol in sols:
-                dist = PatternDistribution(sol)
+                dist = PatternDistribution(m, dict(enumerate(sol)))
                 assert marginals_of(dist, m, m + 1) == target

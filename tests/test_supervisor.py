@@ -1,14 +1,18 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pdesctl import (
+    Alphabet,
     EpsProb,
     FormatError,
     NotControllableError,
     NotObservableError,
     NotSublanguageError,
+    ObservationClasses,
     ScalingMap,
     controlled_automaton,
     controlled_language_value,
@@ -101,9 +105,9 @@ class TestSupervisorFromScaling:
         scaling = scaling_from_spec(plant, spec)
         sup = supervisor_from_scaling(scaling)
         hot = scaling.classes.locate(("s3",))
-        assert sup.dists[hot].probs == (F(0), F(0), F(1, 5), F(4, 5))
+        assert sup.dists[hot].support() == [(2, F(1, 5)), (3, F(4, 5))]
         cold = scaling.classes.initial
-        assert sup.dists[cold].probs == (F(0), F(0), F(0), F(1))
+        assert sup.dists[cold].support() == [(3, F(1))]
         for cls, dist in sup.dists.items():
             assert marginals_of(dist, 2, 5) == scaling.vectors[cls]
 
@@ -112,6 +116,22 @@ class TestSupervisorFromScaling:
         scaling = scaling_from_spec(plant, spec)
         back = scaling_from_supervisor(supervisor_from_scaling(scaling))
         assert back.vectors == scaling.vectors
+
+
+class TestScalingMap:
+    def test_leaves_argument_unchanged(self, robot):
+        plant, spec = robot
+        classes = observation_classes(plant, spec)
+        vectors = {cls: [F(1, 2), 1, 1, 1, 1] for cls in range(classes.count)}
+        scaling = ScalingMap(classes, vectors)
+        assert scaling.vectors is not vectors
+        assert all(vec == [F(1, 2), 1, 1, 1, 1] for vec in vectors.values())
+        assert all(vec == (F(1, 2),) + ALL_ONES5[1:] for vec in scaling.vectors.values())
+
+    def test_stores_validated_default(self, robot):
+        plant, spec = robot
+        scaling = ScalingMap(observation_classes(plant, spec), {}, [F(1, 2), 1, 1, 1, 1])
+        assert scaling.default == (F(1, 2),) + ALL_ONES5[1:]
 
 
 class TestControlledAutomaton:
@@ -261,10 +281,10 @@ class TestSerialization:
         sup = supervisor_from_scaling(scaling_from_spec(plant, spec))
         text = dumps_supervisor_map(sup)
         again = loads_supervisor_map(text)
-        assert {c: d.probs for c, d in again.dists.items()} == {
-            c: d.probs for c, d in sup.dists.items()
+        assert {c: d.support() for c, d in again.dists.items()} == {
+            c: d.support() for c, d in sup.dists.items()
         }
-        assert again.default.probs == sup.default.probs
+        assert again.default.support() == sup.default.support()
         assert dumps_supervisor_map(again) == text
 
     def test_supervisor_file_lists_patterns(self, robot):
@@ -307,6 +327,16 @@ class TestSerialization:
             loads_supervisor_map("\n".join(lines))
         assert exc.value.line == at + 2
 
+    def test_zero_probability_pattern_dropped(self):
+        text = (
+            "controllable: s1 s2\nuncontrollable: s3 s4 s5\nobservable: s1 s2 s3\n"
+            "unobservable: s4 s5\nobs-classes: 1\nobs-initial: t0\n"
+            "class t0\npattern 00 0\npattern 11 1\ndefault\npattern 11 1\n"
+        )
+        sup = loads_supervisor_map(text)
+        assert sup.dists[0].support() == [(3, F(1))]
+        assert "pattern 00" not in dumps_supervisor_map(sup)
+
     def test_pattern_outside_section_rejected(self, robot):
         plant, spec = robot
         text = dumps_supervisor_map(supervisor_from_scaling(scaling_from_spec(plant, spec)))
@@ -316,3 +346,63 @@ class TestSerialization:
         with pytest.raises(FormatError) as exc:
             loads_supervisor_map("\n".join(lines))
         assert exc.value.line == first + 1
+
+
+GOLDEN_MAP = Path(__file__).parent / "data" / "supervisor_golden.map"
+
+
+def golden_supervisors():
+    """Seeded roulette supervisors for m = 0..6 over synthetic class DFAs.
+
+    Class vectors cycle through random factors (zeros and ties included),
+    all-ones vectors and one factor tied across events with zeros; some
+    classes are left to the default, which is sometimes not all-ones.
+    """
+    rng = random.Random(2024)
+    pool = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(1, 10)]
+    for m in range(7):
+        u = rng.randint(1, 2)
+        ctrl = [f"c{i}" for i in range(m)]
+        unctrl = [f"u{i}" for i in range(u)]
+        observable = [e for e in ctrl + unctrl if rng.random() < 0.7] or unctrl[:1]
+        alphabet = Alphabet.make(ctrl, unctrl, observable)
+        count = rng.randint(1, 5)
+        trans = {
+            (c, e): rng.randrange(count)
+            for c in range(count)
+            for e in observable
+            if rng.random() < 0.6
+        }
+        classes = ObservationClasses(alphabet, 0, count, trans)
+        vectors = {}
+        for cls in range(count):
+            if rng.random() < 0.2:
+                continue  # left to the default
+            kind = cls % 3
+            if kind == 0:
+                factors = [rng.choice(pool) for _ in range(m)]
+            elif kind == 1:
+                factors = [F(1)] * m
+            else:
+                tied = rng.choice(pool)
+                factors = [tied if rng.random() < 0.7 else F(0) for _ in range(m)]
+            vectors[cls] = tuple(factors) + (F(1),) * u
+        default = None
+        if rng.random() < 0.5:
+            default = tuple(rng.choice(pool) for _ in range(m)) + (F(1),) * u
+        yield m, supervisor_from_scaling(ScalingMap(classes, vectors, default))
+
+
+def golden_text():
+    return "".join(f"# m={m}\n" + dumps_supervisor_map(sup) for m, sup in golden_supervisors())
+
+
+class TestGoldenSupervisorMap:
+    def test_dump_matches_golden(self):
+        assert golden_text() == GOLDEN_MAP.read_text()
+
+    def test_load_dump_round_trip(self):
+        chunks = re.split(r"(?m)^# m=\d+\n", GOLDEN_MAP.read_text())[1:]
+        assert len(chunks) == 7
+        for text in chunks:
+            assert dumps_supervisor_map(loads_supervisor_map(text)) == text
