@@ -13,7 +13,6 @@ from .automata import (
     PdesError,
     Verdict,
     Witness,
-    add_self_loops,
     dumps_automaton,
     explore,
     is_subautomaton,

@@ -453,22 +453,6 @@ def language_equivalent(a: Pdes, b: Pdes) -> bool:
     return not differ
 
 
-def add_self_loops(a: Pdes, events: Iterable[str]) -> Pdes:
-    """Complete the given events with self-loops wherever undefined.
-
-    The loop probability is structural (one); the result is only meant
-    for logic-level constructions, never as a probabilistic model.
-    """
-    trans = a.transition_map()
-    for s in a.states:
-        for e in events:
-            if e not in a.alphabet.events:
-                raise InvariantError(f"unknown event {e!r}")
-            if (s, e) not in trans:
-                trans[(s, e)] = (s, ONE)
-    return Pdes(a.alphabet, a.initial, trans, states=a.states, check_liveness=False)
-
-
 @dataclass(frozen=True)
 class Observer:
     """Subset-construction observer of a PDES under its observable events.

@@ -8,14 +8,16 @@ from above is computed in three stages:
    under uncontrollable extension and under observational saturation
    (if one of two observation-equivalent strings may continue with a
    controllable event, the other must be allowed to as well).
-2. `refine_to_normal` rebuilds the plant and the saturated spec as a
-   pair of normal automata (observer cells partition the state set),
-   with the strings added by saturation carrying infinitesimal
-   probabilities so they are present logically but weightless.
-3. `reweight_infimal` raises probabilities the minimal amount needed:
-   uncontrollable transitions adopt the plant's probabilities, and each
-   controllable event is scaled, uniformly on every observation cell,
-   by the largest spec/plant ratio occurring in the cell.
+2. `refine_to_normal` rebuilds the saturated spec as one normal
+   automaton (observer cells partition the state set) whose states
+   carry the plant state they track, with the strings added by
+   saturation carrying infinitesimal probabilities so they are present
+   logically but weightless.
+3. `reweight_infimal` raises probabilities the minimal amount needed on
+   that automaton's own edges: uncontrollable transitions take the
+   plant's probabilities, and each controllable event is scaled,
+   uniformly on every observation cell, to the largest spec/plant ratio
+   occurring in the cell.
 """
 
 from __future__ import annotations
@@ -30,15 +32,12 @@ from .automata import (
     Pdes,
     PdesError,
     State,
-    add_self_loops,
     explore,
-    is_subautomaton,
     is_sublanguage,
     language_equivalent,
     minimize_logic,
     observer,
     observer_automaton,
-    product,
     require_same_alphabet,
 )
 from .supervisor import NotSublanguageError
@@ -51,7 +50,8 @@ class ClosureDivergenceError(PdesError):
 
 @dataclass(frozen=True)
 class NormalPair:
-    """Normal plant/spec automata with the spec a subautomaton of the plant."""
+    """The plant `g_n` as given, and a normal spec automaton `h_n` whose
+    states `x` track the plant state `x[0][0]` they are reached with."""
 
     g_n: Pdes
     h_n: Pdes
@@ -62,12 +62,8 @@ class NormalPair:
         return observer(self.h_n)
 
     def validate(self):
-        if not is_subautomaton(self.h_n, self.g_n):
-            raise InvariantError("spec refinement is not a subautomaton of the plant refinement")
-        if not observer(self.g_n).is_partition(self.g_n.states):
-            raise InvariantError("refined automaton is not normal")
         if not self.spec_observer.is_partition(self.h_n.states):
-            raise InvariantError("refined automaton is not normal")
+            raise InvariantError("refined spec is not normal")
 
 
 def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
@@ -260,13 +256,14 @@ def _pair_with_observer(base: Pdes, obs_dfa: Pdes) -> Pdes:
 
 
 def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
-    """Rebuild plant and (saturated) spec as normal automata.
+    """Rebuild the (saturated) spec as a normal automaton.
 
-    The plant side keeps its language; the spec side generates the given
-    support language, keeping the original spec probabilities on the
-    spec's own support and infinitesimal probabilities on the strings the
-    saturation added.  The spec side is a subautomaton of the plant side
-    and both observers partition their state sets.
+    The spec side generates the given support language, keeping the
+    original spec probabilities on the spec's own support and
+    infinitesimal probabilities on the strings the saturation added.
+    Each state pairs a (plant, support, spec) state triple with its
+    observation cell, so the observer partitions the state set.  The
+    plant is returned as given beside it.
     """
     require_same_alphabet(plant, spec)
     require_same_alphabet(plant, support)
@@ -279,7 +276,6 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
         raise InvariantError("the support automaton is not contained in the plant's support")
 
     logic_h_total = _complete_to_sink(logic_h)
-    support_total = _complete_to_sink(support)
 
     def spec_prob(state, event):
         h = state[2]
@@ -295,21 +291,10 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     spec_extended = _assign_probs(
         _triple_product(logic_g, support, logic_h_total), spec_prob
     )
-    plant_refined = _assign_probs(
-        _triple_product(logic_g, support_total, logic_h_total),
-        lambda s, e: plant.rho(s[0], e),
-    )
+    h_n = _pair_with_observer(spec_extended, observer_automaton(spec_extended))
 
-    obs_plant = observer_automaton(plant_refined)
-    obs_spec = observer_automaton(spec_extended)
-    obs_spec_sl = add_self_loops(obs_spec, obs_spec.alphabet.events)
-    g_n = _pair_with_observer(plant_refined, product(obs_plant, obs_spec_sl))
-    h_n = _pair_with_observer(spec_extended, product(obs_plant, obs_spec))
-
-    pair = NormalPair(g_n, h_n)
+    pair = NormalPair(plant, h_n)
     pair.validate()
-    if not language_equivalent(g_n, plant):
-        raise InvariantError("plant refinement changed the plant's language")
     if not language_equivalent(h_n.logic(), support):
         raise InvariantError("spec refinement changed the saturated support")
     _check_spec_values(spec, h_n)
@@ -333,39 +318,35 @@ def _check_spec_values(spec: Pdes, h_n: Pdes):
 
 
 def reweight_infimal(pair: NormalPair) -> Pdes:
-    """Minimal probability lift of the refined spec.
+    """Minimal probability lift of the refined spec, on its own edges.
 
     Uncontrollable transitions take the plant's probabilities verbatim.
     For each observation cell and controllable event, every member state
     is scaled to the same fraction of its plant probability: the largest
     spec/plant ratio achieved inside the cell (infinitesimal ratios rank
-    below every ordinary one).  Transitions whose scaled probability is
-    zero are dropped; a transition forced where the refined spec had none
-    is adopted from the plant (with its target), though on a valid normal
-    pair that never happens.
+    below every ordinary one).  A state `x` reads the plant at `x[0][0]`.
+    A transition the plant forces where the refined spec has none raises
+    `InvariantError`; the saturated support is controllable and
+    observable, so on a valid normal pair that never happens.
     """
-    g_n, h_n = pair.g_n, pair.h_n
-    alphabet = g_n.alphabet
+    pair.validate()
+    plant, h_n, obs = pair.g_n, pair.h_n, pair.spec_observer
+    alphabet = plant.alphabet
     trans = h_n.transition_map()
-    extra: List[State] = []
-    known = set(h_n.states)
 
-    def adopt(state):
-        if state not in known:
-            known.add(state)
-            extra.append(state)
+    def lift(x, e, scale=None):
+        edge = plant._out[x[0][0]].get(e)
+        if edge is None:
+            return
+        own = trans.get((x, e))
+        if own is None:
+            raise InvariantError(f"the plant forces {e!r} at {x!r} but the refined spec lacks it")
+        trans[(x, e)] = (own[0], edge[1] if scale is None else scale * edge[1])
 
     for x in h_n.states:
-        gx = g_n._out[x]
         for e in alphabet.uncontrollable_events():
-            edge = gx.get(e)
-            if edge is not None:
-                trans[(x, e)] = edge
-                adopt(edge[0])
+            lift(x, e)
 
-    obs = pair.spec_observer
-    if not obs.is_partition(h_n.states):
-        raise InvariantError("refined spec is not normal")
     for cell in obs.cells:
         for e in alphabet.controllable_events():
             best = ZERO
@@ -373,23 +354,18 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
                 hp = h_n.rho(x, e)
                 if hp.is_zero:
                     continue
-                best = max(best, hp / g_n.rho(x, e))
+                best = max(best, hp / plant.rho(x[0][0], e))
             if best.is_zero:
                 continue
             for x in cell:
-                edge = g_n._out[x].get(e)
-                if edge is not None:
-                    trans[(x, e)] = (edge[0], best * edge[1])
-                    adopt(edge[0])
+                lift(x, e, best)
 
-    states = list(h_n.states) + extra
-    return Pdes(alphabet, h_n.initial, trans, states=states)
+    return Pdes(alphabet, h_n.initial, trans, states=h_n.states)
 
 
 @dataclass(frozen=True)
 class InfimalResult:
     support: Pdes
-    plant_normal: Pdes
     spec_normal: Pdes
     result: Pdes
 
@@ -407,7 +383,7 @@ def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
     support = infimal_co_support(plant.logic(), spec.logic())
     pair = refine_to_normal(plant, spec, support)
     result = reweight_infimal(pair)
-    return InfimalResult(support, pair.g_n, pair.h_n, result)
+    return InfimalResult(support, pair.h_n, result)
 
 
 def infimal_superlanguage(plant: Pdes, spec: Pdes) -> Pdes:

@@ -145,8 +145,8 @@ def test_criterion_4_infimal_pipeline_golden_output():
         second_lap = tilde.eval_language(("s3", "s2", "s3", "s2", "s3"))
         first_lap = tilde.eval_language(("s3", "s2", "s3", "s2"))
         assert second_lap / first_lap == E(2, 5)
-        assert check_controllable(res.plant_normal, tilde).holds
-        assert check_observable(res.plant_normal, tilde).holds
+        assert check_controllable(plant, tilde).holds
+        assert check_observable(plant, tilde).holds
 
 
 def test_criterion_5_pattern_distribution_properties():

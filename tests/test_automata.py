@@ -10,7 +10,6 @@ from pdesctl import (
     Pdes,
     ZERO,
     ONE,
-    add_self_loops,
     dumps_automaton,
     explore,
     is_subautomaton,
@@ -407,20 +406,6 @@ class TestObserver:
         assert obs.walk(("s3", "s3")) is None
 
 
-class TestSelfLoops:
-    def test_noop_when_total(self):
-        a = Alphabet.make(["c"], [], ["c"])
-        p = build(a, "x", [("x", "c", "x", E(1))])
-        assert add_self_loops(p, ["c"]).transition_map() == p.transition_map()
-
-    def test_adds_loops(self, branches):
-        _, spec = branches
-        looped = add_self_loops(spec.logic(), spec.alphabet.events)
-        assert looped.target("h4", "s1") == "h4"
-        assert looped.target("h4", "s3") == "h4"
-        assert looped.target("h4", "s2") == "h1"
-
-
 class TestLogic:
     def test_idempotent(self, robot):
         plant, _ = robot
@@ -529,5 +514,5 @@ class TestObserverPartition:
         from pdesctl import infimal_pipeline
 
         res = infimal_pipeline(plant, spec)
-        for a in (res.plant_normal, res.spec_normal):
-            assert observer(a).is_partition(a.states)
+        a = res.spec_normal
+        assert observer(a).is_partition(a.states)

@@ -5,10 +5,12 @@ import pytest
 
 from pdesctl import (
     Alphabet,
+    EPS,
     EpsProb,
     InvariantError,
     NormalPair,
     NotSublanguageError,
+    ONE,
     Pdes,
     ZERO,
     check_controllable,
@@ -16,21 +18,26 @@ from pdesctl import (
     infimal_co_support,
     infimal_pipeline,
     infimal_superlanguage,
-    is_subautomaton,
     is_sublanguage,
     language_equivalent,
     observer,
+    observer_automaton,
     product,
     refine_to_normal,
     reweight_infimal,
     strip_eps_edges,
 )
+from pdesctl.infimal import SINK, _assign_probs, _complete_to_sink, _pair_with_observer, _triple_product
 from conftest import (
     E,
+    branch_plant,
+    branch_spec,
     observation_scaled_spec,
     random_alphabet,
     random_plant,
     random_subspec,
+    robot_plant,
+    robot_spec,
 )
 
 F = Fraction
@@ -216,11 +223,13 @@ class TestRefineToNormal:
         plant, spec = branches
         support = infimal_co_support(plant.logic(), spec.logic())
         pair = refine_to_normal(plant, spec, support)
-        assert is_subautomaton(pair.h_n, pair.g_n)
-        assert language_equivalent(pair.g_n, plant)
+        assert pair.g_n is plant
         assert language_equivalent(pair.h_n.logic(), support)
-        for a in (pair.g_n, pair.h_n):
-            assert observer(a).is_partition(a.states)
+        assert observer(pair.h_n).is_partition(pair.h_n.states)
+        # every edge follows the plant edge of the tracked plant state,
+        # which is what the reweighting reads
+        for x, e, y, _ in pair.h_n.transitions():
+            assert plant.target(x[0][0], e) == y[0][0], (x, e)
         # original spec values survive; added strings are infinitesimal
         assert pair.h_n.eval_language(("s1",)) == E(1, 5)
         assert pair.h_n.eval_language(("s1", "s2")) == E(1, 20)
@@ -285,13 +294,13 @@ class TestReweight:
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
         assert is_sublanguage(res.spec_normal, res.result).holds
-        assert is_sublanguage(res.result, res.plant_normal).holds
+        assert is_sublanguage(res.result, plant).holds
 
     def test_result_achievable_wrt_normal_plant(self, branches):
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        assert check_controllable(res.plant_normal, res.result).holds
-        assert check_observable(res.plant_normal, res.result).holds
+        assert check_controllable(plant, res.result).holds
+        assert check_observable(plant, res.result).holds
 
     def test_rejects_non_normal_spec(self):
         # the unobservable u puts b in the initial cell and in the cell after o
@@ -302,18 +311,29 @@ class TestReweight:
         with pytest.raises(InvariantError, match="not normal"):
             reweight_infimal(NormalPair(a, a))
 
+    def test_plant_edge_missing_from_spec_is_typed_error(self):
+        # h_n is normal (one state, one cell) but lacks the plant's
+        # uncontrollable u at its plant state p
+        alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
+        plant = Pdes(alphabet, "p", {("p", "c"): ("p", E(1, 2)), ("p", "u"): ("p", E(1, 2))})
+        x = (("p", "k", "q"), "o")
+        h_n = Pdes(alphabet, x, {(x, "c"): (x, E(1, 4))})
+        assert observer(h_n).is_partition(h_n.states)
+        with pytest.raises(InvariantError, match="forces 'u'"):
+            reweight_infimal(NormalPair(plant, h_n))
+
     def test_argmax_witness_exists(self, branches):
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        g_n, h_n, tilde = res.plant_normal, res.spec_normal, res.result
+        h_n, tilde = res.spec_normal, res.result
         cells = observer(h_n).cells
         cell_of = {s: cell for cell in cells for s in cell}
         for (x, e), (dst, p) in tilde.transition_map().items():
             if e not in tilde.alphabet.controllable or not p.is_ordinary:
                 continue
-            k = p / g_n.rho(x, e)
+            k = p / plant.rho(x[0][0], e)
             achieved = any(
-                not h_n.rho(y, e).is_zero and h_n.rho(y, e) / g_n.rho(y, e) == k
+                not h_n.rho(y, e).is_zero and h_n.rho(y, e) / plant.rho(y[0][0], e) == k
                 for y in cell_of[x]
             )
             assert achieved, (x, e)
@@ -341,17 +361,109 @@ class TestPipeline:
             plant = random_plant(rng, alphabet, max_states=4)
             spec = random_subspec(rng, plant)
             res = infimal_pipeline(plant, spec)
-            assert is_subautomaton(res.spec_normal, res.plant_normal)
             assert is_sublanguage(res.spec_normal, res.result).holds
-            assert is_sublanguage(res.result, res.plant_normal).holds
-            assert check_controllable(res.plant_normal, res.result).holds
-            assert check_observable(res.plant_normal, res.result).holds
+            assert is_sublanguage(res.result, plant).holds
+            assert check_controllable(plant, res.result).holds
+            assert check_observable(plant, res.result).holds
             # the reweighting never alters the logical structure
             assert set(res.result.states) == set(res.spec_normal.states)
             assert {k: v[0] for k, v in res.result.transition_map().items()} == {
                 k: v[0] for k, v in res.spec_normal.transition_map().items()
             }
             done += 1
+
+
+def reference_self_loops(a):
+    """Self-loop completion of a logic automaton over its whole alphabet."""
+    trans = a.transition_map()
+    for s in a.states:
+        for e in a.alphabet.events:
+            trans.setdefault((s, e), (s, ONE))
+    return Pdes(a.alphabet, a.initial, trans, states=a.states, check_liveness=False)
+
+
+def reference_infimal(plant, spec):
+    """The two-automaton construction: plant-side and spec-side refinements
+    are both paired with the product of their observers (the spec observer
+    self-loop completed on the plant side), and the reweighting reads
+    probabilities and targets from the plant side, adopting any edge the
+    spec side lacks.  Returns the result and the number of adopted edges."""
+    support = infimal_co_support(plant.logic(), spec.logic())
+    logic_g, logic_h = plant.logic(), spec.logic()
+    logic_h_total = _complete_to_sink(logic_h)
+
+    def spec_prob(state, event):
+        if state[2] is SINK:
+            return EPS
+        p = spec.rho(state[2], event)
+        return p if not p.is_zero else EPS
+
+    spec_extended = _assign_probs(_triple_product(logic_g, support, logic_h_total), spec_prob)
+    plant_refined = _assign_probs(
+        _triple_product(logic_g, _complete_to_sink(support), logic_h_total),
+        lambda s, e: plant.rho(s[0], e),
+    )
+    obs_plant = observer_automaton(plant_refined)
+    obs_spec = observer_automaton(spec_extended)
+    g_n = _pair_with_observer(plant_refined, product(obs_plant, reference_self_loops(obs_spec)))
+    h_n = _pair_with_observer(spec_extended, product(obs_plant, obs_spec))
+
+    alphabet = plant.alphabet
+    trans = h_n.transition_map()
+    known = set(h_n.states)
+    extra = []
+    adopted = 0
+
+    def adopt(x, e, edge):
+        nonlocal adopted
+        adopted += (x, e) not in trans
+        trans[(x, e)] = edge
+        if edge[0] not in known:
+            known.add(edge[0])
+            extra.append(edge[0])
+
+    for x in h_n.states:
+        for e in alphabet.uncontrollable_events():
+            edge = g_n._out[x].get(e)
+            if edge is not None:
+                adopt(x, e, edge)
+    for cell in observer(h_n).cells:
+        for e in alphabet.controllable_events():
+            best = ZERO
+            for x in cell:
+                hp = h_n.rho(x, e)
+                if not hp.is_zero:
+                    best = max(best, hp / g_n.rho(x, e))
+            if best.is_zero:
+                continue
+            for x in cell:
+                edge = g_n._out[x].get(e)
+                if edge is not None:
+                    adopt(x, e, (edge[0], best * edge[1]))
+    result = Pdes(alphabet, h_n.initial, trans, states=list(h_n.states) + extra)
+    return result, adopted
+
+
+class TestNormalReference:
+    def test_matches_two_automaton_reference(self):
+        rng = random.Random(241)
+        pairs = [(robot_plant(), robot_spec()), (branch_plant(), branch_spec())]
+        for i in range(600):
+            alphabet = random_alphabet(rng, max_events=3)
+            plant = random_plant(rng, alphabet, max_states=2 + i % 5)
+            pairs.append((plant, random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)))
+        seen = {"smaller": 0, "unachievable": 0}
+        for plant, spec in pairs:
+            ref, adopted = reference_infimal(plant, spec)
+            assert adopted == 0
+            res = infimal_pipeline(plant, spec).result
+            assert language_equivalent(res, ref)
+            assert len(res.states) <= len(ref.states)
+            assert check_controllable(plant, res).holds
+            assert check_observable(plant, res).holds
+            seen["smaller"] += len(res.states) < len(ref.states)
+            seen["unachievable"] += not language_equivalent(res, spec)
+        assert seen["smaller"] >= 10 and seen["unachievable"] >= 200, seen
 
 
 class TestClosureUnderIntersection:
