@@ -53,8 +53,6 @@ from .supervisor import (
 from .verification import (
     TestingAutomatonTC,
     TestingAutomatonTO,
-    brute_controllable,
-    brute_observable,
     build_tc,
     build_to,
     check_controllable,

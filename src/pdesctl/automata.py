@@ -380,6 +380,43 @@ def product(a: Pdes, b: Pdes) -> Pdes:
     return Pdes(a.alphabet, initial, trans, check_liveness=False)
 
 
+class JointSupport:
+    """The logic of ``product(a, b)`` on integer states: state i is the
+    pair ``pairs[i]``, numbered in breadth-first order (ties broken by
+    event order), and ``_out[i]`` is its row {event: (target, ONE)} in
+    event order.  The rows have the shape of `Pdes` rows, so `observer`
+    reads a joint support as it reads an automaton."""
+
+    __slots__ = ("alphabet", "initial", "pairs", "index", "_out")
+
+    def __init__(self, a: Pdes, b: Pdes):
+        require_same_alphabet(a, b)
+        events = a.alphabet.events
+        targets: List[Dict[str, Tuple[State, State]]] = []
+
+        def successors(pair):
+            ra, rb = a._out[pair[0]], b._out[pair[1]]
+            row = {e: (ra[e][0], rb[e][0]) for e in events if e in ra and e in rb}
+            targets.append(row)
+            return row.values()
+
+        self.alphabet = a.alphabet
+        self.initial = 0
+        self.pairs = explore([(a.initial, b.initial)], successors)
+        index = self.index = {pair: i for i, pair in enumerate(self.pairs)}
+        self._out = [{e: (index[dst], ONE) for e, dst in row.items()} for row in targets]
+
+    def access(self) -> List[Word]:
+        """Per state, the shortest string reaching it (ties broken by event
+        order): the path along which the walk first discovered it."""
+        words: List[Optional[Word]] = [()] + [None] * (len(self.pairs) - 1)
+        for word, row in zip(words, self._out):
+            for e, (j, _) in row.items():
+                if words[j] is None:
+                    words[j] = word + (e,)
+        return words
+
+
 def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
     """Whether a's language is a probabilistic sublanguage of b's: on a's
     support every one-step extension ratio of a is bounded by b's."""
@@ -500,7 +537,8 @@ def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]
 
 
 def observer(a: Pdes) -> Observer:
-    """Standard subset construction on the logic part of the automaton."""
+    """Standard subset construction on the logic part of the automaton
+    (or of a `JointSupport`, which has the same rows)."""
     out = a._out
     observable = [e for e in a.alphabet.events if e in a.alphabet.observable]
     reach = _unobservable_reach(a)

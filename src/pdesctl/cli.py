@@ -116,18 +116,22 @@ def cmd_synthesize(args) -> int:
 
     plant = _load(args.plant)
     spec = _load(args.spec)
-    ctrl = check_controllable(plant, spec)
-    obs = check_observable(plant, spec)
-    if not ctrl or not obs:
-        if not ctrl:
-            _print_verdict("probabilistic controllability", ctrl)
-        if not obs:
-            _print_verdict("probabilistic observability", obs)
-        print("specification is not achievable; consider inf-pco for the closest superlanguage")
-        return 1
+    # synthesis succeeds only where both checks hold, so the checks run
+    # only after it fails, to say which property fails and why
     try:
         scaling = scaling_from_spec(plant, spec)
-    except SynthesisError as e:
+    except (SynthesisError, InvariantError) as e:
+        ctrl = check_controllable(plant, spec)
+        obs = check_observable(plant, spec)
+        if not ctrl or not obs:
+            if not ctrl:
+                _print_verdict("probabilistic controllability", ctrl)
+            if not obs:
+                _print_verdict("probabilistic observability", obs)
+            print("specification is not achievable; consider inf-pco for the closest superlanguage")
+            return 1
+        if isinstance(e, InvariantError):
+            raise
         print(f"synthesis failed: {e}")
         return 1
     sup = supervisor_from_scaling(scaling)

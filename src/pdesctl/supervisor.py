@@ -17,22 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automata import (
     Alphabet,
     FormatError,
     InvariantError,
+    JointSupport,
+    Observer,
     Pdes,
     PdesError,
-    State,
     Witness,
     Word,
     explore,
-    is_sublanguage,
     observer,
-    product,
-    require_same_alphabet,
 )
 from .patterns import (
     PatternDistribution,
@@ -65,18 +63,12 @@ class NotObservableError(SynthesisError):
 
 @dataclass(frozen=True)
 class ObservationClasses:
-    """Observer of the plant/spec pair graph, indexing observation classes.
-
-    ``members`` holds, per class, the reachable (plant state, spec state)
-    pairs; it is absent for maps reloaded from disk, where only the class
-    transition structure is needed.
-    """
+    """Observer of the plant/spec pair graph, indexing observation classes."""
 
     alphabet: Alphabet
     initial: int
     count: int
     trans: Dict[Tuple[int, str], int]
-    members: Optional[Tuple[FrozenSet[Tuple[State, State]], ...]] = None
 
     def step(self, cls: Optional[int], event: str) -> Optional[int]:
         """Advance one event: unobservable events keep the class, observable
@@ -97,34 +89,15 @@ class ObservationClasses:
         return cls
 
 
-def _pair_graph(plant: Pdes, spec: Pdes):
-    """Reachable (plant, spec) state pairs over the common support, with a
-    shortest access string for each pair."""
-    require_same_alphabet(plant, spec)
-    events = plant.alphabet.events
-    initial = (plant.initial, spec.initial)
-    access: Dict[Tuple[State, State], Word] = {initial: ()}
-
-    def successors(pair):
-        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
-        word = access[pair]
-        for e in events:
-            if e in rx and e in rq:
-                dst = (rx[e][0], rq[e][0])
-                if dst not in access:
-                    access[dst] = word + (e,)
-                yield dst
-
-    return explore([initial], successors), access
+def _classes(obs: Observer) -> ObservationClasses:
+    return ObservationClasses(obs.alphabet, obs.initial, len(obs.cells), obs.trans)
 
 
 def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> ObservationClasses:
     """Observation classes: the observer of the synchronized pair graph,
-    which is the product of plant and spec (the plant is paired with
-    itself when no specification is given)."""
-    spec = spec if spec is not None else plant
-    obs = observer(product(plant, spec))
-    return ObservationClasses(plant.alphabet, obs.initial, len(obs.cells), obs.trans, obs.cells)
+    which is the joint support of plant and spec (the plant is paired
+    with itself when no specification is given)."""
+    return _classes(observer(JointSupport(plant, spec if spec is not None else plant)))
 
 
 def _all_ones(alphabet: Alphabet) -> Tuple[Fraction, ...]:
@@ -187,6 +160,19 @@ class SupervisorMap:
         return self.dists.get(cls, self.default)
 
 
+# the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
+_ABSENT = (None, ZERO)
+# a controllable ratio that synthesis cannot write as a factor
+_EPS = object()
+
+
+def _not_sublanguage(word: Word, e: str, rs: EpsProb, rp: EpsProb) -> NotSublanguageError:
+    return NotSublanguageError(
+        f"specification is not a sublanguage of the plant at {word!r} on {e!r}",
+        Witness((word,), e, rs, rp),
+    )
+
+
 def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     """Synthesize the scaling-factor map realizing the specification.
 
@@ -196,64 +182,75 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     plant transition defined (zero when no representative defines it);
     conflicting ratios mean the spec is not probabilistic observable,
     and any uncontrollable-probability mismatch means it is not
-    probabilistic controllable.
+    probabilistic controllable.  A sublanguage failure is reported
+    before a mismatch, a mismatch before a conflict, each at the first
+    pair in breadth-first order (members of a class in order of their
+    shortest strings).
     """
-    verdict = is_sublanguage(spec, plant)
-    if not verdict:
-        w = verdict.witness
-        raise NotSublanguageError(
-            f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}",
-            w,
-        )
+    joint = JointSupport(plant, spec)
+    access = joint.access()
     alphabet = plant.alphabet
-    pairs, access = _pair_graph(plant, spec)
-    for x, q in pairs:
+    mismatch = None
+    ratios: List[list] = []  # per pair and controllable event: None, _EPS or the ratio
+    for (x, q), word in zip(joint.pairs, access):
+        rx, rq = plant._out[x], spec._out[q]
+        row = []
+        for e in alphabet.controllable_events():
+            rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
+            if rs > rp:
+                raise _not_sublanguage(word, e, rs, rp)
+            if rp is ZERO:
+                row.append(None)
+            elif rp.is_ordinary and rs.is_ordinary:
+                row.append(rs.magnitude / rp.magnitude)
+            else:
+                row.append(_EPS)
+        ratios.append(row)
         for e in alphabet.uncontrollable_events():
-            rp = plant.rho(x, e)
-            rs = spec.rho(q, e)
+            rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
             if rp != rs:
-                raise NotControllableError(
-                    f"uncontrollable event {e!r} after {access[(x, q)]!r}: "
-                    f"plant probability {rp} != spec probability {rs}",
-                    Witness((access[(x, q)],), e, rp, rs),
-                )
-    classes = observation_classes(plant, spec)
+                if rs > rp:
+                    raise _not_sublanguage(word, e, rs, rp)
+                if mismatch is None:
+                    mismatch = NotControllableError(
+                        f"uncontrollable event {e!r} after {word!r}: "
+                        f"plant probability {rp} != spec probability {rs}",
+                        Witness((word,), e, rp, rs),
+                    )
+    if mismatch is not None:
+        raise mismatch
+    obs = observer(joint)
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
-    for cls in range(classes.count):
-        rows = [
-            (pair, plant._out[pair[0]], spec._out[pair[1]])
-            for pair in sorted(classes.members[cls], key=access.__getitem__)
-        ]
+    for cls, cell in enumerate(obs.cells):
+        members = sorted(cell, key=access.__getitem__)
         factors: List[Fraction] = []
-        for e in alphabet.controllable_events():
+        for k, e in enumerate(alphabet.controllable_events()):
             ratio: Optional[Fraction] = None
-            first: Optional[Tuple[State, State]] = None
-            for (x, q), gx, hq in rows:
-                edge = gx.get(e)
-                if edge is None:
+            first = 0
+            for i in members:
+                r = ratios[i][k]
+                if r is None:
                     continue
-                rp = edge[1]
-                rs = hq[e][1] if e in hq else ZERO
-                if not (rp.is_ordinary and rs.is_ordinary):
+                if r is _EPS:
                     raise InvariantError("synthesis requires ordinary probabilities")
-                r = rs.magnitude / rp.magnitude
                 if ratio is None:
-                    ratio, first = r, (x, q)
+                    ratio, first = r, i
                 elif r != ratio:
+                    (x1, q1), (x2, q2) = joint.pairs[first], joint.pairs[i]
                     raise NotObservableError(
                         f"event {e!r} demands factor {ratio} after {access[first]!r} "
-                        f"but {r} after {access[(x, q)]!r}",
+                        f"but {r} after {access[i]!r}",
                         Witness(
-                            (access[first], access[(x, q)]),
+                            (access[first], access[i]),
                             e,
-                            plant.rho(first[0], e) * spec.rho(q, e),
-                            rp * spec.rho(first[1], e),
+                            plant.rho(x1, e) * spec.rho(q2, e),
+                            plant.rho(x2, e) * spec.rho(q1, e),
                         ),
                     )
             factors.append(ratio if ratio is not None else Fraction(0))
         vectors[cls] = tuple(factors) + uncontrollable_factors
-    return ScalingMap(classes, vectors)
+    return ScalingMap(_classes(obs), vectors)
 
 
 def supervisor_from_scaling(scaling: ScalingMap) -> SupervisorMap:

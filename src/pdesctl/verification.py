@@ -2,15 +2,15 @@
 
 Each check builds a testing automaton whose dump state is reachable
 exactly when the property fails; breadth-first construction makes the
-extracted witness shortest (ties broken by event order).  The brute
-variants re-decide the same questions directly from the property
-definitions, using language values rather than stored transition
-probabilities, and serve as independent oracles.
+extracted witness shortest (ties broken by event order).
 
 Both procedures compare probabilities at spec-defined transitions: a
 transition the specification never asks for does not, by itself, make
-the specification uncontrollable.  (Synthesis is stricter; see
-`scaling_from_spec`.)
+the specification uncontrollable.  Synthesis is stricter: it also
+requires a sublanguage, the plant's probability on every uncontrollable
+event and ordinary controllable probabilities.  So `scaling_from_spec`
+succeeding implies both checks hold, and `synthesize` runs them only to
+explain a failed synthesis.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .automata import (
+    JointSupport,
     Pdes,
     State,
     Verdict,
@@ -169,35 +170,24 @@ def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
     return ratios.setdefault(key, _RATIO + len(ratios))
 
 
-def _joint_support(plant: Pdes, spec: Pdes):
-    """The pairs (x, q) of the joint support in breadth-first order and
-    their positions; per pair, its row {event: position of the target
-    pair} in event order and its ratio classes over the controllable
-    events (equal class tuples are one object)."""
-    events, controllable = plant.alphabet.events, plant.alphabet.controllable_events()
-    targets: List[Dict[str, Pair]] = []
-    classes: List[Tuple[int, ...]] = []
+def _ratio_classes(plant: Pdes, spec: Pdes, joint: JointSupport) -> List[Tuple[int, ...]]:
+    """Per pair of the joint support, its ratio classes over the
+    controllable events (equal class tuples are one object)."""
+    controllable = plant.alphabet.controllable_events()
     ratios: Dict[Tuple[Fraction, int], int] = {}
     interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-
-    def successors(pair):
-        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
-        row = {e: (rx[e][0], rq[e][0]) for e in events if e in rx and e in rq}
-        targets.append(row)
+    classes = []
+    for x, q in joint.pairs:
+        rx, rq = plant._out[x], spec._out[q]
         cls = tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable)
         classes.append(interned.setdefault(cls, cls))
-        return row.values()
-
-    pairs = explore([(plant.initial, spec.initial)], successors)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    rows = [{e: index[dst] for e, dst in row.items()} for row in targets]
-    return pairs, index, rows, classes
+    return classes
 
 
 def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
-    require_same_alphabet(plant, spec)
+    joint = JointSupport(plant, spec)
     alphabet = plant.alphabet
-    pairs, index, rows, classes = _joint_support(plant, spec)
+    pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(plant, spec, joint)
     controllable = alphabet.controllable_events()
     unobservable = [e for e in alphabet.events if e not in alphabet.observable]
     n = len(pairs)
@@ -214,17 +204,17 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
             for e in dumped:
                 dumps.append((key, e))
         moves = []
-        for e, ti in ri.items():
-            tj = rj.get(e)
-            if tj is not None and e not in dumped:
-                moves.append((ti * n + tj, (e, e)))
+        for e, (ti, _) in ri.items():
+            ej = rj.get(e)
+            if ej is not None and e not in dumped:
+                moves.append((ti * n + ej[0], (e, e)))
         for e in unobservable:
-            ti = ri.get(e)
-            if ti is not None:
-                moves.append((ti * n + j, (e, None)))
-            tj = rj.get(e)
-            if tj is not None:
-                moves.append((i * n + tj, (None, e)))
+            ei = ri.get(e)
+            if ei is not None:
+                moves.append((ei[0] * n + j, (e, None)))
+            ej = rj.get(e)
+            if ej is not None:
+                moves.append((i * n + ej[0], (None, e)))
         for dst, label in moves:
             if dst not in parent:
                 parent[dst] = (key, label)
@@ -237,7 +227,7 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
         x1, q1, x2, q2 = quad = pairs[key // n] + pairs[key % n]
         lhs, rhs = plant.rho(x1, e) * spec.rho(q2, e), plant.rho(x2, e) * spec.rho(q1, e)
         dump_edges.append((quad, e, lhs, rhs))
-    return TestingAutomatonTO(quads, quads[0], dump_edges, parent, index)
+    return TestingAutomatonTO(quads, quads[0], dump_edges, parent, joint.index)
 
 
 def check_observable(plant: Pdes, spec: Pdes) -> Verdict:
@@ -249,114 +239,3 @@ def check_observable(plant: Pdes, spec: Pdes) -> Verdict:
         return Verdict(True)
     quad, e, lhs, rhs = to.dump_edges[0]
     return Verdict(False, Witness(to.access(quad), e, lhs, rhs))
-
-
-# -- definitional brute forces ----------------------------------------
-
-
-def brute_controllable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
-    """Check the controllability definition directly, string by string.
-
-    Enumerates support strings up to the given length in breadth-first
-    order and compares one-step language ratios via cross-products of
-    `eval_language` values.  Revisited state configurations are pruned:
-    the checked condition depends on a string only through the pair of
-    states it reaches, so the verdict saturates once every reachable
-    configuration has been seen.
-    """
-    require_same_alphabet(plant, spec)
-    alphabet = plant.alphabet
-    initial = (plant.initial, spec.initial)
-    words: Dict[Pair, Word] = {initial: ()}
-    witness = None
-
-    def successors(cfg):
-        nonlocal witness
-        if witness is not None:
-            return
-        x, q = cfg
-        word = words[cfg]
-        lg = plant.eval_language(word)
-        lh = spec.eval_language(word)
-        for e in alphabet.uncontrollable_events():
-            lh_ext = spec.eval_language(word + (e,))
-            if lh_ext.is_zero:
-                continue
-            lg_ext = plant.eval_language(word + (e,))
-            if lh_ext * lg != lg_ext * lh:
-                witness = Witness((word,), e, plant.rho(x, e), spec.rho(q, e))
-                return
-        if len(word) >= depth:
-            return
-        for e in alphabet.events:
-            if spec.rho(q, e).is_zero or plant.rho(x, e).is_zero:
-                continue
-            dst = (plant.target(x, e), spec.target(q, e))
-            if dst not in words:
-                words[dst] = word + (e,)
-            yield dst
-
-    explore([initial], successors)
-    return Verdict(witness is None, witness)
-
-
-def brute_observable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
-    """Check the observability definition directly on string pairs.
-
-    Enumerates pairs of support strings with equal observations (growing
-    either both sides by one event or one side by an unobservable event)
-    and compares the defining cross-products of language ratios, cleared
-    of denominators.  Configuration pruning as in `brute_controllable`.
-    """
-    require_same_alphabet(plant, spec)
-    alphabet = plant.alphabet
-    initial = (plant.initial, spec.initial, plant.initial, spec.initial)
-    words: Dict[Quad, Tuple[Word, Word]] = {initial: ((), ())}
-    witness = None
-
-    def ok(x, q, e):
-        return not plant.rho(x, e).is_zero and not spec.rho(q, e).is_zero
-
-    def extend(s1, s2, cfg):
-        """Record the first string pair reaching the configuration."""
-        words.setdefault(cfg, (s1, s2))
-        return cfg
-
-    def successors(cfg):
-        nonlocal witness
-        if witness is not None:
-            return
-        x1, q1, x2, q2 = cfg
-        s1, s2 = words[cfg]
-        g1, h1 = plant.eval_language(s1), spec.eval_language(s1)
-        g2, h2 = plant.eval_language(s2), spec.eval_language(s2)
-        for e in alphabet.controllable_events():
-            g1e = plant.eval_language(s1 + (e,))
-            g2e = plant.eval_language(s2 + (e,))
-            h1e = spec.eval_language(s1 + (e,))
-            h2e = spec.eval_language(s2 + (e,))
-            if g1e * h2e * g2 * h1 != g2e * h1e * g1 * h2:
-                witness = Witness(
-                    (s1, s2),
-                    e,
-                    plant.rho(x1, e) * spec.rho(q2, e),
-                    plant.rho(x2, e) * spec.rho(q1, e),
-                )
-                return
-        if max(len(s1), len(s2)) >= depth:
-            return
-        for e in alphabet.events:
-            if ok(x1, q1, e) and ok(x2, q2, e):
-                yield extend(
-                    s1 + (e,),
-                    s2 + (e,),
-                    (plant.target(x1, e), spec.target(q1, e), plant.target(x2, e), spec.target(q2, e)),
-                )
-            if e not in alphabet.observable:
-                if ok(x1, q1, e):
-                    yield extend(s1 + (e,), s2, (plant.target(x1, e), spec.target(q1, e), x2, q2))
-                if ok(x2, q2, e):
-                    yield extend(s1, s2 + (e,), (x1, q1, plant.target(x2, e), spec.target(q2, e)))
-
-    explore([initial], successors)
-    return Verdict(witness is None, witness)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdesctl import Alphabet, EpsProb, Pdes, explore
+from pdesctl import Alphabet, EpsProb, Pdes, explore, product
 
 F = Fraction
 
@@ -275,3 +275,52 @@ def observation_scaled_spec(rng, plant, scale_uncontrollable=False):
                 seen.add(dst)
                 queue.append(dst)
     return Pdes(plant.alphabet, initial, trans)
+
+
+def with_eps(rng, pdes, share):
+    """A copy with some controllable probabilities made infinitesimal."""
+    trans = {}
+    for src, e, dst, p in pdes.transitions():
+        if e in pdes.alphabet.controllable and rng.random() < share:
+            p = p * EpsProb(F(1, rng.randint(1, 3)), 1)
+        trans[(src, e)] = (dst, p)
+    return Pdes(pdes.alphabet, pdes.initial, trans)
+
+
+def synthesis_pair(rng, i):
+    """A plant and spec of one of ten kinds, cycling with i: achievable,
+    scaled uncontrollable probabilities, sub-specs keeping or touching the
+    uncontrollable edges, swapped, with infinitesimal spec or plant
+    probabilities, unfolded by a product with the plant, achievable but
+    for some uncontrollable edges dropped, and scaled uncontrollable
+    probabilities plus infinitesimal edges."""
+    plant = random_plant(rng, random_alphabet(rng, max_events=4), max_states=2 + i % 4)
+    kind = i % 10
+    if kind == 0:
+        return plant, observation_scaled_spec(rng, plant)
+    if kind == 1:
+        return plant, observation_scaled_spec(rng, plant, scale_uncontrollable=True)
+    if kind in (2, 3):
+        return plant, random_subspec(rng, plant, touch_uncontrollable=kind == 3)
+    if kind == 4:
+        return observation_scaled_spec(rng, plant), plant
+    if kind == 5:
+        return plant, with_eps(rng, observation_scaled_spec(rng, plant), 0.5)
+    if kind == 6:
+        eps_plant = with_eps(rng, plant, 0.3)
+        return eps_plant, random_subspec(rng, eps_plant, touch_uncontrollable=False)
+    if kind == 7:
+        return plant, product(observation_scaled_spec(rng, plant), plant)
+    if kind == 8:
+        spec = observation_scaled_spec(rng, plant)
+        uncontrollable = [(src, e) for src, e, _, _ in spec.transitions() if e not in plant.alphabet.controllable]
+        return plant, drop_transitions(spec, [key for key in uncontrollable if rng.random() < 0.3])
+    # infinitesimal edges, some where the plant has none, on top of scaled
+    # uncontrollable probabilities: a sublanguage failure after a mismatch
+    spec = observation_scaled_spec(rng, plant, scale_uncontrollable=True)
+    trans = spec.transition_map()
+    for s in spec.states:
+        for e in plant.alphabet.events:
+            if (s, e) not in trans and rng.random() < 0.2:
+                trans[(s, e)] = (rng.choice(spec.states), EpsProb(F(1, 4), 1))
+    return plant, Pdes(plant.alphabet, spec.initial, trans)

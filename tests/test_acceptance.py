@@ -13,8 +13,6 @@ from pdesctl import (
     EpsProb,
     PatternDistribution,
     TrialConfig,
-    brute_controllable,
-    brute_observable,
     build_tc,
     build_to,
     check_controllable,
@@ -45,6 +43,7 @@ from conftest import (
     robot_plant,
     robot_spec,
 )
+from oracles import brute_controllable, brute_observable
 
 F = Fraction
 

@@ -1,4 +1,6 @@
+import collections
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,9 +8,47 @@ from pathlib import Path
 
 import pytest
 
-from pdesctl import dumps_automaton, loads_automaton, loads_scaling_map, loads_supervisor_map
+from pdesctl import (
+    Alphabet,
+    EpsProb,
+    InvariantError,
+    NotControllableError,
+    NotObservableError,
+    NotSublanguageError,
+    ObservationClasses,
+    Pdes,
+    ScalingMap,
+    SynthesisError,
+    Witness,
+    check_controllable,
+    check_observable,
+    dumps_automaton,
+    dumps_scaling_map,
+    dumps_supervisor_map,
+    explore,
+    is_sublanguage,
+    loads_automaton,
+    loads_scaling_map,
+    loads_supervisor_map,
+    observer,
+    product,
+    scaling_from_spec,
+    supervisor_from_scaling,
+)
+from pdesctl import cli
 from pdesctl.cli import main
-from conftest import branch_plant, branch_spec, loop_plant, loop_spec, robot_plant, robot_spec
+from conftest import (
+    E,
+    branch_plant,
+    branch_spec,
+    build,
+    drop_transitions,
+    loop_plant,
+    loop_spec,
+    robot_plant,
+    robot_spec,
+    synthesis_pair,
+)
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -100,6 +140,56 @@ class TestSynthesize:
         assert "inf-pco" in out
         assert not (tmp_path / "k.map").exists()
 
+
+
+def eps_robot_spec(observable=("s1", "s2", "s3")):
+    """The robot spec with an infinitesimal probability on (q1, s1)."""
+    spec = robot_spec(observable)
+    trans = spec.transition_map()
+    trans[("q1", "s1")] = ("q0", EpsProb(F(2, 5), 1))
+    return Pdes(spec.alphabet, spec.initial, trans)
+
+
+def other_alphabet_spec():
+    return build(Alphabet.make(["s1"], ["s3"], ["s1", "s3"]), "y0", [("y0", "s1", "y0", E(1, 2))])
+
+
+class TestSynthesizeFallback:
+    """Exact output of every way `synthesize` can fail; none writes a map."""
+
+    @pytest.mark.parametrize("plant, spec, code, out, err", [
+        pytest.param(
+            robot_spec, robot_plant, 1,
+            "synthesis failed: specification is not a sublanguage of the plant at ('s3',) on 's1'\n", "",
+            id="not-sublanguage"),
+        pytest.param(
+            robot_plant, lambda: drop_transitions(robot_spec(), [("q0", "s4")]), 1,
+            "synthesis failed: uncontrollable event 's4' after (): "
+            "plant probability 0.375 != spec probability 0\n", "",
+            id="strict-controllability"),
+        pytest.param(
+            robot_plant, eps_robot_spec, 2,
+            "", "error: synthesis requires ordinary probabilities\n",
+            id="eps-passes-checks"),
+        pytest.param(
+            lambda: robot_plant(("s1", "s2")), lambda: eps_robot_spec(("s1", "s2")), 1,
+            "probabilistic observability: FAILS\n"
+            "violation for s3 / s5 on event s1: 0.5 vs 0+^1\u00b72/5\n"
+            "WITNESS s1=s3 s2=s5 event=s1 lhs=0.5 rhs=0+^1\u00b72/5\n"
+            "specification is not achievable; consider inf-pco for the closest superlanguage\n", "",
+            id="eps-fails-check"),
+        pytest.param(
+            robot_plant, other_alphabet_spec, 2,
+            "", "error: operands must share one alphabet\n",
+            id="alphabet-mismatch"),
+    ])
+    def test_exact_output(self, tmp_path, capsys, plant, spec, code, out, err):
+        g, h = write(tmp_path, "g.pda", plant()), write(tmp_path, "h.pda", spec())
+        maps = [tmp_path / "k.map", tmp_path / "sp.map"]
+        argv = ["synthesize", g, h, "--scaling-out", str(maps[0]), "--supervisor-out", str(maps[1])]
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+        assert not any(path.exists() for path in maps)
 
 class TestInfPco:
     def test_writes_result(self, tmp_path, capsys):
@@ -291,3 +381,168 @@ class TestModuleEntryPoint:
     def test_exit_codes(self, tmp_path):
         assert self.run().returncode == 2
         assert self.run("eval", str(tmp_path / "nope.pda"), "s1").returncode == 2
+
+
+# -- reference: the check-first `synthesize` ------------------------------
+#
+# `synthesize` as it was before it decided by synthesis: both checks run
+# first, then `scaling_from_spec` walked the joint support three times
+# (sublanguage check, access strings, observer of the product).  The
+# command must reproduce its exit code, output and map files exactly.
+
+
+def reference_scaling_from_spec(plant, spec):
+    verdict = is_sublanguage(spec, plant)
+    if not verdict:
+        w = verdict.witness
+        raise NotSublanguageError(
+            f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}", w
+        )
+    alphabet = plant.alphabet
+    initial = (plant.initial, spec.initial)
+    access = {initial: ()}
+
+    def successors(pair):
+        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
+        for e in alphabet.events:
+            if e in rx and e in rq:
+                dst = (rx[e][0], rq[e][0])
+                if dst not in access:
+                    access[dst] = access[pair] + (e,)
+                yield dst
+
+    for x, q in explore([initial], successors):
+        for e in alphabet.uncontrollable_events():
+            rp, rs = plant.rho(x, e), spec.rho(q, e)
+            if rp != rs:
+                raise NotControllableError(
+                    f"uncontrollable event {e!r} after {access[(x, q)]!r}: "
+                    f"plant probability {rp} != spec probability {rs}",
+                    Witness((access[(x, q)],), e, rp, rs),
+                )
+    obs = observer(product(plant, spec))
+    vectors = {}
+    for cls, cell in enumerate(obs.cells):
+        factors = []
+        for e in alphabet.controllable_events():
+            ratio = first = None
+            for x, q in sorted(cell, key=access.__getitem__):
+                if plant.step(x, e) is None:
+                    continue
+                rp, rs = plant.rho(x, e), spec.rho(q, e)
+                if not (rp.is_ordinary and rs.is_ordinary):
+                    raise InvariantError("synthesis requires ordinary probabilities")
+                r = rs.magnitude / rp.magnitude
+                if ratio is None:
+                    ratio, first = r, (x, q)
+                elif r != ratio:
+                    raise NotObservableError(
+                        f"event {e!r} demands factor {ratio} after {access[first]!r} "
+                        f"but {r} after {access[(x, q)]!r}",
+                        Witness(
+                            (access[first], access[(x, q)]),
+                            e,
+                            plant.rho(first[0], e) * spec.rho(q, e),
+                            rp * spec.rho(first[1], e),
+                        ),
+                    )
+            factors.append(ratio if ratio is not None else F(0))
+        vectors[cls] = tuple(factors) + (F(1),) * (alphabet.n - alphabet.m)
+    classes = ObservationClasses(alphabet, obs.initial, len(obs.cells), obs.trans)
+    return ScalingMap(classes, vectors)
+
+
+def reference_cmd_synthesize(args):
+    plant = cli._load(args.plant)
+    spec = cli._load(args.spec)
+    ctrl = check_controllable(plant, spec)
+    obs = check_observable(plant, spec)
+    if not ctrl or not obs:
+        if not ctrl:
+            cli._print_verdict("probabilistic controllability", ctrl)
+        if not obs:
+            cli._print_verdict("probabilistic observability", obs)
+        print("specification is not achievable; consider inf-pco for the closest superlanguage")
+        return 1
+    try:
+        scaling = reference_scaling_from_spec(plant, spec)
+    except SynthesisError as e:
+        print(f"synthesis failed: {e}")
+        return 1
+    cli._write(args.scaling_out, dumps_scaling_map(scaling))
+    cli._write(args.supervisor_out, dumps_supervisor_map(supervisor_from_scaling(scaling)))
+    print(f"scaling map written to {args.scaling_out}")
+    print(f"supervisor written to {args.supervisor_out}")
+    return 0
+
+
+class ReferenceParser:
+    """Parses as the CLI does, but runs `synthesize` by the reference."""
+
+    parser = cli.build_parser()
+
+    def parse_args(self, argv):
+        args = self.parser.parse_args(argv)
+        args.func = reference_cmd_synthesize
+        return args
+
+
+def outcome(code, out, err):
+    if code == 0:
+        return "achievable"
+    for kind, prefix in [("ctrl-fails", "probabilistic controllability: FAILS"),
+                         ("obs-fails", "probabilistic observability: FAILS"),
+                         ("not-sublanguage", "synthesis failed: specification is not a sublanguage"),
+                         ("strict-ctrl", "synthesis failed: uncontrollable event"),
+                         ("not-ordinary", "")]:
+        if out.startswith(prefix) and (prefix or "ordinary" in err):
+            return kind
+    return "other"
+
+
+class TestSynthesizeReference:
+    def test_matches_check_first_reference(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(307)
+        g, h = tmp_path / "g.pda", tmp_path / "h.pda"
+        maps = [tmp_path / "k.map", tmp_path / "sp.map"]
+        argv = ["synthesize", str(g), str(h), "--scaling-out", str(maps[0]), "--supervisor-out", str(maps[1])]
+
+        def run(parser):
+            for path in maps:
+                path.unlink(missing_ok=True)
+            monkeypatch.setattr(cli, "_PARSER", parser)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err, [path.read_bytes() if path.exists() else None for path in maps]
+
+        seen = collections.Counter()
+        for i in range(650):
+            plant, spec = synthesis_pair(rng, i)
+            g.write_text(dumps_automaton(plant.canonical_names()))
+            h.write_text(dumps_automaton(spec.canonical_names("q")))
+            expected = run(ReferenceParser())
+            assert run(cli.build_parser()) == expected, (i, expected)
+            seen[outcome(*expected[:3])] += 1
+            seen["eps"] += plant.has_eps_probabilities() or spec.has_eps_probabilities()
+        assert seen["other"] == 0, seen
+        del seen["other"]
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+    def test_scaling_matches_reference(self):
+        """The same map, or the same error with the same witness, also
+        where the CLI prints the checks' verdicts instead."""
+
+        def result(synthesize, plant, spec):
+            try:
+                return dumps_scaling_map(synthesize(plant, spec))
+            except (SynthesisError, InvariantError) as e:
+                return type(e), str(e), getattr(e, "witness", None)
+
+        rng = random.Random(317)
+        seen = collections.Counter()
+        for i in range(1000):
+            plant, spec = synthesis_pair(rng, i)
+            expected = result(reference_scaling_from_spec, plant, spec)
+            assert result(scaling_from_spec, plant, spec) == expected, i
+            seen[expected[0] if isinstance(expected, tuple) else "map"] += 1
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen

@@ -9,11 +9,16 @@ from pdesctl import (
     Alphabet,
     EpsProb,
     FormatError,
+    InvariantError,
     NotControllableError,
     NotObservableError,
     NotSublanguageError,
     ObservationClasses,
+    Pdes,
     ScalingMap,
+    SynthesisError,
+    check_controllable,
+    check_observable,
     controlled_automaton,
     controlled_language_value,
     controlled_xi,
@@ -31,11 +36,16 @@ from pdesctl import (
 )
 from conftest import (
     E,
+    build,
     drop_transitions,
+    observation_scaled_spec,
     random_alphabet,
     random_plant,
     random_scaling_map,
+    random_subspec,
+    synthesis_pair,
 )
+from oracles import brute_observable
 
 F = Fraction
 
@@ -98,6 +108,35 @@ class TestScalingFromSpec:
         with pytest.raises(NotControllableError):
             scaling_from_spec(plant, pruned)
 
+    def test_sublanguage_failure_wins_over_earlier_mismatch(self, robot):
+        plant, spec = robot
+        pruned = drop_transitions(spec, [("q0", "s4")])  # a mismatch after ()
+        trans = pruned.transition_map()
+        trans[("q3", "s2")] = ("q0", EpsProb(F(1, 4), 1))  # the plant has no s2 at x3
+        with pytest.raises(NotSublanguageError) as exc:
+            scaling_from_spec(plant, Pdes(spec.alphabet, spec.initial, trans))
+        assert str(exc.value) == "specification is not a sublanguage of the plant at ('s5',) on 's2'"
+        assert exc.value.witness.strings == (("s5",),)
+
+    def test_conflict_reported_in_order_of_shortest_strings(self):
+        """The class {x0, x1, x2, x3} is listed by access string: ('a', 'u')
+        for x3 comes before ('u',) for x1, although breadth-first
+        discovery reaches x1 first."""
+        alphabet = Alphabet.make(["a", "c"], ["u"], ["c"])
+
+        def model(c1, c3):
+            return build(alphabet, "x0", [
+                ("x0", "a", "x2", E(1, 2)),
+                ("x0", "u", "x1", E(1, 2)),
+                ("x1", "c", "x0", c1),
+                ("x2", "u", "x3", E(1)),
+                ("x3", "c", "x0", c3),
+            ])
+
+        with pytest.raises(NotObservableError) as exc:
+            scaling_from_spec(model(E(1), E(1)), model(E(1, 2), E(1, 4)))
+        assert str(exc.value) == "event 'c' demands factor 1/4 after ('a', 'u') but 1/2 after ('u',)"
+        assert exc.value.witness.strings == (("a", "u"), ("u",))
 
 class TestSupervisorFromScaling:
     def test_robot_distribution(self, robot):
@@ -406,3 +445,43 @@ class TestGoldenSupervisorMap:
         assert len(chunks) == 7
         for text in chunks:
             assert dumps_supervisor_map(loads_supervisor_map(text)) == text
+
+
+class TestAchievability:
+    """Synthesis succeeds only on specs that pass both checks, and on
+    sublanguages with ordinary probabilities and the plant's uncontrollable
+    probabilities its class check decides observability."""
+
+    def test_synthesis_implies_both_checks(self):
+        rng = random.Random(311)
+        synthesized = 0
+        for i in range(450):
+            plant, spec = synthesis_pair(rng, i)
+            try:
+                scaling_from_spec(plant, spec)
+            except (SynthesisError, InvariantError):
+                continue
+            assert check_controllable(plant, spec).holds
+            assert check_observable(plant, spec).holds
+            synthesized += 1
+        assert synthesized >= 200
+
+    def test_class_check_is_observability(self):
+        rng = random.Random(313)
+        seen = {True: 0, False: 0}
+        for i in range(300):
+            plant = random_plant(rng, random_alphabet(rng, max_events=4), max_states=2 + i % 3)
+            if i % 3 == 0:
+                spec = observation_scaled_spec(rng, plant)
+            else:
+                spec = random_subspec(rng, plant, touch_uncontrollable=False)
+            try:
+                scaling_from_spec(plant, spec)
+                cells_agree = True
+            except NotObservableError:
+                cells_agree = False
+            depth = len(plant.states) * len(spec.states)
+            assert check_observable(plant, spec).holds == cells_agree
+            assert brute_observable(plant, spec, depth).holds == cells_agree
+            seen[cells_agree] += 1
+        assert min(seen.values()) >= 40, seen

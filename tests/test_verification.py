@@ -7,8 +7,6 @@ from pdesctl import (
     EpsProb,
     Pdes,
     Witness,
-    brute_controllable,
-    brute_observable,
     build_tc,
     build_to,
     check_controllable,
@@ -27,6 +25,7 @@ from conftest import (
     random_subspec,
     robot_spec,
 )
+from oracles import brute_controllable, brute_observable
 
 F = Fraction
 
