@@ -380,6 +380,10 @@ def product(a: Pdes, b: Pdes) -> Pdes:
     return Pdes(a.alphabet, initial, trans, check_liveness=False)
 
 
+# the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
+_ABSENT = (None, ZERO)
+
+
 class JointSupport:
     """The logic of ``product(a, b)`` on integer states: state i is the
     pair ``pairs[i]``, numbered in breadth-first order (ties broken by
@@ -536,9 +540,11 @@ def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]
     return lambda states: frozenset(explore(states, successors))
 
 
-def observer(a: Pdes) -> Observer:
+def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] = None) -> Observer:
     """Standard subset construction on the logic part of the automaton
-    (or of a `JointSupport`, which has the same rows)."""
+    (or of a `JointSupport`, which has the same rows).  If given,
+    ``visit(i, cell)`` is called on each cell in index order before its
+    successors are built; an exception it raises stops the construction."""
     out = a._out
     observable = [e for e in a.alphabet.events if e in a.alphabet.observable]
     reach = _unobservable_reach(a)
@@ -548,6 +554,8 @@ def observer(a: Pdes) -> Observer:
 
     def successors(cell):
         i = index[cell]
+        if visit is not None:
+            visit(i, cell)
         rows = [out[s] for s in cell]
         for e in observable:
             targets = {row[e][0] for row in rows if e in row}

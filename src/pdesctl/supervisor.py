@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automata import (
+    _ABSENT,
     Alphabet,
     FormatError,
     InvariantError,
@@ -160,8 +161,6 @@ class SupervisorMap:
         return self.dists.get(cls, self.default)
 
 
-# the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
-_ABSENT = (None, ZERO)
 # a controllable ratio that synthesis cannot write as a factor
 _EPS = object()
 
@@ -219,10 +218,10 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                     )
     if mismatch is not None:
         raise mismatch
-    obs = observer(joint)
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
-    for cls, cell in enumerate(obs.cells):
+
+    def class_vector(cls: int, cell) -> None:
         members = sorted(cell, key=access.__getitem__)
         factors: List[Fraction] = []
         for k, e in enumerate(alphabet.controllable_events()):
@@ -250,6 +249,10 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                     )
             factors.append(ratio if ratio is not None else Fraction(0))
         vectors[cls] = tuple(factors) + uncontrollable_factors
+
+    # each class is checked as the subset construction reaches it, so a
+    # conflict stops the construction there
+    obs = observer(joint, class_vector)
     return ScalingMap(_classes(obs), vectors)
 
 

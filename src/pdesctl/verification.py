@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .automata import (
+    _ABSENT,
     JointSupport,
     Pdes,
     State,
@@ -29,7 +30,7 @@ from .automata import (
     explore,
     require_same_alphabet,
 )
-from .values import ZERO, EpsProb
+from .values import EpsProb
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
@@ -98,10 +99,6 @@ class TestingAutomatonTO:
             tuple(l1 for l1, _ in labels if l1 is not None),
             tuple(l2 for _, l2 in labels if l2 is not None),
         )
-
-
-# the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
-_ABSENT = (None, ZERO)
 
 
 def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:

@@ -405,6 +405,25 @@ class TestObserver:
         assert obs.walk(("s3",)) is not None
         assert obs.walk(("s3", "s3")) is None
 
+    def test_visit_in_index_order_and_stop(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            plant = random_plant(rng, random_alphabet(rng), max_states=6)
+            seen = []
+            obs = observer(plant, lambda i, cell: seen.append((i, cell)))
+            assert seen == list(enumerate(obs.cells))
+            stop = rng.randrange(len(obs.cells))
+            calls = []
+
+            def visit(i, cell):
+                calls.append(i)
+                if i == stop:
+                    raise LookupError
+
+            with pytest.raises(LookupError):
+                observer(plant, visit)
+            assert calls == list(range(stop + 1))
+
 
 class TestLogic:
     def test_idempotent(self, robot):
