@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -423,6 +424,31 @@ class TestObserver:
             with pytest.raises(LookupError):
                 observer(plant, visit)
             assert calls == list(range(stop + 1))
+
+    def test_visit_stops_before_successors(self):
+        # stopping at the first cell reads no row outside it
+        rng = random.Random(43)
+        multi = 0
+        for _ in range(50):
+            plant = random_plant(rng, random_alphabet(rng), max_states=6)
+            reads = []
+
+            class Rows(dict):
+                def __getitem__(self, s):
+                    reads.append(s)
+                    return dict.__getitem__(self, s)
+
+            probe = SimpleNamespace(alphabet=plant.alphabet, initial=plant.initial, _out=Rows(plant._out))
+
+            def visit(i, cell):
+                raise LookupError
+
+            with pytest.raises(LookupError):
+                observer(probe, visit)
+            cells = observer(plant).cells
+            assert set(reads) <= cells[0]
+            multi += len(cells) > 1
+        assert multi >= 25
 
 
 class TestLogic:
