@@ -637,6 +637,8 @@ def loads_automaton(text: str) -> Pdes:
         if key == "states":
             states.extend(fields)
         elif key == "initial":
+            if initial is not None:
+                raise FormatError("duplicate initial line", lineno)
             if len(fields) != 1:
                 raise FormatError("initial takes exactly one state", lineno)
             initial = fields[0]

@@ -12,7 +12,11 @@ from above is computed in three stages:
    automaton (observer cells partition the state set) whose states
    carry the plant state they track, with the strings added by
    saturation carrying infinitesimal probabilities so they are present
-   logically but weightless.
+   logically but weightless.  It is one breadth-first walk over
+   (state triple, observer cell): the triples (plant, support, spec or
+   `SINK`) are a `JointSupport`, the cells come from that joint
+   support's observer, and each edge takes its probability as it is
+   emitted.
 3. `reweight_infimal` raises probabilities the minimal amount needed on
    that automaton's own edges: uncontrollable transitions take the
    plant's probabilities, and each controllable event is scaled,
@@ -28,6 +32,7 @@ from typing import Dict, List, Set, Tuple
 
 from .automata import (
     InvariantError,
+    JointSupport,
     Observer,
     Pdes,
     PdesError,
@@ -37,7 +42,6 @@ from .automata import (
     language_equivalent,
     minimize_logic,
     observer,
-    observer_automaton,
     require_same_alphabet,
 )
 from .supervisor import NotSublanguageError
@@ -67,30 +71,20 @@ class NormalPair:
 
 
 def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
-    """Logic automaton for the spec's support, as plant/spec state pairs.
-    Rejects specs whose support leaves the plant's."""
-    require_same_alphabet(plant, spec)
+    """Logic automaton for the spec's support, on the integer states of
+    the plant/spec `JointSupport`.  Rejects specs whose support leaves the
+    plant's, at the first pair (breadth-first) and event (event order)."""
+    joint = JointSupport(plant, spec)
     events = plant.alphabet.events
-    trans = {}
-
-    def successors(state):
-        rx, rq = plant._out[state[0]], spec._out[state[1]]
+    for (_, q), row in zip(joint.pairs, joint._out):
+        rq = spec._out[q]
         for e in events:
-            eq = rq.get(e)
-            if eq is None:
-                continue
-            ex = rx.get(e)
-            if ex is None:
+            if e in rq and e not in row:
                 raise NotSublanguageError(
                     f"specification support leaves the plant support on {e!r}"
                 )
-            dst = (ex[0], eq[0])
-            trans[(state, e)] = (dst, ONE)
-            yield dst
-
-    initial = (plant.initial, spec.initial)
-    explore([initial], successors)
-    return Pdes(plant.alphabet, initial, trans, check_liveness=False)
+    trans = {(i, e): edge for i, row in enumerate(joint._out) for e, edge in row.items()}
+    return Pdes(plant.alphabet, joint.initial, trans, check_liveness=False)
 
 
 def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
@@ -142,16 +136,16 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
     return Pdes(alphabet, initial, trans, check_liveness=False), added
 
 
-def infimal_co_support(plant_logic: Pdes, spec_logic: Pdes, max_rounds: int = 64) -> Pdes:
+def infimal_co_support(plant: Pdes, spec: Pdes, max_rounds: int = 64) -> Pdes:
     """Generator of the infimal prefix-closed controllable and observable
     superlanguage of the spec's support, within the plant's support.
+    Only the supports of the two automata are read.
 
     Iterates saturation rounds until a fixpoint; on return, no
     uncontrollable extension and no observational saturation obligation
     remains open (the final round is itself the check).
     """
-    plant = plant_logic.logic()
-    support = _pair_support(plant, spec_logic.logic())
+    support = _pair_support(plant, spec)
     for _ in range(max_rounds):
         support = minimize_logic(support)
         grown, added = _saturate_once(support, plant)
@@ -180,12 +174,15 @@ class _Sink:
 
 SINK = _Sink()
 
+# the edge read for an event the tracked spec state lacks: into SINK, at EPS
+_OFF_SPEC = (SINK, EPS)
+
 
 def _complete_to_sink(a: Pdes) -> Pdes:
     """Total completion of a logic automaton: undefined events lead to an
     absorbing sink.  Unlike self-loop completion this keeps 'the run has
-    left the original automaton' decidable from the state, which the
-    probability assignment below relies on."""
+    left the original automaton' decidable from the state, which
+    `refine_to_normal` relies on to give off-spec edges `EPS`."""
     trans = a.transition_map()
     missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a._out[s]]
     if not missing:
@@ -197,122 +194,72 @@ def _complete_to_sink(a: Pdes) -> Pdes:
     return Pdes(a.alphabet, a.initial, trans, states=list(a.states) + [SINK], check_liveness=False)
 
 
-def _triple_product(a: Pdes, b: Pdes, c: Pdes) -> Pdes:
-    require_same_alphabet(a, b)
-    require_same_alphabet(a, c)
-    events = a.alphabet.events
-    trans = {}
-
-    def successors(state):
-        ra, rb, rc = a._out[state[0]], b._out[state[1]], c._out[state[2]]
-        for e in events:
-            if e in ra and e in rb and e in rc:
-                dst = (ra[e][0], rb[e][0], rc[e][0])
-                trans[(state, e)] = (dst, ONE)
-                yield dst
-
-    initial = (a.initial, b.initial, c.initial)
-    explore([initial], successors)
-    return Pdes(a.alphabet, initial, trans, check_liveness=False)
-
-
-def _assign_probs(base: Pdes, prob_fn) -> Pdes:
-    trans = {}
-    for src, e, dst, _ in base.transitions():
-        p = prob_fn(src, e)
-        if p.is_zero:
-            raise InvariantError(f"assigned probability must be positive at {src!r} on {e!r}")
-        trans[(src, e)] = (dst, p)
-    return Pdes(base.alphabet, base.initial, trans, states=base.states)
-
-
-def _pair_with_observer(base: Pdes, obs_dfa: Pdes) -> Pdes:
-    """Normalization: pair each state with its observation class; observable
-    events advance the class, unobservable ones keep it."""
-    events = base.alphabet.events
-    observable = base.alphabet.observable
-    trans = {}
-
-    def successors(state):
-        o = state[1]
-        rx, ro = base._out[state[0]], obs_dfa._out[o]
-        for e in events:
-            edge = rx.get(e)
-            if edge is None:
-                continue
-            if e in observable:
-                oe = ro.get(e)
-                if oe is None:
-                    raise InvariantError("observer lacks a transition during normalization")
-                dst = (edge[0], oe[0])
-            else:
-                dst = (edge[0], o)
-            trans[(state, e)] = (dst, edge[1])
-            yield dst
-
-    initial = (base.initial, obs_dfa.initial)
-    explore([initial], successors)
-    return Pdes(base.alphabet, initial, trans)
-
-
 def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     """Rebuild the (saturated) spec as a normal automaton.
 
     The spec side generates the given support language, keeping the
     original spec probabilities on the spec's own support and
     infinitesimal probabilities on the strings the saturation added.
-    Each state pairs a (plant, support, spec) state triple with its
-    observation cell, so the observer partitions the state set.  The
-    plant is returned as given beside it.
+    The (plant, support, spec-or-`SINK`) state triples are the joint
+    support of the plant, the support and the sink-completed spec, and
+    each state `(triple, cell)` pairs a triple with the index of its
+    cell in that joint support's observer, so the observer of the result
+    partitions its states.  One breadth-first walk over (triple, cell)
+    emits each edge with its probability.  The plant is returned as
+    given beside it.
     """
     require_same_alphabet(plant, spec)
     require_same_alphabet(plant, support)
-    logic_g = plant.logic()
     logic_h = spec.logic()
     support = support.logic()
     if not is_sublanguage(logic_h, support):
         raise InvariantError("the support automaton does not contain the spec's support")
-    if not is_sublanguage(support, logic_g):
+    if not is_sublanguage(support, plant.logic()):
         raise InvariantError("the support automaton is not contained in the plant's support")
 
-    logic_h_total = _complete_to_sink(logic_h)
+    inner = JointSupport(plant, support)
+    joint = JointSupport(inner, _complete_to_sink(logic_h))
+    triples = [inner.pairs[i] + (h,) for i, h in joint.pairs]
+    obs = observer(joint)
+    observable = plant.alphabet.observable
+    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
-    def spec_prob(state, event):
-        h = state[2]
-        if h is SINK:
-            return EPS
-        p = spec.rho(h, event)
-        return p if not p.is_zero else EPS
+    def successors(state):
+        t, o = state
+        src = (triples[t], o)
+        h = triples[t][2]
+        rh = spec._out[h] if h is not SINK else {}
+        for e, (u, _) in joint._out[t].items():
+            dst = (u, obs.trans[(o, e)] if e in observable else o)
+            trans[(src, e)] = ((triples[u], dst[1]), rh.get(e, _OFF_SPEC)[1])
+            yield dst
 
-    spec_refined = _assign_probs(
-        _triple_product(logic_g, support, logic_h),
-        lambda s, e: spec.rho(s[2], e),
-    )
-    spec_extended = _assign_probs(
-        _triple_product(logic_g, support, logic_h_total), spec_prob
-    )
-    h_n = _pair_with_observer(spec_extended, observer_automaton(spec_extended))
+    explore([(joint.initial, obs.initial)], successors)
+    h_n = Pdes(plant.alphabet, (triples[joint.initial], obs.initial), trans)
 
     pair = NormalPair(plant, h_n)
     pair.validate()
     if not language_equivalent(h_n.logic(), support):
         raise InvariantError("spec refinement changed the saturated support")
     _check_spec_values(spec, h_n)
-    if not language_equivalent(spec_refined, spec):
-        raise InvariantError("spec refinement changed the spec's language")
     return pair
 
 
 def _check_spec_values(spec: Pdes, h_n: Pdes):
-    """On the spec's support, the refined automaton must carry exactly the
-    spec's probabilities."""
+    """The refined automaton must carry exactly the spec's probabilities
+    on the spec's support, and exactly `EPS` on every edge off it.  Walks
+    h_n beside the spec, tracking `SINK` once the run has left the spec."""
     def successors(state):
-        rq, ry = spec._out[state[0]], h_n._out[state[1]]
-        for e, (tq, p) in rq.items():
-            ey = ry.get(e)
-            if ey is None or ey[1] != p:
-                raise InvariantError("spec refinement altered a spec probability")
-            yield (tq, ey[0])
+        q, y = state
+        rq = spec._out[q] if q is not SINK else {}
+        ry = h_n._out[y]
+        if not rq.keys() <= ry.keys():
+            raise InvariantError("spec refinement dropped a spec transition")
+        for e, (ty, p) in ry.items():
+            tq, pq = rq.get(e, _OFF_SPEC)
+            if p != pq:
+                raise InvariantError(f"spec refinement altered the probability of {e!r}")
+            yield (tq, ty)
 
     explore([(spec.initial, h_n.initial)], successors)
 
@@ -380,7 +327,7 @@ def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
             f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}",
             w,
         )
-    support = infimal_co_support(plant.logic(), spec.logic())
+    support = infimal_co_support(plant, spec)
     pair = refine_to_normal(plant, spec, support)
     result = reweight_infimal(pair)
     return InfimalResult(support, pair.h_n, result)

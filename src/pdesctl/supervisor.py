@@ -410,8 +410,12 @@ def _parse_header(text: str):
         elif key == "unobservable":
             pass
         elif key == "obs-classes":
+            if count is not None:
+                raise FormatError("duplicate obs-classes line", lineno)
             count = _index(_single_field(key, fields, lineno), lineno)
         elif key == "obs-initial":
+            if initial is not None:
+                raise FormatError("duplicate obs-initial line", lineno)
             initial = _index(_single_field(key, fields, lineno), lineno)
             refs.append((lineno, initial))
         elif key == "obs-trans":
@@ -559,12 +563,10 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             if current is None and not in_default:
                 raise FormatError("pattern outside a class or default section", lineno)
             bits, prob = fields
-            try:
-                j = 0 if bits == "-" else int(bits, 2)
-            except ValueError:
-                j = -1
-            if not 0 <= j < 2**m:
+            valid = bits == "-" if m == 0 else len(bits) == m and not bits.strip("01")
+            if not valid:
                 raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
+            j = int(bits, 2) if m else 0
             if j in pending:
                 raise FormatError(f"duplicate pattern {bits!r}", lineno)
             pending[j] = _rationals([prob], lineno)[0]

@@ -107,6 +107,17 @@ class TestCheckCommands:
         assert main(["check-ctrl", str(bad), str(bad)]) == 2
 
 
+    def test_duplicate_initial_is_input_error(self, tmp_path, capsys):
+        text = dumps_automaton(robot_plant())
+        first = text.splitlines()[1]
+        assert first.startswith("initial: ")
+        bad = tmp_path / "bad.pda"
+        bad.write_text(text.replace(first, f"{first}\n{first}", 1))
+        assert main(["check-ctrl", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: duplicate initial line" in err
+        assert "Traceback" not in err
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         text = dumps_automaton(robot_plant())
         assert " 0.25\n" in text
@@ -270,6 +281,14 @@ class TestMalformedSupervisorMap:
         ("pattern 11 1\ndefault", "pattern 11 1\nclass t0\npattern 11 1\ndefault", 9),
         ("default\npattern 11 1\n", "default\npattern 11 1\ndefault\npattern 11 1\n", 11),
         ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t0\nobs-trans: t0 s1 t0", 8),
+        ("pattern 11 1\ndefault", "pattern 0b11 1\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern +1 1\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 1_1 1\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 011 1\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern 1 1\ndefault", 8),
+        ("pattern 11 1\ndefault", "pattern - 1\ndefault", 8),
+        ("obs-classes: 1", "obs-classes: 1\nobs-classes: 1", 6),
+        ("obs-initial: t0", "obs-initial: t0\nobs-initial: t0", 7),
     ])
     def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
         g, _ = robot_files

@@ -15,6 +15,8 @@ from pdesctl import (
     ZERO,
     check_controllable,
     check_observable,
+    dumps_automaton,
+    explore,
     infimal_co_support,
     infimal_pipeline,
     infimal_superlanguage,
@@ -27,7 +29,8 @@ from pdesctl import (
     reweight_infimal,
     strip_eps_edges,
 )
-from pdesctl.infimal import SINK, _assign_probs, _complete_to_sink, _pair_with_observer, _triple_product
+from pdesctl.automata import require_same_alphabet
+from pdesctl.infimal import SINK, _check_spec_values, _complete_to_sink
 from conftest import (
     E,
     branch_plant,
@@ -373,6 +376,87 @@ class TestPipeline:
             done += 1
 
 
+# -- the parent chain of whole automata, kept as a reference ------------
+
+
+def _triple_product(a, b, c):
+    require_same_alphabet(a, b)
+    require_same_alphabet(a, c)
+    events = a.alphabet.events
+    trans = {}
+
+    def successors(state):
+        ra, rb, rc = a._out[state[0]], b._out[state[1]], c._out[state[2]]
+        for e in events:
+            if e in ra and e in rb and e in rc:
+                dst = (ra[e][0], rb[e][0], rc[e][0])
+                trans[(state, e)] = (dst, ONE)
+                yield dst
+
+    initial = (a.initial, b.initial, c.initial)
+    explore([initial], successors)
+    return Pdes(a.alphabet, initial, trans, check_liveness=False)
+
+
+def _assign_probs(base, prob_fn):
+    trans = {}
+    for src, e, dst, _ in base.transitions():
+        p = prob_fn(src, e)
+        if p.is_zero:
+            raise InvariantError(f"assigned probability must be positive at {src!r} on {e!r}")
+        trans[(src, e)] = (dst, p)
+    return Pdes(base.alphabet, base.initial, trans, states=base.states)
+
+
+def _pair_with_observer(base, obs_dfa):
+    """Normalization: pair each state with its observation class; observable
+    events advance the class, unobservable ones keep it."""
+    events = base.alphabet.events
+    observable = base.alphabet.observable
+    trans = {}
+
+    def successors(state):
+        o = state[1]
+        rx, ro = base._out[state[0]], obs_dfa._out[o]
+        for e in events:
+            edge = rx.get(e)
+            if edge is None:
+                continue
+            if e in observable:
+                oe = ro.get(e)
+                if oe is None:
+                    raise InvariantError("observer lacks a transition during normalization")
+                dst = (edge[0], oe[0])
+            else:
+                dst = (edge[0], o)
+            trans[(state, e)] = (dst, edge[1])
+            yield dst
+
+    initial = (base.initial, obs_dfa.initial)
+    explore([initial], successors)
+    return Pdes(base.alphabet, initial, trans)
+
+
+def reference_spec_extended(plant, spec, support):
+    """Plant x support x sink-completed spec, with the spec's probabilities
+    on its support and EPS off it."""
+    def spec_prob(state, event):
+        if state[2] is SINK:
+            return EPS
+        p = spec.rho(state[2], event)
+        return p if not p.is_zero else EPS
+
+    triples = _triple_product(plant.logic(), support.logic(), _complete_to_sink(spec.logic()))
+    return _assign_probs(triples, spec_prob)
+
+
+def reference_normal(plant, spec, support):
+    """The normal spec automaton built as a chain of whole automata: the
+    extended spec paired with its own observer automaton."""
+    spec_extended = reference_spec_extended(plant, spec, support)
+    return _pair_with_observer(spec_extended, observer_automaton(spec_extended))
+
+
 def reference_self_loops(a):
     """Self-loop completion of a logic automaton over its whole alphabet."""
     trans = a.transition_map()
@@ -389,16 +473,8 @@ def reference_infimal(plant, spec):
     probabilities and targets from the plant side, adopting any edge the
     spec side lacks.  Returns the result and the number of adopted edges."""
     support = infimal_co_support(plant.logic(), spec.logic())
-    logic_g, logic_h = plant.logic(), spec.logic()
-    logic_h_total = _complete_to_sink(logic_h)
-
-    def spec_prob(state, event):
-        if state[2] is SINK:
-            return EPS
-        p = spec.rho(state[2], event)
-        return p if not p.is_zero else EPS
-
-    spec_extended = _assign_probs(_triple_product(logic_g, support, logic_h_total), spec_prob)
+    logic_g, logic_h_total = plant.logic(), _complete_to_sink(spec.logic())
+    spec_extended = reference_spec_extended(plant, spec, support)
     plant_refined = _assign_probs(
         _triple_product(logic_g, _complete_to_sink(support), logic_h_total),
         lambda s, e: plant.rho(s[0], e),
@@ -464,6 +540,82 @@ class TestNormalReference:
             seen["smaller"] += len(res.states) < len(ref.states)
             seen["unachievable"] += not language_equivalent(res, spec)
         assert seen["smaller"] >= 10 and seen["unachievable"] >= 200, seen
+
+
+    def test_matches_one_automaton_chain(self):
+        # the one-walk construction against the chain of whole automata:
+        # same triples in the same order, cells in one-to-one
+        # correspondence, byte-identical dumps
+        rng = random.Random(251)
+        pairs = [(robot_plant(), robot_spec()), (branch_plant(), branch_spec())]
+        for i in range(600):
+            alphabet = random_alphabet(rng, max_events=3)
+            plant = random_plant(rng, alphabet, max_states=2 + i % 5)
+            spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
+            if i % 3 == 0:
+                spec = eps_scaled(rng, spec)
+            pairs.append((plant, spec))
+        seen = {"eps": 0, "unobservable": 0, "sink": 0}
+        for plant, spec in pairs:
+            support = infimal_co_support(plant, spec)
+            h_n = refine_to_normal(plant, spec, support).h_n
+            ref = reference_normal(plant, spec, support)
+            assert [x[0] for x in h_n.states] == [x[0] for x in ref.states]
+            cells = set(zip((x[1] for x in h_n.states), (x[1] for x in ref.states)))
+            assert len(cells) == len({c for c, _ in cells}) == len({c for _, c in cells})
+            assert dumps_automaton(h_n.canonical_names()) == dumps_automaton(ref.canonical_names())
+            seen["eps"] += spec.has_eps_probabilities()
+            seen["unobservable"] += bool(plant.alphabet.unobservable)
+            seen["sink"] += any(x[0][2] is SINK for x in h_n.states)
+        assert min(seen.values()) >= 100, seen
+
+
+def eps_scaled(rng, spec):
+    """The spec with about a third of its transitions scaled by EPS."""
+    trans = {
+        (src, e): (dst, p * EPS if rng.random() < 0.35 else p)
+        for src, e, dst, p in spec.transitions()
+    }
+    return Pdes(spec.alphabet, spec.initial, trans, states=spec.states)
+
+
+class TestCheckSpecValues:
+    """`_check_spec_values` holds h_n to the spec on the spec's support and
+    to EPS off it."""
+
+    alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
+
+    def spec(self):
+        return Pdes(self.alphabet, "q", {("q", "c"): ("q", E(1, 2))})
+
+    def h_n(self, off_prob, c_prob=E(1, 2)):
+        x, y = (("p", "k", "q"), 0), (("p", "k", SINK), 0)
+        return Pdes(self.alphabet, x, {
+            (x, "c"): (x, c_prob),
+            (x, "u"): (y, off_prob),
+            (y, "c"): (y, EPS),
+        })
+
+    def test_eps_off_the_spec_passes(self):
+        _check_spec_values(self.spec(), self.h_n(EPS))
+
+    def test_ordinary_probability_off_the_spec_raises(self):
+        with pytest.raises(InvariantError, match="altered the probability of 'u'"):
+            _check_spec_values(self.spec(), self.h_n(E(1, 4)))
+
+    def test_other_infinitesimal_off_the_spec_raises(self):
+        with pytest.raises(InvariantError, match="altered the probability of 'u'"):
+            _check_spec_values(self.spec(), self.h_n(EPS * EPS))
+
+    def test_altered_spec_probability_raises(self):
+        with pytest.raises(InvariantError, match="altered the probability of 'c'"):
+            _check_spec_values(self.spec(), self.h_n(EPS, c_prob=E(1, 4)))
+
+    def test_dropped_spec_transition_raises(self):
+        x = (("p", "k", "q"), 0)
+        h_n = Pdes(self.alphabet, x, {(x, "u"): (x, EPS)})
+        with pytest.raises(InvariantError, match="dropped a spec transition"):
+            _check_spec_values(self.spec(), h_n)
 
 
 class TestClosureUnderIntersection:
