@@ -354,32 +354,6 @@ def explore(initial: Iterable[State], successors: Callable[[State], Iterable[Sta
     return list(seen)
 
 
-def product(a: Pdes, b: Pdes) -> Pdes:
-    """Synchronous product; each transition carries the minimum of the two
-    component probabilities and exists only where that minimum is positive."""
-    require_same_alphabet(a, b)
-    events = a.alphabet.events
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-
-    def successors(state):
-        ra, rb = a._out[state[0]], b._out[state[1]]
-        for e in events:
-            ea = ra.get(e)
-            if ea is None:
-                continue
-            eb = rb.get(e)
-            if eb is None:
-                continue
-            pa, pb = ea[1], eb[1]
-            dst = (ea[0], eb[0])
-            trans[(state, e)] = (dst, pa if pa <= pb else pb)
-            yield dst
-
-    initial = (a.initial, b.initial)
-    explore([initial], successors)
-    return Pdes(a.alphabet, initial, trans, check_liveness=False)
-
-
 # the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
 _ABSENT = (None, ZERO)
 
@@ -389,7 +363,8 @@ class JointSupport:
     pair ``pairs[i]``, numbered in breadth-first order (ties broken by
     event order), and ``_out[i]`` is its row {event: (target, ONE)} in
     event order.  The rows have the shape of `Pdes` rows, so `observer`
-    reads a joint support as it reads an automaton."""
+    reads a joint support as it reads an automaton.  Only the targets of
+    ``a`` and ``b`` are read."""
 
     __slots__ = ("alphabet", "initial", "pairs", "index", "_out")
 
@@ -420,38 +395,49 @@ class JointSupport:
                     words[j] = word + (e,)
         return words
 
+    def _first_escape(self, rows: Dict[State, dict]) -> Optional[Tuple[int, str]]:
+        """The first state i, and its first event in event order, that the
+        row table ``rows`` of the second states defines where the joint row
+        lacks it; None if there is none."""
+        events = self.alphabet.events
+        for i, ((_, q), row) in enumerate(zip(self.pairs, self._out)):
+            rq = rows[q]
+            for e in events:
+                if e in rq and e not in row:
+                    return i, e
+        return None
+
+
+def product(a: Pdes, b: Pdes) -> Pdes:
+    """Synchronous product; each transition carries the minimum of the two
+    component probabilities and exists only where that minimum is positive.
+    Its states are the pairs of `JointSupport(a, b)`, in the same order."""
+    joint = JointSupport(a, b)
+    pairs = joint.pairs
+    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
+    for pair, row in zip(pairs, joint._out):
+        ra, rb = a._out[pair[0]], b._out[pair[1]]
+        for e, (j, _) in row.items():
+            pa, pb = ra[e][1], rb[e][1]
+            trans[(pair, e)] = (pairs[j], pa if pa <= pb else pb)
+    return Pdes(a.alphabet, pairs[0], trans, check_liveness=False)
+
 
 def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
     """Whether a's language is a probabilistic sublanguage of b's: on a's
-    support every one-step extension ratio of a is bounded by b's."""
-    require_same_alphabet(a, b)
+    support every one-step extension ratio of a is bounded by b's.  The
+    first violation leaves a joint-support pair; the witness is the first
+    in pair order, then event order."""
+    joint = JointSupport(a, b)
     events = a.alphabet.events
-    initial = (a.initial, b.initial)
-    words = {initial: ()}  # shortest access string of each pair
-    witness = None
-
-    def successors(state):
-        nonlocal witness
-        if witness is not None:
-            return
-        ra, rb = a._out[state[0]], b._out[state[1]]
-        word = words[state]
+    for i, (x, q) in enumerate(joint.pairs):
+        ra, rb = a._out[x], b._out[q]
         for e in events:
-            ea = ra.get(e)
-            if ea is None:
-                continue
-            eb = rb.get(e)
-            rb_e = eb[1] if eb else ZERO
-            if ea[1] > rb_e:
-                witness = Witness((word,), e, ea[1], rb_e)
-                return
-            dst = (ea[0], eb[0])
-            if dst not in words:
-                words[dst] = word + (e,)
-            yield dst
-
-    explore([initial], successors)
-    return Verdict(witness is None, witness)
+            if e in ra:
+                pa, pb = ra[e][1], rb.get(e, _ABSENT)[1]
+                if pa > pb:
+                    return Verdict(False, Witness((joint.access()[i],), e, pa, pb))
+    return Verdict(True)
 
 
 def is_subautomaton(a: Pdes, b: Pdes) -> bool:
@@ -473,25 +459,14 @@ def is_subautomaton(a: Pdes, b: Pdes) -> bool:
 
 
 def language_equivalent(a: Pdes, b: Pdes) -> bool:
-    """Exact equality of generated languages, by synchronized traversal."""
-    require_same_alphabet(a, b)
-    differ = False
-
-    def successors(state):
-        nonlocal differ
-        ra, rb = a._out[state[0]], b._out[state[1]]
-        if differ or len(ra) != len(rb):
-            differ = True
-            return
-        for e, (ta, pa) in ra.items():
-            eb = rb.get(e)
-            if eb is None or eb[1] != pa:
-                differ = True
-                return
-            yield (ta, eb[0])
-
-    explore([(a.initial, b.initial)], successors)
-    return not differ
+    """Exact equality of generated languages: at every pair of the joint
+    support, both rows define the same events with the same probabilities."""
+    joint = JointSupport(a, b)
+    for x, q in joint.pairs:
+        ra, rb = a._out[x], b._out[q]
+        if ra.keys() != rb.keys() or any(rb[e][1] != p for e, (_, p) in ra.items()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -615,15 +590,46 @@ def minimize_logic(a: Pdes) -> Pdes:
 
 # -- text format -------------------------------------------------------
 
+_ALPHABET_DIRECTIVES = ("controllable", "uncontrollable", "observable", "unobservable")
+
+
+def _header_alphabet(lines: List[Tuple[int, str, List[str]]]) -> Alphabet:
+    """The alphabet that a file's controllable, uncontrollable, observable
+    and unobservable lines, given as (line, directive, events), declare.
+    Without an observable line the observable events are the complement of
+    the unobservable ones; with both lines they must partition the events.
+    Errors name the line that repeats an event or names an undeclared one."""
+    kinds: Dict[str, Tuple[bool, int]] = {}  # event -> (controllable, line)
+    sight: Dict[str, Tuple[bool, int]] = {}  # event -> (observable, line)
+    for lineno, key, fields in lines:
+        table = kinds if key.endswith("controllable") else sight
+        for e in fields:
+            if e in table:
+                raise FormatError(f"duplicate event {e!r}", lineno)
+            table[e] = (not key.startswith("un"), lineno)
+    given = {key for _, key, _ in lines}
+    if not given & {"controllable", "uncontrollable"}:
+        raise FormatError("missing controllable/uncontrollable lines")
+    if not given & {"observable", "unobservable"}:
+        raise FormatError("missing observable/unobservable lines")
+    for e, (_, lineno) in sight.items():
+        if e not in kinds:
+            raise FormatError(f"unknown event {e!r}", lineno)
+    if given >= {"observable", "unobservable"} and len(sight) != len(kinds):
+        raise FormatError("observable/unobservable lines must partition the events")
+    unnamed = ("observable" not in given, 0)  # how an event no observability line names is read
+    return Alphabet.make(
+        [e for e, (c, _) in kinds.items() if c],
+        [e for e, (c, _) in kinds.items() if not c],
+        [e for e in kinds if sight.get(e, unnamed)[0]],
+    )
+
 
 def loads_automaton(text: str) -> Pdes:
     """Parse the line-oriented automaton format (see `dumps_automaton`)."""
     states: list = []
     initial = None
-    controllable: Optional[list] = None
-    uncontrollable: Optional[list] = None
-    observable: Optional[list] = None
-    unobservable: Optional[list] = None
+    header: list = []  # (line, directive, events) of the alphabet lines
     raw_trans: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -642,14 +648,8 @@ def loads_automaton(text: str) -> Pdes:
             if len(fields) != 1:
                 raise FormatError("initial takes exactly one state", lineno)
             initial = fields[0]
-        elif key == "controllable":
-            controllable = (controllable or []) + fields
-        elif key == "uncontrollable":
-            uncontrollable = (uncontrollable or []) + fields
-        elif key == "observable":
-            observable = (observable or []) + fields
-        elif key == "unobservable":
-            unobservable = (unobservable or []) + fields
+        elif key in _ALPHABET_DIRECTIVES:
+            header.append((lineno, key, fields))
         elif key == "trans":
             if len(fields) != 4:
                 raise FormatError("trans takes: <src> <event> <dst> <prob>", lineno)
@@ -659,23 +659,7 @@ def loads_automaton(text: str) -> Pdes:
 
     if initial is None:
         raise FormatError("missing 'initial:' line")
-    if controllable is None and uncontrollable is None:
-        raise FormatError("missing controllable/uncontrollable lines")
-    controllable = controllable or []
-    uncontrollable = uncontrollable or []
-    events = controllable + uncontrollable
-    if observable is None and unobservable is None:
-        raise FormatError("missing observable/unobservable lines")
-    if observable is None:
-        observable = [e for e in events if e not in set(unobservable or [])]
-    if unobservable is not None:
-        declared = set(observable) | set(unobservable)
-        if declared != set(events) or set(observable) & set(unobservable):
-            raise FormatError("observable/unobservable lines must partition the events")
-    try:
-        alphabet = Alphabet.make(controllable, uncontrollable, observable)
-    except InvariantError as e:
-        raise FormatError(str(e)) from None
+    alphabet = _header_alphabet(header)
 
     known = set(states) if states else None
     trans = {}

@@ -39,7 +39,6 @@ from .automata import (
     State,
     explore,
     is_sublanguage,
-    language_equivalent,
     minimize_logic,
     observer,
     require_same_alphabet,
@@ -75,14 +74,9 @@ def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
     the plant/spec `JointSupport`.  Rejects specs whose support leaves the
     plant's, at the first pair (breadth-first) and event (event order)."""
     joint = JointSupport(plant, spec)
-    events = plant.alphabet.events
-    for (_, q), row in zip(joint.pairs, joint._out):
-        rq = spec._out[q]
-        for e in events:
-            if e in rq and e not in row:
-                raise NotSublanguageError(
-                    f"specification support leaves the plant support on {e!r}"
-                )
+    escape = joint._first_escape(spec._out)
+    if escape is not None:
+        raise NotSublanguageError(f"specification support leaves the plant support on {escape[1]!r}")
     trans = {(i, e): edge for i, row in enumerate(joint._out) for e, edge in row.items()}
     return Pdes(plant.alphabet, joint.initial, trans, check_liveness=False)
 
@@ -179,9 +173,9 @@ _OFF_SPEC = (SINK, EPS)
 
 
 def _complete_to_sink(a: Pdes) -> Pdes:
-    """Total completion of a logic automaton: undefined events lead to an
-    absorbing sink.  Unlike self-loop completion this keeps 'the run has
-    left the original automaton' decidable from the state, which
+    """Total completion: undefined events lead to an absorbing sink, on
+    edges of probability one.  Unlike self-loop completion this keeps 'the
+    run has left the original automaton' decidable from the state, which
     `refine_to_normal` relies on to give off-spec edges `EPS`."""
     trans = a.transition_map()
     missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a._out[s]]
@@ -209,16 +203,14 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     given beside it.
     """
     require_same_alphabet(plant, spec)
-    require_same_alphabet(plant, support)
-    logic_h = spec.logic()
-    support = support.logic()
-    if not is_sublanguage(logic_h, support):
-        raise InvariantError("the support automaton does not contain the spec's support")
-    if not is_sublanguage(support, plant.logic()):
-        raise InvariantError("the support automaton is not contained in the plant's support")
-
     inner = JointSupport(plant, support)
-    joint = JointSupport(inner, _complete_to_sink(logic_h))
+    if inner._first_escape(support._out) is not None:
+        raise InvariantError("the support automaton is not contained in the plant's support")
+    joint = JointSupport(inner, _complete_to_sink(spec))
+    # with the support inside the plant, a spec event the joint row lacks
+    # is one the support lacks
+    if joint._first_escape({**spec._out, SINK: {}}) is not None:
+        raise InvariantError("the support automaton does not contain the spec's support")
     triples = [inner.pairs[i] + (h,) for i, h in joint.pairs]
     obs = observer(joint)
     observable = plant.alphabet.observable
@@ -239,7 +231,9 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
 
     pair = NormalPair(plant, h_n)
     pair.validate()
-    if not language_equivalent(h_n.logic(), support):
+    same = JointSupport(h_n, support)
+    if any(len(h_n._out[y]) != len(row) or len(support._out[k]) != len(row)
+           for (y, k), row in zip(same.pairs, same._out)):
         raise InvariantError("spec refinement changed the saturated support")
     _check_spec_values(spec, h_n)
     return pair

@@ -21,6 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automata import (
     _ABSENT,
+    _ALPHABET_DIRECTIVES,
+    _header_alphabet,
     Alphabet,
     FormatError,
     InvariantError,
@@ -363,15 +365,15 @@ def _dump_header(alphabet: Alphabet, classes: ObservationClasses) -> List[str]:
     return lines
 
 
-def _index(field: str, lineno: int) -> int:
-    """A nonnegative integer, such as a class written ``t<i>``."""
-    try:
-        value = int(field.lstrip("t"))
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise FormatError(f"expected a nonnegative integer, got {field!r}", lineno)
-    return value
+def _index(field: str, lineno: int, prefix: str = "t") -> int:
+    """The nonnegative integer in a field written ``<prefix><digits>``, as
+    the dumper writes it: a class ``t<i>``, or a count with no prefix.
+    The digits must be canonical ASCII decimal (no sign, no leading zero)."""
+    digits = field[len(prefix):]
+    canonical = digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")
+    if not (field.startswith(prefix) and canonical):
+        raise FormatError(f"expected {prefix}<nonnegative integer>, got {field!r}", lineno)
+    return int(digits)
 
 
 def _single_field(key: str, fields: List[str], lineno: int) -> str:
@@ -381,9 +383,7 @@ def _single_field(key: str, fields: List[str], lineno: int) -> str:
 
 
 def _parse_header(text: str):
-    controllable: List[str] = []
-    uncontrollable: List[str] = []
-    observable: List[str] = []
+    header: List[Tuple[int, str, List[str]]] = []  # the alphabet lines
     count = None
     initial = None
     trans: Dict[Tuple[int, str], int] = {}
@@ -401,18 +401,12 @@ def _parse_header(text: str):
             key, _, rest = line.partition(" ")
         key = key.strip()
         fields = rest.split()
-        if key == "controllable":
-            controllable += fields
-        elif key == "uncontrollable":
-            uncontrollable += fields
-        elif key == "observable":
-            observable += fields
-        elif key == "unobservable":
-            pass
+        if key in _ALPHABET_DIRECTIVES:
+            header.append((lineno, key, fields))
         elif key == "obs-classes":
             if count is not None:
                 raise FormatError("duplicate obs-classes line", lineno)
-            count = _index(_single_field(key, fields, lineno), lineno)
+            count = _index(_single_field(key, fields, lineno), lineno, "")
         elif key == "obs-initial":
             if initial is not None:
                 raise FormatError("duplicate obs-initial line", lineno)
@@ -433,10 +427,7 @@ def _parse_header(text: str):
         raise FormatError("missing obs-classes/obs-initial lines")
     for lineno, cls in refs:
         _check_class(cls, count, lineno)
-    try:
-        alphabet = Alphabet.make(controllable, uncontrollable, observable)
-    except InvariantError as e:
-        raise FormatError(str(e)) from None
+    alphabet = _header_alphabet(header)
     for lineno, event in moves:
         if event not in alphabet.events:
             raise FormatError(f"obs-trans uses unknown event {event!r}", lineno)

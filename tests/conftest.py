@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdesctl import Alphabet, EpsProb, Pdes, explore, product
+from pdesctl import EPS, Alphabet, EpsProb, Pdes, explore, product
 
 F = Fraction
 
@@ -285,6 +285,15 @@ def with_eps(rng, pdes, share):
             p = p * EpsProb(F(1, rng.randint(1, 3)), 1)
         trans[(src, e)] = (dst, p)
     return Pdes(pdes.alphabet, pdes.initial, trans)
+
+
+def eps_scaled(rng, spec):
+    """The spec with about a third of its transitions scaled by EPS."""
+    trans = {
+        (src, e): (dst, p * EPS if rng.random() < 0.35 else p)
+        for src, e, dst, p in spec.transitions()
+    }
+    return Pdes(spec.alphabet, spec.initial, trans, states=spec.states)
 
 
 def synthesis_pair(rng, i):

@@ -9,6 +9,8 @@ from pdesctl import (
     EpsProb,
     InvariantError,
     Pdes,
+    Verdict,
+    Witness,
     ZERO,
     ONE,
     dumps_automaton,
@@ -21,7 +23,8 @@ from pdesctl import (
     observer,
     product,
 )
-from conftest import E, build, random_alphabet, random_plant, random_subspec
+from pdesctl.automata import require_same_alphabet
+from conftest import E, build, eps_scaled, random_alphabet, random_plant, random_subspec
 
 F = Fraction
 
@@ -376,6 +379,139 @@ class TestLanguageEquivalence:
     def test_distinguishes_robot_pair(self, robot):
         plant, spec = robot
         assert not language_equivalent(plant, spec)
+
+
+# -- the earlier pair walks, each its own breadth-first search, kept as
+# references for the passes over the joint support ------------------------
+
+
+def reference_product(a, b):
+    require_same_alphabet(a, b)
+    events = a.alphabet.events
+    trans = {}
+
+    def successors(state):
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        for e in events:
+            ea = ra.get(e)
+            if ea is None:
+                continue
+            eb = rb.get(e)
+            if eb is None:
+                continue
+            pa, pb = ea[1], eb[1]
+            dst = (ea[0], eb[0])
+            trans[(state, e)] = (dst, pa if pa <= pb else pb)
+            yield dst
+
+    initial = (a.initial, b.initial)
+    explore([initial], successors)
+    return Pdes(a.alphabet, initial, trans, check_liveness=False)
+
+
+def reference_is_sublanguage(a, b):
+    require_same_alphabet(a, b)
+    events = a.alphabet.events
+    initial = (a.initial, b.initial)
+    words = {initial: ()}  # shortest access string of each pair
+    witness = None
+
+    def successors(state):
+        nonlocal witness
+        if witness is not None:
+            return
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        word = words[state]
+        for e in events:
+            ea = ra.get(e)
+            if ea is None:
+                continue
+            eb = rb.get(e)
+            rb_e = eb[1] if eb else ZERO
+            if ea[1] > rb_e:
+                witness = Witness((word,), e, ea[1], rb_e)
+                return
+            dst = (ea[0], eb[0])
+            if dst not in words:
+                words[dst] = word + (e,)
+            yield dst
+
+    explore([initial], successors)
+    return Verdict(witness is None, witness)
+
+
+def reference_language_equivalent(a, b):
+    require_same_alphabet(a, b)
+    differ = False
+
+    def successors(state):
+        nonlocal differ
+        ra, rb = a._out[state[0]], b._out[state[1]]
+        if differ or len(ra) != len(rb):
+            differ = True
+            return
+        for e, (ta, pa) in ra.items():
+            eb = rb.get(e)
+            if eb is None or eb[1] != pa:
+                differ = True
+                return
+            yield (ta, eb[0])
+
+    explore([(a.initial, b.initial)], successors)
+    return not differ
+
+
+def walk_pairs(seed, count):
+    """Seeded (a, b) pairs of four kinds, cycling: a sub-spec under its
+    plant, the plant over its sub-spec (mostly failing), a sub-spec
+    against a relabelled copy of itself, and two unrelated automata.
+    Every third pair's sub-spec has infinitesimal probabilities."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = random_alphabet(rng, max_events=3)
+        plant = random_plant(rng, alphabet, max_states=2 + i % 5)
+        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
+        if i % 3 == 0:
+            spec = eps_scaled(rng, spec)
+        kind = i % 4
+        if kind == 0:
+            yield spec, plant
+        elif kind == 1:
+            yield plant, spec
+        elif kind == 2:
+            yield spec, spec.rename({s: ("r", s) for s in spec.states})
+        else:
+            yield spec, random_plant(rng, alphabet, max_states=2 + i % 5)
+
+
+class TestWalkReference:
+    """The passes over the joint support against the earlier walks."""
+
+    def test_is_sublanguage_matches_reference(self):
+        failing = 0
+        for a, b in walk_pairs(263, 600):
+            verdict = is_sublanguage(a, b)
+            assert verdict == reference_is_sublanguage(a, b)
+            failing += not verdict
+        assert 150 <= failing <= 350, failing
+
+    def test_language_equivalent_matches_reference(self):
+        equal = 0
+        for a, b in walk_pairs(269, 600):
+            same = language_equivalent(a, b)
+            assert same == reference_language_equivalent(a, b)
+            equal += same
+        assert 150 <= equal <= 450, equal
+
+    def test_product_matches_reference(self):
+        eps = 0
+        for a, b in walk_pairs(271, 600):
+            prod, ref = product(a, b), reference_product(a, b)
+            assert prod.states == ref.states
+            assert list(prod.transition_map().items()) == list(ref.transition_map().items())
+            assert dumps_automaton(prod.canonical_names()) == dumps_automaton(ref.canonical_names())
+            eps += a.has_eps_probabilities() or b.has_eps_probabilities()
+        assert eps >= 100, eps
 
 
 class TestObserver:

@@ -118,6 +118,26 @@ class TestCheckCommands:
         assert "line 3: duplicate initial line" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("controllable: s1 s2", "controllable: s1 s2 s1", "line 3: duplicate event 's1'"),
+        ("uncontrollable: s3 s4 s5", "uncontrollable: s3 s4 s5 s2", "line 4: duplicate event 's2'"),
+        ("observable: s1 s2 s3", "observable: s1 s2 s3 zz", "line 5: unknown event 'zz'"),
+        ("unobservable: s4 s5", "unobservable: s4 s5 zz", "line 6: unknown event 'zz'"),
+        ("unobservable: s4 s5", "unobservable: s4 s5 s3", "line 6: duplicate event 's3'"),
+    ])
+    def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):
+        text = dumps_automaton(robot_plant())
+        assert text.splitlines()[2:6] == [
+            "controllable: s1 s2", "uncontrollable: s3 s4 s5",
+            "observable: s1 s2 s3", "unobservable: s4 s5",
+        ]
+        bad = tmp_path / "bad.pda"
+        bad.write_text(text.replace(old, new, 1))
+        assert main(["check-ctrl", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         text = dumps_automaton(robot_plant())
         assert " 0.25\n" in text
@@ -289,6 +309,22 @@ class TestMalformedSupervisorMap:
         ("pattern 11 1\ndefault", "pattern - 1\ndefault", 8),
         ("obs-classes: 1", "obs-classes: 1\nobs-classes: 1", 6),
         ("obs-initial: t0", "obs-initial: t0\nobs-initial: t0", 7),
+        ("class t0", "class t+0", 7),
+        ("class t0", "class tt0", 7),
+        ("class t0", "class t00", 7),
+        ("class t0", "class 0", 7),
+        ("class t0", "class t\u0660", 7),
+        ("obs-initial: t0", "obs-initial: +0", 6),
+        ("obs-initial: t0", "obs-initial: 0", 6),
+        ("obs-classes: 1", "obs-classes: 0_1", 5),
+        ("obs-classes: 1", "obs-classes: t1", 5),
+        ("obs-classes: 1", "obs-classes: 01", 5),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: 0 s1 t0", 7),
+        ("controllable: s1 s2", "controllable: s1 s2 s1", 1),
+        ("uncontrollable: s3 s4 s5", "uncontrollable: s3 s4 s5 s2", 2),
+        ("observable: s1 s2 s3", "observable: s1 s2 s3 zz", 3),
+        ("unobservable: s4 s5", "unobservable: s4 s5 zz", 4),
+        ("unobservable: s4 s5", "unobservable: s4 s5 s3", 4),
     ])
     def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
         g, _ = robot_files

@@ -35,6 +35,7 @@ from conftest import (
     E,
     branch_plant,
     branch_spec,
+    eps_scaled,
     observation_scaled_spec,
     random_alphabet,
     random_plant,
@@ -246,6 +247,45 @@ class TestRefineToNormal:
         assert language_equivalent(pair.g_n, plant)
         assert language_equivalent(pair.h_n, plant)
         assert not pair.h_n.has_eps_probabilities()
+
+    # hand-built models over c (controllable) and u (uncontrollable), both
+    # observable; supports are logic automata
+    alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
+
+    def logic(self, initial, triples):
+        return Pdes(self.alphabet, initial, {(s, e): (d, ONE) for s, e, d in triples},
+                    check_liveness=False)
+
+    def test_support_leaving_the_plant_raises(self):
+        plant = Pdes(self.alphabet, "p", {("p", "c"): ("p", E(1, 2))})
+        spec = Pdes(self.alphabet, "q", {("q", "c"): ("q", E(1, 4))})
+        support = self.logic("k0", [("k0", "c", "k1"), ("k1", "c", "k1"), ("k1", "u", "k1")])
+        with pytest.raises(InvariantError, match="not contained in the plant's support"):
+            refine_to_normal(plant, spec, support)
+
+    def test_spec_leaving_the_support_raises(self):
+        plant = Pdes(self.alphabet, "p", {("p", "c"): ("p", E(1, 2)), ("p", "u"): ("p", E(1, 2))})
+        spec = Pdes(self.alphabet, "q0", {("q0", "c"): ("q1", E(1, 4)), ("q1", "u"): ("q1", E(1, 2))})
+        # the support adds u at the start, off the spec, and lacks the
+        # spec's u after c
+        support = self.logic("k0", [("k0", "c", "k1"), ("k0", "u", "k2"), ("k1", "c", "k1"),
+                                    ("k2", "c", "k2")])
+        with pytest.raises(InvariantError, match="does not contain the spec's support"):
+            refine_to_normal(plant, spec, support)
+
+    def test_builds_only_the_completion_and_h_n(self, branches, monkeypatch):
+        plant, spec = branches
+        support = infimal_co_support(plant, spec)
+        built = []
+        init = Pdes.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pdes, "__init__", counting)
+        refine_to_normal(plant, spec, support)
+        assert len(built) <= 2
 
 
 BRANCH_RESULT_RATIOS = [
@@ -568,15 +608,6 @@ class TestNormalReference:
             seen["unobservable"] += bool(plant.alphabet.unobservable)
             seen["sink"] += any(x[0][2] is SINK for x in h_n.states)
         assert min(seen.values()) >= 100, seen
-
-
-def eps_scaled(rng, spec):
-    """The spec with about a third of its transitions scaled by EPS."""
-    trans = {
-        (src, e): (dst, p * EPS if rng.random() < 0.35 else p)
-        for src, e, dst, p in spec.transitions()
-    }
-    return Pdes(spec.alphabet, spec.initial, trans, states=spec.states)
 
 
 class TestCheckSpecValues:
