@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .values import ONE, ZERO, EpsProb, format_prob, parse_prob
+from .values import ONE, ZERO, EpsProb, _Table, format_prob, parse_prob
 
 State = Hashable
 Event = str
@@ -428,10 +428,17 @@ def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
     support every one-step extension ratio of a is bounded by b's.  The
     first violation leaves a joint-support pair; the witness is the first
     in pair order, then event order."""
-    joint = JointSupport(a, b)
+    return _sublanguage(JointSupport(a, b), a, b)
+
+
+def _sublanguage(joint: JointSupport, a: Pdes, b: Pdes, side: int = 0) -> Verdict:
+    """`is_sublanguage(a, b)` read off ``joint``, whose pairs hold a's state
+    at position ``side``: ``JointSupport(b, a)`` walks the pairs of
+    ``JointSupport(a, b)`` swapped, in the same order, so ``side=1`` on it
+    gives the same verdict and witness."""
     events = a.alphabet.events
-    for i, (x, q) in enumerate(joint.pairs):
-        ra, rb = a._out[x], b._out[q]
+    for i, pair in enumerate(joint.pairs):
+        ra, rb = a._out[pair[side]], b._out[pair[1 - side]]
         for e in events:
             if e in ra:
                 pa, pb = ra[e][1], rb.get(e, _ABSENT)[1]
@@ -662,6 +669,7 @@ def loads_automaton(text: str) -> Pdes:
     alphabet = _header_alphabet(header)
 
     known = set(states) if states else None
+    probs = _Table(parse_prob)
     trans = {}
     for lineno, (src, event, dst, prob_text) in raw_trans:
         if known is not None and (src not in known or dst not in known):
@@ -671,7 +679,7 @@ def loads_automaton(text: str) -> Pdes:
         if event not in alphabet.events:
             raise FormatError(f"unknown event {event!r}", lineno)
         try:
-            prob = parse_prob(prob_text)
+            prob = probs[prob_text]
         except ValueError as e:
             raise FormatError(str(e), lineno) from None
         if prob.is_zero:

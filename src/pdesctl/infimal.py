@@ -37,8 +37,8 @@ from .automata import (
     Pdes,
     PdesError,
     State,
+    _sublanguage,
     explore,
-    is_sublanguage,
     minimize_logic,
     observer,
     require_same_alphabet,
@@ -69,16 +69,15 @@ class NormalPair:
             raise InvariantError("refined spec is not normal")
 
 
-def _pair_support(plant: Pdes, spec: Pdes) -> Pdes:
+def _pair_support(joint: JointSupport, spec: Pdes) -> Pdes:
     """Logic automaton for the spec's support, on the integer states of
-    the plant/spec `JointSupport`.  Rejects specs whose support leaves the
-    plant's, at the first pair (breadth-first) and event (event order)."""
-    joint = JointSupport(plant, spec)
+    ``joint = JointSupport(plant, spec)``.  Rejects specs whose support leaves
+    the plant's, at the first pair (breadth-first) and event (event order)."""
     escape = joint._first_escape(spec._out)
     if escape is not None:
         raise NotSublanguageError(f"specification support leaves the plant support on {escape[1]!r}")
     trans = {(i, e): edge for i, row in enumerate(joint._out) for e, edge in row.items()}
-    return Pdes(plant.alphabet, joint.initial, trans, check_liveness=False)
+    return Pdes(joint.alphabet, joint.initial, trans, check_liveness=False)
 
 
 def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
@@ -139,7 +138,10 @@ def infimal_co_support(plant: Pdes, spec: Pdes, max_rounds: int = 64) -> Pdes:
     uncontrollable extension and no observational saturation obligation
     remains open (the final round is itself the check).
     """
-    support = _pair_support(plant, spec)
+    return _saturate(_pair_support(JointSupport(plant, spec), spec), plant, max_rounds)
+
+
+def _saturate(support: Pdes, plant: Pdes, max_rounds: int = 64) -> Pdes:
     for _ in range(max_rounds):
         support = minimize_logic(support)
         grown, added = _saturate_once(support, plant)
@@ -314,14 +316,15 @@ class InfimalResult:
 def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
     """Full pipeline; the result generates the infimal probabilistic
     controllable and observable superlanguage of the spec w.r.t. the plant."""
-    verdict = is_sublanguage(spec, plant)
+    joint = JointSupport(plant, spec)
+    verdict = _sublanguage(joint, spec, plant, side=1)
     if not verdict:
         w = verdict.witness
         raise NotSublanguageError(
             f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}",
             w,
         )
-    support = infimal_co_support(plant, spec)
+    support = _saturate(_pair_support(joint, spec), plant)
     pair = refine_to_normal(plant, spec, support)
     result = reweight_infimal(pair)
     return InfimalResult(support, pair.h_n, result)

@@ -33,7 +33,9 @@ class PatternDistribution:
     def __init__(self, m: int, probs: Mapping[int, Fraction]):
         if m < 0:
             raise InvariantError("m must be nonnegative")
-        support = tuple(sorted((j, Fraction(p)) for j, p in probs.items() if p != 0))
+        support = tuple(sorted(
+            (j, p if p.__class__ is Fraction else Fraction(p)) for j, p in probs.items() if p != 0
+        ))
         if any(not 0 <= j < 2**m for j, _ in support):
             raise InvariantError(f"pattern index out of range for m = {m}")
         if any(p < 0 for _, p in support):
@@ -52,7 +54,7 @@ class PatternDistribution:
 def validate_scaling_vector(factors: Sequence[Fraction], m: int, n: int) -> Tuple[Fraction, ...]:
     """Check the shape of a per-event scaling vector: values in [0,1] for
     controllable entries, exactly 1 for uncontrollable entries."""
-    factors = tuple(Fraction(f) for f in factors)
+    factors = tuple([f if f.__class__ is Fraction else Fraction(f) for f in factors])
     if len(factors) != n:
         raise InvariantError(f"scaling vector must have {n} entries")
     for i, f in enumerate(factors):
@@ -90,7 +92,12 @@ def distribution_from_marginals(factors: Sequence[Fraction], m: int, n: int) -> 
     sorted factors, and the empty pattern the remaining mass.  At most
     m+1 patterns receive positive probability and the result is exact.
     """
-    factors = validate_scaling_vector(factors, m, n)
+    return _nested(validate_scaling_vector(factors, m, n), m)
+
+
+def _nested(factors: Tuple[Fraction, ...], m: int) -> PatternDistribution:
+    """The nested construction of `distribution_from_marginals` on a
+    vector that `validate_scaling_vector` has already returned."""
     order = sorted(range(m), key=lambda i: (-factors[i], i))
     sorted_vals = [factors[i] for i in order] + [Fraction(0)]
     probs = {0: 1 - sorted_vals[0]}

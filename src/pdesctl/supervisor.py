@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automata import (
     _ABSENT,
@@ -37,11 +37,12 @@ from .automata import (
 )
 from .patterns import (
     PatternDistribution,
+    _nested,
     distribution_from_marginals,
     marginals_of,
     validate_scaling_vector,
 )
-from .values import EpsProb, ONE, ZERO, format_rat, parse_rat
+from .values import EpsProb, ONE, ZERO, _Table, format_rat, parse_rat
 
 
 class SynthesisError(PdesError):
@@ -262,12 +263,9 @@ def supervisor_from_scaling(scaling: ScalingMap) -> SupervisorMap:
     """Roulette form of a scaling map: one pattern distribution per class,
     constructed so its marginals equal the class vector exactly."""
     alphabet = scaling.alphabet
-    dists = {
-        cls: distribution_from_marginals(vec, alphabet.m, alphabet.n)
-        for cls, vec in scaling.vectors.items()
-    }
-    default = distribution_from_marginals(scaling.default, alphabet.m, alphabet.n)
-    return SupervisorMap(scaling.classes, dists, default)
+    # the vectors were validated when the scaling map was built
+    dists = {cls: _nested(vec, alphabet.m) for cls, vec in scaling.vectors.items()}
+    return SupervisorMap(scaling.classes, dists, _nested(scaling.default, alphabet.m))
 
 
 def scaling_from_supervisor(sup: SupervisorMap) -> ScalingMap:
@@ -365,15 +363,23 @@ def _dump_header(alphabet: Alphabet, classes: ObservationClasses) -> List[str]:
     return lines
 
 
-def _index(field: str, lineno: int, prefix: str = "t") -> int:
+def _index(field: str, prefix: str = "t") -> int:
     """The nonnegative integer in a field written ``<prefix><digits>``, as
     the dumper writes it: a class ``t<i>``, or a count with no prefix.
     The digits must be canonical ASCII decimal (no sign, no leading zero)."""
     digits = field[len(prefix):]
     canonical = digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")
     if not (field.startswith(prefix) and canonical):
-        raise FormatError(f"expected {prefix}<nonnegative integer>, got {field!r}", lineno)
+        raise ValueError(f"expected {prefix}<nonnegative integer>, got {field!r}")
     return int(digits)
+
+
+def _read(get: Callable[[str], object], fields: Sequence[str], lineno: int) -> tuple:
+    """``get`` of each field; a ValueError is a FormatError on the line."""
+    try:
+        return tuple([get(f) for f in fields])
+    except ValueError as e:
+        raise FormatError(str(e), lineno) from None
 
 
 def _single_field(key: str, fields: List[str], lineno: int) -> str:
@@ -390,6 +396,7 @@ def _parse_header(text: str):
     refs: List[Tuple[int, int]] = []  # (line, class index) to check against the count
     moves: List[Tuple[int, str]] = []  # (line, obs-trans event) to check against the alphabet
     body: List[Tuple[int, str, str]] = []
+    index = _Table(_index).__getitem__  # obs-trans lines repeat their classes
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -406,16 +413,16 @@ def _parse_header(text: str):
         elif key == "obs-classes":
             if count is not None:
                 raise FormatError("duplicate obs-classes line", lineno)
-            count = _index(_single_field(key, fields, lineno), lineno, "")
+            count = _read(lambda f: _index(f, ""), [_single_field(key, fields, lineno)], lineno)[0]
         elif key == "obs-initial":
             if initial is not None:
                 raise FormatError("duplicate obs-initial line", lineno)
-            initial = _index(_single_field(key, fields, lineno), lineno)
+            initial = _read(_index, [_single_field(key, fields, lineno)], lineno)[0]
             refs.append((lineno, initial))
         elif key == "obs-trans":
             if len(fields) != 3:
                 raise FormatError("obs-trans takes: <src> <event> <dst>", lineno)
-            src, dst = _index(fields[0], lineno), _index(fields[2], lineno)
+            src, dst = _read(index, (fields[0], fields[2]), lineno)
             if (src, fields[1]) in trans:
                 raise FormatError(f"duplicate obs-trans from t{src} on {fields[1]!r}", lineno)
             trans[(src, fields[1])] = dst
@@ -447,14 +454,7 @@ def _class_line(fields: List[str], count: int, lineno: int) -> int:
     """Class index of a ``class t<i> ...`` line."""
     if not fields:
         raise FormatError("class takes an observation class", lineno)
-    return _check_class(_index(fields[0], lineno), count, lineno)
-
-
-def _rationals(fields: List[str], lineno: int) -> Tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rat(f) for f in fields)
-    except ValueError as e:
-        raise FormatError(str(e), lineno) from None
+    return _check_class(_read(_index, fields[:1], lineno)[0], count, lineno)
 
 
 def dumps_scaling_map(scaling: ScalingMap) -> str:
@@ -468,6 +468,7 @@ def dumps_scaling_map(scaling: ScalingMap) -> str:
 
 def loads_scaling_map(text: str) -> ScalingMap:
     alphabet, classes, body = _parse_header(text)
+    rat = _Table(parse_rat).__getitem__
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     default = None
     for lineno, key, rest in body:
@@ -476,11 +477,11 @@ def loads_scaling_map(text: str) -> ScalingMap:
             cls = _class_line(fields, classes.count, lineno)
             if cls in vectors:
                 raise FormatError(f"duplicate class t{cls}", lineno)
-            vectors[cls] = _rationals(fields[1:], lineno)
+            vectors[cls] = _read(rat, fields[1:], lineno)
         elif key == "default":
             if default is not None:
                 raise FormatError("duplicate default", lineno)
-            default = _rationals(fields, lineno)
+            default = _read(rat, fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     try:
@@ -510,6 +511,7 @@ def dumps_supervisor_map(sup: SupervisorMap) -> str:
 
 def loads_supervisor_map(text: str) -> SupervisorMap:
     alphabet, classes, body = _parse_header(text)
+    rat = _Table(parse_rat).__getitem__
     m = alphabet.m
     dists: Dict[int, PatternDistribution] = {}
     current: Optional[int] = None
@@ -560,7 +562,7 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             j = int(bits, 2) if m else 0
             if j in pending:
                 raise FormatError(f"duplicate pattern {bits!r}", lineno)
-            pending[j] = _rationals([prob], lineno)[0]
+            pending[j] = _read(rat, [prob], lineno)[0]
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     flush()

@@ -16,7 +16,22 @@ from fractions import Fraction
 Rat = Fraction
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
-_EPS_RE = re.compile(r"^0\+(?:\^(\d+))?(?:[·*](.+))?$")
+_EPS_RE = re.compile(r"^0\+(?:\^([1-9]\d*))?(?:[·*](.+))?$")
+
+
+class _Table(dict):
+    """A per-call table of ``fn`` over keys: ``table[key]`` computes
+    ``fn(key)`` once, on first use.  A key whose ``fn`` raises is not
+    stored, so it raises again wherever it recurs."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
 
 
 def parse_rat(text: str) -> Fraction:
@@ -38,7 +53,8 @@ def format_rat(value: Fraction, style: str = "decimal") -> str:
     and falls back to ``p/q`` otherwise.  ``fraction`` style always uses
     ``p/q`` (or a bare integer).
     """
-    value = Fraction(value)
+    if value.__class__ is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     if style == "fraction":
@@ -202,7 +218,8 @@ EPS = EpsProb(Fraction(1), 1)
 
 def parse_prob(text: str) -> EpsProb:
     """Parse any textual probability form: ``0``, ``p/q``, ``0.375``,
-    ``0+``, ``0+^d`` or ``0+^d·p/q`` (``*`` accepted for ``·``)."""
+    ``0+``, ``0+^d`` or ``0+^d·p/q`` (``*`` accepted for ``·``), with the
+    degree d >= 1 written without leading zeros."""
     text = text.strip()
     m = _EPS_RE.match(text)
     if m:

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked examples and random model generators."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -333,3 +334,26 @@ def synthesis_pair(rng, i):
             if (s, e) not in trans and rng.random() < 0.2:
                 trans[(s, e)] = (rng.choice(spec.states), EpsProb(F(1, 4), 1))
     return plant, Pdes(plant.alphabet, spec.initial, trans)
+
+
+def walk_pairs(seed, count):
+    """Seeded (a, b) pairs of four kinds, cycling: a sub-spec under its
+    plant, the plant over its sub-spec (mostly failing), a sub-spec
+    against a relabelled copy of itself, and two unrelated automata.
+    Every third pair's sub-spec has infinitesimal probabilities."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = random_alphabet(rng, max_events=3)
+        plant = random_plant(rng, alphabet, max_states=2 + i % 5)
+        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
+        if i % 3 == 0:
+            spec = eps_scaled(rng, spec)
+        kind = i % 4
+        if kind == 0:
+            yield spec, plant
+        elif kind == 1:
+            yield plant, spec
+        elif kind == 2:
+            yield spec, spec.rename({s: ("r", s) for s in spec.states})
+        else:
+            yield spec, random_plant(rng, alphabet, max_states=2 + i % 5)

@@ -24,7 +24,7 @@ from pdesctl import (
     product,
 )
 from pdesctl.automata import require_same_alphabet
-from conftest import E, build, eps_scaled, random_alphabet, random_plant, random_subspec
+from conftest import E, build, random_alphabet, random_plant, random_subspec, walk_pairs
 
 F = Fraction
 
@@ -461,29 +461,6 @@ def reference_language_equivalent(a, b):
     return not differ
 
 
-def walk_pairs(seed, count):
-    """Seeded (a, b) pairs of four kinds, cycling: a sub-spec under its
-    plant, the plant over its sub-spec (mostly failing), a sub-spec
-    against a relabelled copy of itself, and two unrelated automata.
-    Every third pair's sub-spec has infinitesimal probabilities."""
-    rng = random.Random(seed)
-    for i in range(count):
-        alphabet = random_alphabet(rng, max_events=3)
-        plant = random_plant(rng, alphabet, max_states=2 + i % 5)
-        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
-        if i % 3 == 0:
-            spec = eps_scaled(rng, spec)
-        kind = i % 4
-        if kind == 0:
-            yield spec, plant
-        elif kind == 1:
-            yield plant, spec
-        elif kind == 2:
-            yield spec, spec.rename({s: ("r", s) for s in spec.states})
-        else:
-            yield spec, random_plant(rng, alphabet, max_states=2 + i % 5)
-
-
 class TestWalkReference:
     """The passes over the joint support against the earlier walks."""
 
@@ -670,6 +647,18 @@ class TestTextFormat:
         with pytest.warns(UserWarning):
             parsed = loads_automaton(text)
         assert "zz" not in parsed.states
+
+    def test_parses_each_distinct_probability_once_per_call(self, monkeypatch):
+        import pdesctl.automata as automata
+
+        seen = []
+        parse = automata.parse_prob
+        monkeypatch.setattr(automata, "parse_prob", lambda text: seen.append(text) or parse(text))
+        first = loads_automaton(FORMAT_SAMPLE)
+        assert sorted(seen) == ["0.25", "0.375", "0.5", "1"]
+        # a second load parses again: no table outlives its call
+        assert loads_automaton(FORMAT_SAMPLE).transition_map() == first.transition_map()
+        assert len(seen) == 8
 
     def test_syntax_error_reports_line(self):
         from pdesctl import FormatError

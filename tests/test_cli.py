@@ -124,6 +124,10 @@ class TestCheckCommands:
         ("observable: s1 s2 s3", "observable: s1 s2 s3 zz", "line 5: unknown event 'zz'"),
         ("unobservable: s4 s5", "unobservable: s4 s5 zz", "line 6: unknown event 'zz'"),
         ("unobservable: s4 s5", "unobservable: s4 s5 s3", "line 6: duplicate event 's3'"),
+        ("x0 s3 x1 0.25", "x0 s3 x1 0+^0", "line 7: malformed rational: '0+^0'"),
+        ("x1 s1 x0 0.5", "x1 s1 x0 0+^0·1/2", "line 10: malformed rational: '0+^0·1/2'"),
+        ("x1 s1 x0 0.5", "x1 s1 x0 0+^01", "line 10: malformed rational: '0+^01'"),
+        ("x2 0.375\ntrans: x0 s5 x3 0.375", "x2 1/0\ntrans: x0 s5 x3 1/0", "line 8: zero denominator"),
     ])
     def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):
         text = dumps_automaton(robot_plant())
@@ -325,6 +329,8 @@ class TestMalformedSupervisorMap:
         ("observable: s1 s2 s3", "observable: s1 s2 s3 zz", 3),
         ("unobservable: s4 s5", "unobservable: s4 s5 zz", 4),
         ("unobservable: s4 s5", "unobservable: s4 s5 s3", 4),
+        ("pattern 11 1\ndefault\npattern 11 1", "pattern 11 1/0\ndefault\npattern 11 1/0", 8),
+        ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t9\nobs-trans: t0 s2 t9", 7),
     ])
     def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
         g, _ = robot_files

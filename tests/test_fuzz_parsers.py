@@ -31,6 +31,7 @@ VALID = {
 TOKENS = sorted({tok for _, text in VALID.values() for tok in text.split()}) + [
     "x", "-", "#", ":", "states:", "trans:", "pattern", "class", "default", "t", "t-1", "t99",
     "-1", "0", "2", "1/0", "-1/2", "3/2", "0.5", "1.", "0+", "0+^2", "0+^2*1/3", "00", "111",
+    "0+^0", "0+^0·1/2", "0+^01",
 ]
 
 EDIT = st.tuples(

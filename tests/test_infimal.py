@@ -29,7 +29,7 @@ from pdesctl import (
     reweight_infimal,
     strip_eps_edges,
 )
-from pdesctl.automata import require_same_alphabet
+from pdesctl.automata import JointSupport, require_same_alphabet
 from pdesctl.infimal import SINK, _check_spec_values, _complete_to_sink
 from conftest import (
     E,
@@ -42,6 +42,7 @@ from conftest import (
     random_subspec,
     robot_plant,
     robot_spec,
+    walk_pairs,
 )
 
 F = Fraction
@@ -395,6 +396,37 @@ class TestPipeline:
         plant, spec = robot
         with pytest.raises(NotSublanguageError):
             infimal_superlanguage(spec, plant)
+
+    def test_non_sublanguage_witness_is_that_of_is_sublanguage(self):
+        failing = 0
+        for spec, plant in walk_pairs(263, 600):
+            verdict = is_sublanguage(spec, plant)
+            if verdict:
+                continue
+            failing += 1
+            w = verdict.witness
+            with pytest.raises(NotSublanguageError) as err:
+                infimal_pipeline(plant, spec)
+            assert err.value.witness == w
+            assert str(err.value) == (
+                f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}"
+            )
+        assert failing >= 150, failing
+
+    def test_one_joint_support_serves_the_verdict_and_the_pair_support(self, branches, monkeypatch):
+        built = []
+        init = JointSupport.__init__
+
+        def counting(self, a, b):
+            built.append((a, b))
+            init(self, a, b)
+
+        monkeypatch.setattr(JointSupport, "__init__", counting)
+        infimal_pipeline(*branches)
+        # (plant, spec) once, for both the verdict and the spec's support,
+        # then the three of refine_to_normal
+        assert len(built) == 4
+        assert built[0] == branches
 
     def test_random_pipelines_validate(self):
         rng = random.Random(229)

@@ -326,6 +326,23 @@ class TestSerialization:
         assert again.default.support() == sup.default.support()
         assert dumps_supervisor_map(again) == text
 
+    def test_parses_each_distinct_pattern_probability_once_per_call(self, robot, monkeypatch):
+        import pdesctl.supervisor as supervisor
+
+        text = dumps_supervisor_map(supervisor_from_scaling(ScalingMap(
+            ObservationClasses(robot[0].alphabet, 0, 2, {(0, "s3"): 1}),
+            {0: (F(1, 2),) * 2 + (F(1),) * 3, 1: (F(1, 2), F(0)) + (F(1),) * 3},
+        )))
+        assert text.count(" 1/2\n") == 4
+        seen = []
+        parse = supervisor.parse_rat
+        monkeypatch.setattr(supervisor, "parse_rat", lambda text: seen.append(text) or parse(text))
+        first = loads_supervisor_map(text)
+        assert sorted(seen) == ["1", "1/2"]
+        # a second load parses again: no table outlives its call
+        assert dumps_supervisor_map(loads_supervisor_map(text)) == dumps_supervisor_map(first)
+        assert len(seen) == 4
+
     def test_supervisor_file_lists_patterns(self, robot):
         plant, spec = robot
         text = dumps_supervisor_map(supervisor_from_scaling(scaling_from_spec(plant, spec)))

@@ -196,7 +196,7 @@ class TestProbText:
         assert parse_prob(text) == value
 
     def test_parse_rejects(self):
-        for bad in ["-1/2", "0+^2·0", "0+x"]:
+        for bad in ["-1/2", "0+^2·0", "0+x", "0+^0", "0+^0·1/2", "0+^01"]:
             with pytest.raises(ValueError):
                 parse_prob(bad)
 
