@@ -1,7 +1,10 @@
 """Infimal probabilistic controllable and observable superlanguage.
 
 When a specification is unachievable, the best achievable approximation
-from above is computed in three stages:
+from above is computed in three stages.  "Least" is in the order that
+`is_sublanguage` decides, where every one-step extension ratio of the
+smaller language is bounded by the larger one's, not in the pointwise
+order on string values.
 
 1. `infimal_co_support` saturates the spec's support into the least
    prefix-closed language, inside the plant's support, that is closed
@@ -10,34 +13,34 @@ from above is computed in three stages:
    controllable event, the other must be allowed to as well).
 2. `refine_to_normal` rebuilds the saturated spec as one normal
    automaton (observer cells partition the state set) whose states
-   carry the plant state they track, with the strings added by
-   saturation carrying infinitesimal probabilities so they are present
-   logically but weightless.  It is one breadth-first walk over
-   (state triple, observer cell): the triples (plant, support, spec or
-   `SINK`) are a `JointSupport`, the cells come from that joint
-   support's observer, and each edge takes its probability as it is
-   emitted.
+   carry the plant state they track and are labelled with their
+   observer cell, with the strings added by saturation carrying
+   infinitesimal probabilities so they are present logically but
+   weightless.  It is one breadth-first walk over (state triple, cell):
+   the triples (plant, support, spec or `SINK`) are a `JointSupport`,
+   the cells come from that joint support's observer, and each edge
+   takes its probability as it is emitted.
 3. `reweight_infimal` raises probabilities the minimal amount needed on
    that automaton's own edges: uncontrollable transitions take the
    plant's probabilities, and each controllable event is scaled,
-   uniformly on every observation cell, to the largest spec/plant ratio
-   occurring in the cell.
+   uniformly on every observation cell (the states sharing a label),
+   to the largest spec/plant ratio occurring in the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from types import SimpleNamespace
 from typing import Dict, List, Set, Tuple
 
 from .automata import (
     InvariantError,
     JointSupport,
-    Observer,
     Pdes,
     PdesError,
     State,
     _sublanguage,
+    _unobservable_reach,
     explore,
     minimize_logic,
     observer,
@@ -54,19 +57,38 @@ class ClosureDivergenceError(PdesError):
 @dataclass(frozen=True)
 class NormalPair:
     """The plant `g_n` as given, and a normal spec automaton `h_n` whose
-    states `x` track the plant state `x[0][0]` they are reached with."""
+    states `x` track the plant state `x[0][0]` they are reached with and
+    are labelled `x[1]` with their observer cell: the states sharing a
+    label are one cell of `observer(h_n)`.  Building a pair checks this
+    (`validate`), so the cells are read from the labels."""
 
     g_n: Pdes
     h_n: Pdes
 
-    @cached_property
-    def spec_observer(self) -> Observer:
-        """The observer of h_n, built once for `validate` and `reweight_infimal`."""
-        return observer(self.h_n)
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
-        if not self.spec_observer.is_partition(self.h_n.states):
-            raise InvariantError("refined spec is not normal")
+        """Raise unless the labels are the observer cells of h_n: the
+        unobservable reach of the initial state, and of the targets of each
+        label's states on each observable event, is exactly the states
+        labelled like one of them (so all of them share that label).  By
+        induction on the observation each observer cell is one label's
+        states, and every state is reachable, so the cells partition the
+        states."""
+        h_n = self.h_n
+        observable = h_n.alphabet.observable
+        cells: Dict[State, Set[State]] = {}
+        steps: Dict[Tuple[State, str], Set[State]] = {}  # (label, observable event) -> targets
+        for x in h_n.states:
+            cells.setdefault(x[1], set()).add(x)
+            for e, (y, _) in h_n._out[x].items():
+                if e in observable:
+                    steps.setdefault((x[1], e), set()).add(y)
+        reach = _unobservable_reach(h_n)
+        for targets in [{h_n.initial}, *steps.values()]:
+            if reach(targets) != cells[next(iter(targets))[1]]:
+                raise InvariantError("refined spec is not normal")
 
 
 def _pair_support(joint: JointSupport, spec: Pdes) -> Pdes:
@@ -157,12 +179,8 @@ class _Sink:
     """Absorbing completion state: reached as soon as a run leaves the
     automaton it completes, and never left again."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        return "SINK"  # copies and pickles are the one module-level SINK
 
     def __repr__(self):
         return "<off>"
@@ -174,22 +192,6 @@ SINK = _Sink()
 _OFF_SPEC = (SINK, EPS)
 
 
-def _complete_to_sink(a: Pdes) -> Pdes:
-    """Total completion: undefined events lead to an absorbing sink, on
-    edges of probability one.  Unlike self-loop completion this keeps 'the
-    run has left the original automaton' decidable from the state, which
-    `refine_to_normal` relies on to give off-spec edges `EPS`."""
-    trans = a.transition_map()
-    missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a._out[s]]
-    if not missing:
-        return a
-    for key in missing:
-        trans[key] = (SINK, ONE)
-    for e in a.alphabet.events:
-        trans[(SINK, e)] = (SINK, ONE)
-    return Pdes(a.alphabet, a.initial, trans, states=list(a.states) + [SINK], check_liveness=False)
-
-
 def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     """Rebuild the (saturated) spec as a normal automaton.
 
@@ -198,17 +200,23 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     infinitesimal probabilities on the strings the saturation added.
     The (plant, support, spec-or-`SINK`) state triples are the joint
     support of the plant, the support and the sink-completed spec, and
-    each state `(triple, cell)` pairs a triple with the index of its
-    cell in that joint support's observer, so the observer of the result
-    partitions its states.  One breadth-first walk over (triple, cell)
-    emits each edge with its probability.  The plant is returned as
-    given beside it.
+    each state `(triple, cell)` is labelled with the index of its cell
+    in that joint support's observer; these labels are the observer
+    cells of the result, which `NormalPair` checks.  One breadth-first
+    walk over (triple, cell) emits each edge with its probability.  The
+    plant is returned as given beside it.
     """
     require_same_alphabet(plant, spec)
     inner = JointSupport(plant, support)
     if inner._first_escape(support._out) is not None:
         raise InvariantError("the support automaton is not contained in the plant's support")
-    joint = JointSupport(inner, _complete_to_sink(spec))
+    # the spec completed to SINK, as rows: an event a spec row lacks leads
+    # to SINK at EPS, and SINK leads to itself on every event
+    off = dict.fromkeys(plant.alphabet.events, _OFF_SPEC)
+    spec_rows = {q: {**off, **row} for q, row in spec._out.items()}
+    spec_rows[SINK] = off
+    completion = SimpleNamespace(alphabet=spec.alphabet, initial=spec.initial, _out=spec_rows)
+    joint = JointSupport(inner, completion)
     # with the support inside the plant, a spec event the joint row lacks
     # is one the support lacks
     if joint._first_escape({**spec._out, SINK: {}}) is not None:
@@ -221,18 +229,16 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     def successors(state):
         t, o = state
         src = (triples[t], o)
-        h = triples[t][2]
-        rh = spec._out[h] if h is not SINK else {}
+        rh = spec_rows[triples[t][2]]
         for e, (u, _) in joint._out[t].items():
             dst = (u, obs.trans[(o, e)] if e in observable else o)
-            trans[(src, e)] = ((triples[u], dst[1]), rh.get(e, _OFF_SPEC)[1])
+            trans[(src, e)] = ((triples[u], dst[1]), rh[e][1])
             yield dst
 
     explore([(joint.initial, obs.initial)], successors)
     h_n = Pdes(plant.alphabet, (triples[joint.initial], obs.initial), trans)
 
     pair = NormalPair(plant, h_n)
-    pair.validate()
     same = JointSupport(h_n, support)
     if any(len(h_n._out[y]) != len(row) or len(support._out[k]) != len(row)
            for (y, k), row in zip(same.pairs, same._out)):
@@ -264,46 +270,38 @@ def reweight_infimal(pair: NormalPair) -> Pdes:
     """Minimal probability lift of the refined spec, on its own edges.
 
     Uncontrollable transitions take the plant's probabilities verbatim.
-    For each observation cell and controllable event, every member state
-    is scaled to the same fraction of its plant probability: the largest
-    spec/plant ratio achieved inside the cell (infinitesimal ratios rank
-    below every ordinary one).  A state `x` reads the plant at `x[0][0]`.
-    A transition the plant forces where the refined spec has none raises
-    `InvariantError`; the saturated support is controllable and
-    observable, so on a valid normal pair that never happens.
+    For each observation cell (the states sharing a label `x[1]`) and
+    controllable event, every member state is scaled to the same
+    fraction of its plant probability: the largest spec/plant ratio
+    achieved inside the cell (infinitesimal ratios rank below every
+    ordinary one).  A state `x` reads the plant at `x[0][0]`.  An edge
+    the plant lacks there, or a transition the plant forces where the
+    refined spec has none, raises `InvariantError`; `refine_to_normal`
+    follows the plant, and the saturated support is controllable and
+    observable, so on a pair it builds that never happens.
     """
-    pair.validate()
-    plant, h_n, obs = pair.g_n, pair.h_n, pair.spec_observer
-    alphabet = plant.alphabet
-    trans = h_n.transition_map()
+    plant, h_n = pair.g_n, pair.h_n
+    controllable = plant.alphabet.controllable
+    rows = [(x, h_n._out[x], plant._out[x[0][0]]) for x in h_n.states]
+    best: Dict[Tuple[State, str], EpsProb] = {}  # (label, controllable event) -> largest ratio
+    for x, row, prow in rows:
+        if not row.keys() <= prow.keys():
+            raise InvariantError(f"the refined spec leaves the plant at {x!r}")
+        for e, (_, p) in row.items():
+            if e in controllable:
+                ratio, key = p / prow[e][1], (x[1], e)
+                if ratio > best.get(key, ZERO):
+                    best[key] = ratio
 
-    def lift(x, e, scale=None):
-        edge = plant._out[x[0][0]].get(e)
-        if edge is None:
-            return
-        own = trans.get((x, e))
-        if own is None:
-            raise InvariantError(f"the plant forces {e!r} at {x!r} but the refined spec lacks it")
-        trans[(x, e)] = (own[0], edge[1] if scale is None else scale * edge[1])
-
-    for x in h_n.states:
-        for e in alphabet.uncontrollable_events():
-            lift(x, e)
-
-    for cell in obs.cells:
-        for e in alphabet.controllable_events():
-            best = ZERO
-            for x in cell:
-                hp = h_n.rho(x, e)
-                if hp.is_zero:
-                    continue
-                best = max(best, hp / plant.rho(x[0][0], e))
-            if best.is_zero:
-                continue
-            for x in cell:
-                lift(x, e, best)
-
-    return Pdes(alphabet, h_n.initial, trans, states=h_n.states)
+    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
+    for x, row, prow in rows:
+        for e in prow:
+            if e not in row and (e not in controllable or (x[1], e) in best):
+                raise InvariantError(f"the plant forces {e!r} at {x!r} but the refined spec lacks it")
+        for e, (dst, _) in row.items():
+            q = prow[e][1]
+            trans[(x, e)] = (dst, best[(x[1], e)] * q if e in controllable else q)
+    return Pdes(plant.alphabet, h_n.initial, trans, states=h_n.states)
 
 
 @dataclass(frozen=True)

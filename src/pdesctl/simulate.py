@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .automata import InvariantError, Pdes, State, Word
 from .supervisor import SupervisorMap, _enable_vector
+from .values import _Table
 
 
 @dataclass(frozen=True)
@@ -88,19 +89,16 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
                 row.append((i if i < m else -1, e, edge[0], float(edge[1].magnitude)))
         moves[x] = row
 
-    # per-class cumulative pattern table
-    pattern_cdf: Dict[Optional[int], List[Tuple[float, int]]] = {}
-
-    def cdf_for(cls: Optional[int]) -> List[Tuple[float, int]]:
-        table = pattern_cdf.get(cls)
-        if table is None:
-            acc = 0.0
-            table = []
-            for j, p in sup.distribution(cls).support():
-                acc += float(p)
-                table.append((acc, j))
-            pattern_cdf[cls] = table
+    def pattern_cdf(cls: Optional[int]) -> List[Tuple[float, int]]:
+        """The cumulative pattern table of the class's roulette."""
+        acc = 0.0
+        table = []
+        for j, p in sup.distribution(cls).support():
+            acc += float(p)
+            table.append((acc, j))
         return table
+
+    cdfs = _Table(pattern_cdf)  # per class, built on first use
 
     counts: Dict[Word, int] = {(): cfg.trials}
     for trial in range(cfg.trials):
@@ -109,7 +107,7 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
         cls = classes.initial
         word: Word = ()
         for _ in range(cfg.max_depth):
-            cdf = cdf_for(cls)
+            cdf = cdfs[cls]
             u = rng.random()
             pattern = None
             for acc, j in cdf:
@@ -137,7 +135,7 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
 
     # exact targets along the prefix trie: every observed string's prefixes
     # were observed too, so in length order each parent comes first
-    enables: Dict[Optional[int], Tuple[Fraction, ...]] = {}
+    enables = _Table(lambda cls: _enable_vector(sup, cls))
     # string -> (plant state, observation class, target)
     node: Dict[Word, Tuple[State, Optional[int], Fraction]] = {
         (): (plant.initial, classes.initial, Fraction(1))
@@ -145,8 +143,6 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
     for word in sorted(counts, key=len)[1:]:  # the root () sorts first
         x, cls, value = node[word[:-1]]
         e = word[-1]
-        if cls not in enables:
-            enables[cls] = _enable_vector(sup, cls)
         dst, p = plant.step(x, e)
         step = p.magnitude * enables[cls][alphabet.index(e)]
         node[word] = (dst, classes.step(cls, e), value * step)

@@ -334,12 +334,13 @@ def controlled_language_value(plant: Pdes, sup: SupervisorMap, word: Iterable[st
     one-step controlled probabilities; zero once the plant support is left)."""
     value = ONE
     x, cls = plant.initial, sup.classes.initial
+    enables = _Table(lambda cls: _enable_vector(sup, cls))  # once per class visited
     for e in word:
         i = plant.alphabet.index(e)
         edge = plant.step(x, e)
         if edge is None:
             return ZERO
-        value = value * edge[1] * EpsProb(_enable_vector(sup, cls)[i])
+        value = value * edge[1] * EpsProb(enables[cls][i])
         if value.is_zero:
             return ZERO
         x, cls = edge[0], sup.classes.step(cls, e)

@@ -228,6 +228,8 @@ def parse_prob(text: str) -> EpsProb:
         if magnitude <= 0:
             raise ValueError(f"infinitesimal magnitude must be positive: {text!r}")
         return EpsProb(magnitude, degree)
+    if text.startswith("0+^"):
+        raise ValueError(f"infinitesimal degree must be a positive integer without leading zeros: {text!r}")
     value = parse_rat(text)
     if value < 0:
         raise ValueError(f"probability cannot be negative: {text!r}")

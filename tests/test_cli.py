@@ -51,6 +51,7 @@ from conftest import (
 )
 
 F = Fraction
+DEGREE = "infinitesimal degree must be a positive integer without leading zeros"
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
 
@@ -124,9 +125,9 @@ class TestCheckCommands:
         ("observable: s1 s2 s3", "observable: s1 s2 s3 zz", "line 5: unknown event 'zz'"),
         ("unobservable: s4 s5", "unobservable: s4 s5 zz", "line 6: unknown event 'zz'"),
         ("unobservable: s4 s5", "unobservable: s4 s5 s3", "line 6: duplicate event 's3'"),
-        ("x0 s3 x1 0.25", "x0 s3 x1 0+^0", "line 7: malformed rational: '0+^0'"),
-        ("x1 s1 x0 0.5", "x1 s1 x0 0+^0·1/2", "line 10: malformed rational: '0+^0·1/2'"),
-        ("x1 s1 x0 0.5", "x1 s1 x0 0+^01", "line 10: malformed rational: '0+^01'"),
+        ("x0 s3 x1 0.25", "x0 s3 x1 0+^0", f"line 7: {DEGREE}: '0+^0'"),
+        ("x1 s1 x0 0.5", "x1 s1 x0 0+^0·1/2", f"line 10: {DEGREE}: '0+^0·1/2'"),
+        ("x1 s1 x0 0.5", "x1 s1 x0 0+^01", f"line 10: {DEGREE}: '0+^01'"),
         ("x2 0.375\ntrans: x0 s5 x3 0.375", "x2 1/0\ntrans: x0 s5 x3 1/0", "line 8: zero denominator"),
     ])
     def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):

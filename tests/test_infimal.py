@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,8 +31,10 @@ from pdesctl import (
     reweight_infimal,
     strip_eps_edges,
 )
+import pdesctl.automata as automata
+import pdesctl.infimal as infimal
 from pdesctl.automata import JointSupport, require_same_alphabet
-from pdesctl.infimal import SINK, _check_spec_values, _complete_to_sink
+from pdesctl.infimal import SINK, _check_spec_values
 from conftest import (
     E,
     branch_plant,
@@ -54,6 +58,34 @@ def ratio(a, word, e):
     if lw.is_zero:
         return None
     return le / lw if not le.is_zero else ZERO
+
+
+def label_cells(a):
+    """The states of `a` grouped by their label `x[1]`, as a set of sets."""
+    cells = {}
+    for x in a.states:
+        cells.setdefault(x[1], set()).add(x)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def count_builds(monkeypatch):
+    """From here on, record each `Pdes` built and the argument of each
+    `observer` call, from either module."""
+    built, observed = [], []
+    init, real = Pdes.__init__, automata.observer
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_observer(a, *args, **kwargs):
+        observed.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(Pdes, "__init__", counting_init)
+    for module in (automata, infimal):
+        monkeypatch.setattr(module, "observer", counting_observer)
+    return built, observed
 
 
 # -- support-level (non-probabilistic) oracles ---------------------------
@@ -274,19 +306,24 @@ class TestRefineToNormal:
         with pytest.raises(InvariantError, match="does not contain the spec's support"):
             refine_to_normal(plant, spec, support)
 
-    def test_builds_only_the_completion_and_h_n(self, branches, monkeypatch):
+    def test_sink_is_one_object_through_copies_and_pickles(self, branches):
+        h_n = refine_to_normal(*branches, infimal_co_support(*branches)).h_n
+        assert any(x[0][2] is SINK for x in h_n.states)
+        for clone in (copy.copy(SINK), copy.deepcopy(SINK), pickle.loads(pickle.dumps(SINK))):
+            assert clone is SINK
+        assert [x[0][2] is SINK for x in pickle.loads(pickle.dumps(h_n)).states] == [
+            x[0][2] is SINK for x in h_n.states
+        ]
+
+    def test_builds_only_h_n_and_one_observer(self, branches, monkeypatch):
         plant, spec = branches
         support = infimal_co_support(plant, spec)
-        built = []
-        init = Pdes.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Pdes, "__init__", counting)
+        built, observed = count_builds(monkeypatch)
         refine_to_normal(plant, spec, support)
-        assert len(built) <= 2
+        # the spec's completion is a row table, and the cells of h_n are
+        # read from its labels: the one observer is the joint support's
+        assert len(built) == 1
+        assert len(observed) == 1 and isinstance(observed[0], JointSupport)
 
 
 BRANCH_RESULT_RATIOS = [
@@ -346,14 +383,17 @@ class TestReweight:
         assert check_controllable(plant, res.result).holds
         assert check_observable(plant, res.result).holds
 
-    def test_rejects_non_normal_spec(self):
-        # the unobservable u puts b in the initial cell and in the cell after o
+    @pytest.mark.parametrize("label_b", [0, 1])
+    def test_rejects_non_normal_spec(self, label_b):
+        # the unobservable u puts b in the initial cell and in the cell
+        # after o, so no labelling of b makes the labels the cells
         alphabet = Alphabet.make(["c"], ["o", "u"], ["c", "o"])
-        a = Pdes(alphabet, "a", {("a", "u"): ("b", E(1, 2)), ("a", "o"): ("b", E(1, 2)),
-                                 ("b", "c"): ("b", E(1, 2))})
-        assert not observer(a).is_partition(a.states)
+        a, b = ("a", 0), ("b", label_b)
+        h = Pdes(alphabet, a, {(a, "u"): (b, E(1, 2)), (a, "o"): (b, E(1, 2)),
+                               (b, "c"): (b, E(1, 2))})
+        assert not observer(h).is_partition(h.states)
         with pytest.raises(InvariantError, match="not normal"):
-            reweight_infimal(NormalPair(a, a))
+            reweight_infimal(NormalPair(h, h))
 
     def test_plant_edge_missing_from_spec_is_typed_error(self):
         # h_n is normal (one state, one cell) but lacks the plant's
@@ -365,6 +405,22 @@ class TestReweight:
         assert observer(h_n).is_partition(h_n.states)
         with pytest.raises(InvariantError, match="forces 'u'"):
             reweight_infimal(NormalPair(plant, h_n))
+
+    def test_spec_edge_missing_from_plant_is_typed_error(self):
+        # h_n is normal, but has u where the plant has none
+        alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
+        plant = Pdes(alphabet, "p", {("p", "c"): ("p", E(1, 2))})
+        x = (("p", "k", "q"), "o")
+        h_n = Pdes(alphabet, x, {(x, "c"): (x, E(1, 4)), (x, "u"): (x, E(1, 4))})
+        with pytest.raises(InvariantError, match="leaves the plant"):
+            reweight_infimal(NormalPair(plant, h_n))
+
+    def test_builds_only_the_result(self, branches, monkeypatch):
+        plant, spec = branches
+        pair = refine_to_normal(plant, spec, infimal_co_support(plant, spec))
+        built, observed = count_builds(monkeypatch)
+        reweight_infimal(pair)
+        assert len(built) == 1 and not observed
 
     def test_argmax_witness_exists(self, branches):
         plant, spec = branches
@@ -509,6 +565,22 @@ def _pair_with_observer(base, obs_dfa):
     return Pdes(base.alphabet, initial, trans)
 
 
+def _complete_to_sink(a):
+    """Total completion: undefined events lead to an absorbing sink, on
+    edges of probability one.  Unlike self-loop completion this keeps 'the
+    run has left the original automaton' decidable from the state, which
+    the reference chain relies on to give off-spec edges `EPS`."""
+    trans = a.transition_map()
+    missing = [(s, e) for s in a.states for e in a.alphabet.events if e not in a._out[s]]
+    if not missing:
+        return a
+    for key in missing:
+        trans[key] = (SINK, ONE)
+    for e in a.alphabet.events:
+        trans[(SINK, e)] = (SINK, ONE)
+    return Pdes(a.alphabet, a.initial, trans, states=list(a.states) + [SINK], check_liveness=False)
+
+
 def reference_spec_extended(plant, spec, support):
     """Plant x support x sink-completed spec, with the spec's probabilities
     on its support and EPS off it."""
@@ -614,10 +686,10 @@ class TestNormalReference:
         assert seen["smaller"] >= 10 and seen["unachievable"] >= 200, seen
 
 
-    def test_matches_one_automaton_chain(self):
-        # the one-walk construction against the chain of whole automata:
-        # same triples in the same order, cells in one-to-one
-        # correspondence, byte-identical dumps
+    @staticmethod
+    def seeded_pairs():
+        """The robot and branches pairs, then 600 seeded pairs, a third of
+        them with infinitesimal spec values."""
         rng = random.Random(251)
         pairs = [(robot_plant(), robot_spec()), (branch_plant(), branch_spec())]
         for i in range(600):
@@ -627,8 +699,14 @@ class TestNormalReference:
             if i % 3 == 0:
                 spec = eps_scaled(rng, spec)
             pairs.append((plant, spec))
+        return pairs
+
+    def test_matches_one_automaton_chain(self):
+        # the one-walk construction against the chain of whole automata:
+        # same triples in the same order, cells in one-to-one
+        # correspondence, byte-identical dumps
         seen = {"eps": 0, "unobservable": 0, "sink": 0}
-        for plant, spec in pairs:
+        for plant, spec in self.seeded_pairs():
             support = infimal_co_support(plant, spec)
             h_n = refine_to_normal(plant, spec, support).h_n
             ref = reference_normal(plant, spec, support)
@@ -640,6 +718,43 @@ class TestNormalReference:
             seen["unobservable"] += bool(plant.alphabet.unobservable)
             seen["sink"] += any(x[0][2] is SINK for x in h_n.states)
         assert min(seen.values()) >= 100, seen
+
+
+    def test_labels_are_the_observer_cells(self):
+        # the label check against the subset construction it replaces: it
+        # accepts every refined spec, whose labels are its observer cells,
+        # and a relabelled mutant is rejected exactly when its labels are
+        # not its observer cells.  Moving one state to another label only
+        # renames a state, so the mutant's observer still partitions its
+        # states; renaming the labels keeps them the cells.
+        rng = random.Random(257)
+        seen = {"moved": 0, "renamed": 0}
+        for plant, spec in self.seeded_pairs():
+            # refine_to_normal builds its NormalPair, which runs the check
+            h_n = refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n
+            assert label_cells(h_n) == set(observer(h_n).cells)
+            assert observer(h_n).is_partition(h_n.states)
+            labels = sorted({x[1] for x in h_n.states})
+            if len(labels) < 2:
+                continue
+            x = rng.choice(h_n.states)
+            moved = (x[0], rng.choice([o for o in labels if o != x[1]]))
+            shift = {o: labels[(k + 1) % len(labels)] for k, o in enumerate(labels)}
+            mutants = {"renamed": h_n.rename({y: (y[0], shift[y[1]]) for y in h_n.states})}
+            if moved not in h_n.states:
+                mutants["moved"] = h_n.rename({y: moved if y == x else y for y in h_n.states})
+            for kind, mutant in mutants.items():
+                obs = observer(mutant)
+                assert obs.is_partition(mutant.states)
+                are_cells = label_cells(mutant) == set(obs.cells)
+                assert are_cells == (kind == "renamed")
+                if are_cells:
+                    NormalPair(plant, mutant)
+                else:
+                    with pytest.raises(InvariantError, match="not normal"):
+                        NormalPair(plant, mutant)
+                seen[kind] += 1
+        assert min(seen.values()) >= 200, seen
 
 
 class TestCheckSpecValues:

@@ -264,6 +264,27 @@ class TestEquivalenceOfForms:
             for word in words_in_support(plant, 5):
                 assert controlled.eval_language(word) == controlled_language_value(plant, sup, word)
 
+    def test_marginals_once_per_class_per_call(self, robot, monkeypatch):
+        import pdesctl.supervisor as supervisor
+
+        plant, spec = robot
+        sup = supervisor_from_scaling(scaling_from_spec(plant, spec))
+        word = ("s3", "s1") * 200
+        expect = controlled_automaton(plant, scaling_from_spec(plant, spec)).eval_language(word)
+        visited, cls = {sup.classes.initial}, sup.classes.initial
+        for e in word[:-1]:
+            cls = sup.classes.step(cls, e)
+            visited.add(cls)
+        calls = []
+        real = supervisor.marginals_of
+        monkeypatch.setattr(supervisor, "marginals_of", lambda *args: calls.append(args) or real(*args))
+        assert controlled_language_value(plant, sup, word) == expect
+        first = len(calls)
+        assert 0 < first <= len(visited)
+        # no table outlives its call
+        controlled_language_value(plant, sup, word)
+        assert len(calls) == 2 * first
+
     def test_xi_equals_rho_times_marginal(self):
         rng = random.Random(43)
         for _ in range(25):

@@ -200,6 +200,15 @@ class TestProbText:
             with pytest.raises(ValueError):
                 parse_prob(bad)
 
+    @pytest.mark.parametrize("text", ["0+^0", "0+^0·1/2", "0+^01", "0+^", "0+^-1"])
+    def test_bad_degree_is_named(self, text):
+        with pytest.raises(ValueError, match="^infinitesimal degree must be a positive integer"):
+            parse_prob(text)
+
+    def test_other_bad_infinitesimal_is_a_malformed_rational(self):
+        with pytest.raises(ValueError, match="^malformed rational: '0\\+x'"):
+            parse_prob("0+x")
+
     @given(probs)
     def test_roundtrip(self, p):
         assert parse_prob(format_prob(p)) == p
