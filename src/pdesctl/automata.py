@@ -477,29 +477,41 @@ def language_equivalent(a: Pdes, b: Pdes) -> bool:
 
 
 @dataclass(frozen=True)
-class Observer:
-    """Subset-construction observer of a PDES under its observable events.
-
-    Cells are frozensets of source states, closed under unobservable
-    reach; transitions are indexed over observable events only.
-    """
+class ObservationClasses:
+    """A DFA over observable events whose states index observation classes:
+    the class of a string is where its observation leads from ``initial``."""
 
     alphabet: Alphabet
-    cells: Tuple[FrozenSet[State], ...]
     initial: int
+    count: int
     trans: Dict[Tuple[int, str], int]
 
-    def step(self, cell: int, event: str) -> Optional[int]:
-        return self.trans.get((cell, event))
+    def step(self, cls: Optional[int], event: str) -> Optional[int]:
+        """Advance one event: unobservable events keep the class, observable
+        ones follow the class DFA (None once outside the mapped classes)."""
+        if cls is None:
+            return None
+        if event not in self.alphabet.observable:
+            return cls
+        return self.trans.get((cls, event))
 
-    def walk(self, observation: Iterable[str]) -> Optional[int]:
-        cell = self.initial
-        for e in observation:
-            nxt = self.trans.get((cell, e))
-            if nxt is None:
+    def locate(self, word: Iterable[str]) -> Optional[int]:
+        """Class of the observation of a full event string."""
+        cls: Optional[int] = self.initial
+        for e in word:
+            cls = self.step(cls, e)
+            if cls is None:
                 return None
-            cell = nxt
-        return cell
+        return cls
+
+
+@dataclass(frozen=True)
+class Observer(ObservationClasses):
+    """Subset-construction observer of a PDES under its observable events:
+    class i is the cell ``cells[i]``, a frozenset of source states closed
+    under unobservable reach."""
+
+    cells: Tuple[FrozenSet[State], ...]
 
     def is_partition(self, states: Iterable[State]) -> bool:
         todo = set(states)
@@ -547,7 +559,7 @@ def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] =
                 yield nxt
 
     cells = explore([initial], successors)
-    return Observer(a.alphabet, tuple(cells), 0, trans)
+    return Observer(a.alphabet, 0, len(cells), trans, tuple(cells))
 
 
 def observer_automaton(a: Pdes) -> Pdes:
@@ -632,6 +644,17 @@ def _header_alphabet(lines: List[Tuple[int, str, List[str]]]) -> Alphabet:
     )
 
 
+def _alphabet_lines(alphabet: Alphabet) -> List[str]:
+    """The controllable, uncontrollable, observable and unobservable lines
+    that declare the alphabet, events in alphabet order."""
+    return [
+        "controllable: " + " ".join(alphabet.controllable_events()),
+        "uncontrollable: " + " ".join(alphabet.uncontrollable_events()),
+        "observable: " + " ".join(e for e in alphabet.events if e in alphabet.observable),
+        "unobservable: " + " ".join(e for e in alphabet.events if e not in alphabet.observable),
+    ]
+
+
 def loads_automaton(text: str) -> Pdes:
     """Parse the line-oriented automaton format (see `dumps_automaton`)."""
     states: list = []
@@ -700,14 +723,7 @@ def dumps_automaton(a: Pdes) -> str:
     for s in a.states:
         if not isinstance(s, str):
             raise InvariantError("serialization needs string state names; call canonical_names()")
-    lines = [
-        "states: " + " ".join(a.states),
-        f"initial: {a.initial}",
-        "controllable: " + " ".join(a.alphabet.controllable_events()),
-        "uncontrollable: " + " ".join(a.alphabet.uncontrollable_events()),
-        "observable: " + " ".join(e for e in a.alphabet.events if e in a.alphabet.observable),
-        "unobservable: " + " ".join(e for e in a.alphabet.events if e not in a.alphabet.observable),
-    ]
+    lines = ["states: " + " ".join(a.states), f"initial: {a.initial}"] + _alphabet_lines(a.alphabet)
     for src, e, dst, p in a.transitions():
         lines.append(f"trans: {src} {e} {dst} {format_prob(p)}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .automata import (
     InvariantError,
@@ -39,19 +39,22 @@ from .automata import (
     Pdes,
     PdesError,
     State,
-    _sublanguage,
     _unobservable_reach,
     explore,
     minimize_logic,
     observer,
     require_same_alphabet,
 )
-from .supervisor import NotSublanguageError
+from .supervisor import NotSublanguageError, _require_sublanguage
 from .values import EPS, ONE, ZERO, EpsProb
 
 
 class ClosureDivergenceError(PdesError):
     """The support saturation failed to stabilize within the round budget."""
+
+
+# the budget of saturation rounds, the last of which finds nothing to add
+_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,14 @@ def _pair_support(joint: JointSupport, spec: Pdes) -> Pdes:
     return Pdes(joint.alphabet, joint.initial, trans, check_liveness=False)
 
 
-def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
-    """One closure round.  Strings are tracked as (support state or None,
-    plant state, observation cell of the current support or None); a
-    frontier transition is added when the plant allows an uncontrollable
-    extension, or a controllable one that some observation-equivalent
-    support string already performs."""
+def _saturate_once(support: Pdes, plant: Pdes) -> Optional[Pdes]:
+    """One closure round, or None if it adds nothing.  Strings are tracked
+    as (support state or None, plant state, observation cell of the
+    current support or None); a frontier transition is added when the
+    plant allows an uncontrollable extension, or a controllable one that
+    some observation-equivalent support string already performs."""
     alphabet = plant.alphabet
-    controllable, observable = alphabet.controllable, alphabet.observable
+    controllable = alphabet.controllable
     obs = observer(support)
     enabled: List[Set[str]] = [
         {e for s in cell for e in support._out[s] if e in controllable} for cell in obs.cells
@@ -130,28 +133,23 @@ def _saturate_once(support: Pdes, plant: Pdes) -> Tuple[Pdes, bool]:
             if kt is not None:
                 if xt is None:
                     raise InvariantError("support left the plant during saturation")
-                o2 = o if e not in observable else obs.step(o, e)
             elif xt is not None and (
                 e not in controllable
                 or (o is not None and e in enabled[o])
             ):
                 added = True
-                if e not in observable:
-                    o2 = o
-                else:
-                    o2 = obs.step(o, e) if o is not None else None
             else:
                 continue
-            dst = (kt, xt, o2)
+            dst = (kt, xt, obs.step(o, e))
             trans[(state, e)] = (dst, ONE)
             yield dst
 
     initial = (support.initial, plant.initial, obs.initial)
     explore([initial], successors)
-    return Pdes(alphabet, initial, trans, check_liveness=False), added
+    return Pdes(alphabet, initial, trans, check_liveness=False) if added else None
 
 
-def infimal_co_support(plant: Pdes, spec: Pdes, max_rounds: int = 64) -> Pdes:
+def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     """Generator of the infimal prefix-closed controllable and observable
     superlanguage of the spec's support, within the plant's support.
     Only the supports of the two automata are read.
@@ -160,18 +158,18 @@ def infimal_co_support(plant: Pdes, spec: Pdes, max_rounds: int = 64) -> Pdes:
     uncontrollable extension and no observational saturation obligation
     remains open (the final round is itself the check).
     """
-    return _saturate(_pair_support(JointSupport(plant, spec), spec), plant, max_rounds)
+    return _saturate(_pair_support(JointSupport(plant, spec), spec), plant)
 
 
-def _saturate(support: Pdes, plant: Pdes, max_rounds: int = 64) -> Pdes:
-    for _ in range(max_rounds):
+def _saturate(support: Pdes, plant: Pdes) -> Pdes:
+    for _ in range(_MAX_ROUNDS):
         support = minimize_logic(support)
-        grown, added = _saturate_once(support, plant)
-        if not added:
+        grown = _saturate_once(support, plant)
+        if grown is None:
             return support
         support = grown
     raise ClosureDivergenceError(
-        f"support saturation still growing after {max_rounds} rounds"
+        f"support saturation still growing after {_MAX_ROUNDS} rounds"
     )
 
 
@@ -223,7 +221,6 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
         raise InvariantError("the support automaton does not contain the spec's support")
     triples = [inner.pairs[i] + (h,) for i, h in joint.pairs]
     obs = observer(joint)
-    observable = plant.alphabet.observable
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
     def successors(state):
@@ -231,7 +228,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
         src = (triples[t], o)
         rh = spec_rows[triples[t][2]]
         for e, (u, _) in joint._out[t].items():
-            dst = (u, obs.trans[(o, e)] if e in observable else o)
+            dst = (u, obs.step(o, e))
             trans[(src, e)] = ((triples[u], dst[1]), rh[e][1])
             yield dst
 
@@ -239,31 +236,30 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     h_n = Pdes(plant.alphabet, (triples[joint.initial], obs.initial), trans)
 
     pair = NormalPair(plant, h_n)
-    same = JointSupport(h_n, support)
-    if any(len(h_n._out[y]) != len(row) or len(support._out[k]) != len(row)
-           for (y, k), row in zip(same.pairs, same._out)):
-        raise InvariantError("spec refinement changed the saturated support")
-    _check_spec_values(spec, h_n)
+    _check_refinement(h_n, support, spec)
     return pair
 
 
-def _check_spec_values(spec: Pdes, h_n: Pdes):
-    """The refined automaton must carry exactly the spec's probabilities
-    on the spec's support, and exactly `EPS` on every edge off it.  Walks
-    h_n beside the spec, tracking `SINK` once the run has left the spec."""
+def _check_refinement(h_n: Pdes, support: Pdes, spec: Pdes):
+    """The refined automaton must have the saturated support's structure,
+    carry exactly the spec's probabilities on the spec's support, and
+    exactly `EPS` on every edge off it.  Walks h_n beside the support and
+    the spec, tracking `SINK` once the run has left the spec."""
     def successors(state):
-        q, y = state
+        y, k, q = state
+        ry, rk = h_n._out[y], support._out[k]
         rq = spec._out[q] if q is not SINK else {}
-        ry = h_n._out[y]
+        if ry.keys() != rk.keys():
+            raise InvariantError("spec refinement changed the saturated support")
         if not rq.keys() <= ry.keys():
             raise InvariantError("spec refinement dropped a spec transition")
         for e, (ty, p) in ry.items():
             tq, pq = rq.get(e, _OFF_SPEC)
             if p != pq:
                 raise InvariantError(f"spec refinement altered the probability of {e!r}")
-            yield (tq, ty)
+            yield (ty, rk[e][0], tq)
 
-    explore([(spec.initial, h_n.initial)], successors)
+    explore([(h_n.initial, support.initial, spec.initial)], successors)
 
 
 def reweight_infimal(pair: NormalPair) -> Pdes:
@@ -315,13 +311,7 @@ def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
     """Full pipeline; the result generates the infimal probabilistic
     controllable and observable superlanguage of the spec w.r.t. the plant."""
     joint = JointSupport(plant, spec)
-    verdict = _sublanguage(joint, spec, plant, side=1)
-    if not verdict:
-        w = verdict.witness
-        raise NotSublanguageError(
-            f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}",
-            w,
-        )
+    _require_sublanguage(joint, plant, spec)
     support = _saturate(_pair_support(joint, spec), plant)
     pair = refine_to_normal(plant, spec, support)
     result = reweight_infimal(pair)

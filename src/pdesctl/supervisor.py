@@ -22,16 +22,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .automata import (
     _ABSENT,
     _ALPHABET_DIRECTIVES,
+    _alphabet_lines,
     _header_alphabet,
+    _sublanguage,
     Alphabet,
     FormatError,
     InvariantError,
     JointSupport,
+    ObservationClasses,
     Observer,
     Pdes,
     PdesError,
     Witness,
-    Word,
     explore,
     observer,
 )
@@ -65,36 +67,10 @@ class NotObservableError(SynthesisError):
     pass
 
 
-@dataclass(frozen=True)
-class ObservationClasses:
-    """Observer of the plant/spec pair graph, indexing observation classes."""
-
-    alphabet: Alphabet
-    initial: int
-    count: int
-    trans: Dict[Tuple[int, str], int]
-
-    def step(self, cls: Optional[int], event: str) -> Optional[int]:
-        """Advance one event: unobservable events keep the class, observable
-        ones follow the class DFA (None once outside the mapped classes)."""
-        if cls is None:
-            return None
-        if event not in self.alphabet.observable:
-            return cls
-        return self.trans.get((cls, event))
-
-    def locate(self, word: Iterable[str]) -> Optional[int]:
-        """Class of the observation of a full event string."""
-        cls: Optional[int] = self.initial
-        for e in word:
-            cls = self.step(cls, e)
-            if cls is None:
-                return None
-        return cls
-
-
 def _classes(obs: Observer) -> ObservationClasses:
-    return ObservationClasses(obs.alphabet, obs.initial, len(obs.cells), obs.trans)
+    """The observer's classes without its cells, so that a map holding
+    them equals the one read back from its file."""
+    return ObservationClasses(obs.alphabet, obs.initial, obs.count, obs.trans)
 
 
 def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> ObservationClasses:
@@ -132,9 +108,6 @@ class ScalingMap:
             return self.default
         return self.vectors.get(cls, self.default)
 
-    def factor(self, cls: Optional[int], event: str) -> Fraction:
-        return self.vector(cls)[self.alphabet.index(event)]
-
 
 @dataclass(frozen=True)
 class SupervisorMap:
@@ -168,11 +141,17 @@ class SupervisorMap:
 _EPS = object()
 
 
-def _not_sublanguage(word: Word, e: str, rs: EpsProb, rp: EpsProb) -> NotSublanguageError:
-    return NotSublanguageError(
-        f"specification is not a sublanguage of the plant at {word!r} on {e!r}",
-        Witness((word,), e, rs, rp),
-    )
+def _require_sublanguage(joint: JointSupport, plant: Pdes, spec: Pdes) -> None:
+    """Raise `NotSublanguageError`, with the witness of
+    `is_sublanguage(spec, plant)`, unless it holds; ``joint`` is
+    `JointSupport(plant, spec)`."""
+    verdict = _sublanguage(joint, spec, plant, side=1)
+    if not verdict:
+        w = verdict.witness
+        raise NotSublanguageError(
+            f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}",
+            w,
+        )
 
 
 def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
@@ -190,6 +169,7 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     shortest strings).
     """
     joint = JointSupport(plant, spec)
+    _require_sublanguage(joint, plant, spec)
     access = joint.access()
     alphabet = plant.alphabet
     mismatch = None
@@ -199,8 +179,6 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
         row = []
         for e in alphabet.controllable_events():
             rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
-            if rs > rp:
-                raise _not_sublanguage(word, e, rs, rp)
             if rp is ZERO:
                 row.append(None)
             elif rp.is_ordinary and rs.is_ordinary:
@@ -210,15 +188,12 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
         ratios.append(row)
         for e in alphabet.uncontrollable_events():
             rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
-            if rp != rs:
-                if rs > rp:
-                    raise _not_sublanguage(word, e, rs, rp)
-                if mismatch is None:
-                    mismatch = NotControllableError(
-                        f"uncontrollable event {e!r} after {word!r}: "
-                        f"plant probability {rp} != spec probability {rs}",
-                        Witness((word,), e, rp, rs),
-                    )
+            if rp != rs and mismatch is None:
+                mismatch = NotControllableError(
+                    f"uncontrollable event {e!r} after {word!r}: "
+                    f"plant probability {rp} != spec probability {rs}",
+                    Witness((word,), e, rp, rs),
+                )
     if mismatch is not None:
         raise mismatch
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
@@ -351,11 +326,7 @@ def controlled_language_value(plant: Pdes, sup: SupervisorMap, word: Iterable[st
 
 
 def _dump_header(alphabet: Alphabet, classes: ObservationClasses) -> List[str]:
-    lines = [
-        "controllable: " + " ".join(alphabet.controllable_events()),
-        "uncontrollable: " + " ".join(alphabet.uncontrollable_events()),
-        "observable: " + " ".join(e for e in alphabet.events if e in alphabet.observable),
-        "unobservable: " + " ".join(e for e in alphabet.events if e not in alphabet.observable),
+    lines = _alphabet_lines(alphabet) + [
         f"obs-classes: {classes.count}",
         f"obs-initial: t{classes.initial}",
     ]
@@ -472,23 +443,27 @@ def loads_scaling_map(text: str) -> ScalingMap:
     rat = _Table(parse_rat).__getitem__
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     default = None
+
+    def vector(fields: List[str], lineno: int) -> Tuple[Fraction, ...]:
+        try:
+            return validate_scaling_vector(_read(rat, fields, lineno), alphabet.m, alphabet.n)
+        except InvariantError as e:
+            raise FormatError(str(e), lineno) from None
+
     for lineno, key, rest in body:
         fields = rest.split()
         if key == "class":
             cls = _class_line(fields, classes.count, lineno)
             if cls in vectors:
                 raise FormatError(f"duplicate class t{cls}", lineno)
-            vectors[cls] = _read(rat, fields[1:], lineno)
+            vectors[cls] = vector(fields[1:], lineno)
         elif key == "default":
             if default is not None:
                 raise FormatError("duplicate default", lineno)
-            default = _read(rat, fields, lineno)
+            default = vector(fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
-    try:
-        return ScalingMap(classes, vectors, default)
-    except InvariantError as e:
-        raise FormatError(str(e)) from None
+    return ScalingMap(classes, vectors, default)
 
 
 def dumps_supervisor_map(sup: SupervisorMap) -> str:
@@ -541,11 +516,15 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             flush()
             in_default = False
             current = _class_line(fields, classes.count, lineno)
+            if len(fields) > 1:
+                raise FormatError("class takes only an observation class", lineno)
             if current in dists:
                 raise FormatError(f"duplicate class t{current}", lineno)
             section_line = lineno
         elif key == "default":
             flush()
+            if fields:
+                raise FormatError("default takes no values", lineno)
             if default is not None:
                 raise FormatError("duplicate default", lineno)
             current = None

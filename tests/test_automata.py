@@ -516,8 +516,8 @@ class TestObserver:
     def test_walk(self, robot):
         plant, _ = robot
         obs = observer(plant)
-        assert obs.walk(("s3",)) is not None
-        assert obs.walk(("s3", "s3")) is None
+        assert obs.locate(("s3",)) is not None
+        assert obs.locate(("s3", "s3")) is None
 
     def test_visit_in_index_order_and_stop(self):
         rng = random.Random(41)

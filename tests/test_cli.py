@@ -332,6 +332,8 @@ class TestMalformedSupervisorMap:
         ("unobservable: s4 s5", "unobservable: s4 s5 s3", 4),
         ("pattern 11 1\ndefault\npattern 11 1", "pattern 11 1/0\ndefault\npattern 11 1/0", 8),
         ("obs-initial: t0", "obs-initial: t0\nobs-trans: t0 s1 t9\nobs-trans: t0 s2 t9", 7),
+        ("class t0", "class t0 junk", 7),
+        ("default\npattern", "default 1 1\npattern", 9),
     ])
     def test_exit_2_with_line(self, robot_files, tmp_path, capsys, old, new, line):
         g, _ = robot_files

@@ -7,6 +7,7 @@ import pytest
 
 from pdesctl import (
     Alphabet,
+    ClosureDivergenceError,
     EPS,
     EpsProb,
     InvariantError,
@@ -14,9 +15,11 @@ from pdesctl import (
     NotSublanguageError,
     ONE,
     Pdes,
+    ScalingMap,
     ZERO,
     check_controllable,
     check_observable,
+    controlled_automaton,
     dumps_automaton,
     explore,
     infimal_co_support,
@@ -29,12 +32,13 @@ from pdesctl import (
     product,
     refine_to_normal,
     reweight_infimal,
+    scaling_from_spec,
     strip_eps_edges,
 )
 import pdesctl.automata as automata
 import pdesctl.infimal as infimal
 from pdesctl.automata import JointSupport, require_same_alphabet
-from pdesctl.infimal import SINK, _check_spec_values
+from pdesctl.infimal import SINK, _check_refinement
 from conftest import (
     E,
     branch_plant,
@@ -225,6 +229,12 @@ class TestCoSupport:
             spec = random_subspec(rng, plant)
             support = infimal_co_support(plant.logic(), spec.logic())
             assert language_equivalent(support, spec.logic())
+
+    def test_round_budget_exhausted_raises(self, branches, monkeypatch):
+        # the first round on the branches pair adds strings
+        monkeypatch.setattr(infimal, "_MAX_ROUNDS", 1)
+        with pytest.raises(ClosureDivergenceError, match="still growing after 1 rounds"):
+            infimal_co_support(*branches)
 
     def test_rejects_support_escaping_plant(self, loops):
         plant, spec = loops
@@ -480,8 +490,8 @@ class TestPipeline:
         monkeypatch.setattr(JointSupport, "__init__", counting)
         infimal_pipeline(*branches)
         # (plant, spec) once, for both the verdict and the spec's support,
-        # then the three of refine_to_normal
-        assert len(built) == 4
+        # then the two of refine_to_normal
+        assert len(built) == 3
         assert built[0] == branches
 
     def test_random_pipelines_validate(self):
@@ -502,6 +512,31 @@ class TestPipeline:
                 k: v[0] for k, v in res.spec_normal.transition_map().items()
             }
             done += 1
+
+    def test_no_lowered_factor_keeps_the_spec(self):
+        # local minimality: lowering any one nonzero controllable factor of
+        # the supervisor that realizes the result loses some of the spec
+        rng = random.Random(5)
+        lowered = 0
+        for _ in range(400):
+            alphabet = random_alphabet(rng)
+            plant = random_plant(rng, alphabet)
+            spec = random_subspec(rng, plant)
+            result = infimal_superlanguage(plant, spec)
+            if result.has_eps_probabilities():
+                continue
+            scaling = scaling_from_spec(plant, result)
+            for cls, vector in scaling.vectors.items():
+                for i in range(alphabet.m):
+                    if not vector[i]:
+                        continue
+                    for scale in (F(1, 2), F(9, 10), F(0)):
+                        factors = vector[:i] + (vector[i] * scale,) + vector[i + 1:]
+                        vectors = {**scaling.vectors, cls: factors}
+                        controlled = controlled_automaton(plant, ScalingMap(scaling.classes, vectors))
+                        assert not is_sublanguage(spec, controlled).holds
+                        lowered += 1
+        assert lowered >= 2000, lowered
 
 
 # -- the parent chain of whole automata, kept as a reference ------------
@@ -758,8 +793,8 @@ class TestNormalReference:
 
 
 class TestCheckSpecValues:
-    """`_check_spec_values` holds h_n to the spec on the spec's support and
-    to EPS off it."""
+    """`_check_refinement` holds h_n to the spec on the spec's support and
+    to EPS off it, and to the saturated support's structure."""
 
     alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
 
@@ -774,26 +809,36 @@ class TestCheckSpecValues:
             (y, "c"): (y, EPS),
         })
 
+    def check(self, h_n, support=None):
+        _check_refinement(h_n, h_n.logic() if support is None else support, self.spec())
+
     def test_eps_off_the_spec_passes(self):
-        _check_spec_values(self.spec(), self.h_n(EPS))
+        self.check(self.h_n(EPS))
 
     def test_ordinary_probability_off_the_spec_raises(self):
         with pytest.raises(InvariantError, match="altered the probability of 'u'"):
-            _check_spec_values(self.spec(), self.h_n(E(1, 4)))
+            self.check(self.h_n(E(1, 4)))
 
     def test_other_infinitesimal_off_the_spec_raises(self):
         with pytest.raises(InvariantError, match="altered the probability of 'u'"):
-            _check_spec_values(self.spec(), self.h_n(EPS * EPS))
+            self.check(self.h_n(EPS * EPS))
 
     def test_altered_spec_probability_raises(self):
         with pytest.raises(InvariantError, match="altered the probability of 'c'"):
-            _check_spec_values(self.spec(), self.h_n(EPS, c_prob=E(1, 4)))
+            self.check(self.h_n(EPS, c_prob=E(1, 4)))
 
     def test_dropped_spec_transition_raises(self):
         x = (("p", "k", "q"), 0)
         h_n = Pdes(self.alphabet, x, {(x, "u"): (x, EPS)})
         with pytest.raises(InvariantError, match="dropped a spec transition"):
-            _check_spec_values(self.spec(), h_n)
+            self.check(h_n)
+
+    def test_changed_support_raises(self):
+        h_n = self.h_n(EPS)
+        y = (("p", "k", SINK), 0)
+        grown = {**h_n.logic().transition_map(), (y, "u"): (y, ONE)}
+        with pytest.raises(InvariantError, match="changed the saturated support"):
+            self.check(h_n, Pdes(self.alphabet, h_n.initial, grown, check_liveness=False))
 
 
 class TestClosureUnderIntersection:

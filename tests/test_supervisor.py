@@ -44,6 +44,7 @@ from conftest import (
     random_scaling_map,
     random_subspec,
     synthesis_pair,
+    walk_pairs,
 )
 from oracles import brute_observable
 
@@ -117,6 +118,22 @@ class TestScalingFromSpec:
             scaling_from_spec(plant, Pdes(spec.alphabet, spec.initial, trans))
         assert str(exc.value) == "specification is not a sublanguage of the plant at ('s5',) on 's2'"
         assert exc.value.witness.strings == (("s5",),)
+
+    def test_non_sublanguage_witness_is_that_of_is_sublanguage(self):
+        failing = 0
+        for spec, plant in walk_pairs(263, 600):
+            verdict = is_sublanguage(spec, plant)
+            if verdict:
+                continue
+            failing += 1
+            w = verdict.witness
+            with pytest.raises(NotSublanguageError) as err:
+                scaling_from_spec(plant, spec)
+            assert err.value.witness == w
+            assert str(err.value) == (
+                f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}"
+            )
+        assert failing >= 150, failing
 
     def test_conflict_reported_in_order_of_shortest_strings(self):
         """The class {x0, x1, x2, x3} is listed by access string: ('a', 'u')
@@ -331,6 +348,19 @@ class TestSerialization:
         assert again.classes.trans == scaling.classes.trans
         assert dumps_scaling_map(again) == text
 
+    def test_synthesized_maps_round_trip(self):
+        rng = random.Random(331)
+        done = 0
+        for i in range(300):
+            plant, spec = synthesis_pair(rng, i)
+            try:
+                scaling = scaling_from_spec(plant, spec)
+            except (SynthesisError, InvariantError):
+                continue
+            assert loads_scaling_map(dumps_scaling_map(scaling)) == scaling
+            done += 1
+        assert done >= 150, done
+
     def test_scaling_file_mentions_exact_factor(self, robot):
         plant, spec = robot
         text = dumps_scaling_map(scaling_from_spec(plant, spec))
@@ -380,6 +410,12 @@ class TestSerialization:
         ("class t0 1 1 1 1 1\nclass t0 1 1 1 1 1", 8),
         ("default 1 1 1 1 1\ndefault 1 1 1 1 1", 8),
         ("obs-trans: t0 s1 t0\nobs-trans: t0 s1 t0", 8),
+        ("class t0 1 1 1 1", 7),
+        ("class t0 2 1 1 1 1", 7),
+        ("class t0 1 1 1/2 1 1", 7),
+        ("class t0 1 1 1 1 1\ndefault 1 1", 8),
+        ("default 1 2 1 1 1", 7),
+        ("default 1 1 1 1 1/2", 7),
     ])
     def test_scaling_rejects_with_line(self, body, line):
         text = (
