@@ -19,6 +19,7 @@ from .automata import (
     is_sublanguage,
     language_equivalent,
     loads_automaton,
+    minimize,
     minimize_logic,
     observer,
     observer_automaton,

@@ -1,7 +1,7 @@
 """Deterministic probabilistic automata and their structural operations.
 
 States are arbitrary hashable objects (the text format uses strings;
-constructed automata use tuples).  Transition probabilities are exact
+constructed automata use tuples, and `minimize` block numbers).  Transition probabilities are exact
 `EpsProb` values and are strictly positive wherever a transition is
 stored; per-state liveness (the dominant-term sum of outgoing
 probabilities) never exceeds one for probabilistic automata.  Logic
@@ -573,38 +573,61 @@ def observer_automaton(a: Pdes) -> Pdes:
     return Pdes(alph, obs.cells[obs.initial], trans, states=obs.cells, check_liveness=False)
 
 
-def minimize_logic(a: Pdes) -> Pdes:
-    """Quotient a logic automaton by right-language equality (Moore
-    refinement with every state accepting)."""
-    if any(p != ONE for _, _, _, p in a.transitions()):
-        raise InvariantError("minimize_logic expects a logic automaton")
-    states = list(a.states)
-    block = {s: 0 for s in states}
-    nblocks = 1
-    while True:
-        sigs = {}
-        for s in states:
-            sig = (block[s],) + tuple(
-                block[a.target(s, e)] if a.target(s, e) is not None else -1
-                for e in a.alphabet.events
-            )
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == nblocks:
-            break
-        nblocks = len(sigs)
-        for i, group in enumerate(sigs.values()):
-            for s in group:
-                block[s] = i
-    reps: Dict[int, State] = {}
+def minimize(a: Pdes) -> Pdes:
+    """Quotient by equal futures: two states merge when they define the
+    same events with the same probabilities into states that merge.  The
+    result generates the same language with the fewest states.
+
+    Moore refinement on integer rows: the states are numbered in order
+    and each row is kept as the list of its targets' numbers in event
+    order.  The first partition groups the rows by (event, probability),
+    a probability read as the integers (numerator, denominator, degree);
+    each round then splits a block by its members' target blocks, until
+    the block count stops changing.  The quotient's states are the block
+    numbers, the initial state's block being 0, and each block takes the
+    row of its first member."""
+    states, out = a._states, a._out
+    index = {s: i for i, s in enumerate(states)}
+    events = a.alphabet.events
+    keys: Dict[tuple, int] = {}
+    block: List[int] = []
+    rows: List[List[int]] = []
     for s in states:
-        reps.setdefault(block[s], s)
-    trans = {}
-    for b, rep in reps.items():
-        for e in a.alphabet.events:
-            t = a.target(rep, e)
-            if t is not None:
-                trans[(f"m{b}", e)] = (f"m{block[t]}", ONE)
-    return Pdes(a.alphabet, f"m{block[a.initial]}", trans, check_liveness=False)
+        row = out[s]
+        key = []
+        targets = []
+        for e in events:
+            edge = row.get(e)
+            if edge is not None:
+                p = edge[1]
+                m = p.magnitude
+                key.append((e, m.numerator, m.denominator, p.eps_degree))
+                targets.append(index[edge[0]])
+        block.append(keys.setdefault(tuple(key), len(keys)))
+        rows.append(targets)
+    count = len(keys)
+    while True:
+        sigs: Dict[tuple, int] = {}
+        of = block.__getitem__
+        block = [sigs.setdefault((b, *map(of, targets)), len(sigs)) for b, targets in zip(block, rows)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
+    built = [False] * count
+    for s, b in zip(states, block):
+        if not built[b]:
+            built[b] = True
+            for e, (dst, p) in out[s].items():
+                trans[(b, e)] = (block[index[dst]], p)
+    return Pdes(a.alphabet, 0, trans, check_liveness=False)
+
+
+def minimize_logic(a: Pdes) -> Pdes:
+    """`minimize` for a logic automaton (every probability one)."""
+    if any(p != ONE for _, p in a._trans.values()):
+        raise InvariantError("minimize_logic expects a logic automaton")
+    return minimize(a)
 
 
 # -- text format -------------------------------------------------------

@@ -21,6 +21,7 @@ from .automata import (
     Verdict,
     dumps_automaton,
     loads_automaton,
+    minimize,
     observer_automaton,
     product,
 )
@@ -148,7 +149,7 @@ def cmd_inf_pco(args) -> int:
     result = infimal_pipeline(plant, spec).result
     if args.strip_eps:
         result = strip_eps_edges(result)
-    text = dumps_automaton(result.canonical_names())
+    text = dumps_automaton(minimize(result).canonical_names())
     if args.out:
         _write(args.out, text)
         print(f"infimal superlanguage generator written to {args.out}")

@@ -25,6 +25,12 @@ order on string values.
    plant's probabilities, and each controllable event is scaled,
    uniformly on every observation cell (the states sharing a label),
    to the largest spec/plant ratio occurring in the cell.
+
+Each saturation round starts from the Moore-minimal quotient of the
+support so far (`minimize_logic`).  The result keeps the labelled
+structure of stage 2, so `InfimalResult.result` has one state per
+(state triple, cell); `automata.minimize` quotients it to the fewest
+states that generate the same language, which is what `inf-pco` writes.
 """
 
 from __future__ import annotations
@@ -323,14 +329,15 @@ def infimal_superlanguage(plant: Pdes, spec: Pdes) -> Pdes:
 
 
 def strip_eps_edges(a: Pdes) -> Pdes:
-    """Drop infinitesimal-probability transitions (display helper)."""
-    def successors(s):
-        return [dst for dst, p in a._out[s].values() if p.is_ordinary]
+    """Drop infinitesimal-probability transitions, and the states only
+    they reach (display helper)."""
+    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
-    keep = set(explore([a.initial], successors))
-    trans = {
-        key: edge
-        for key, edge in a.transition_map().items()
-        if edge[1].is_ordinary and key[0] in keep
-    }
+    def successors(s):
+        for e, edge in a._out[s].items():
+            if edge[1].is_ordinary:
+                trans[(s, e)] = edge
+                yield edge[0]
+
+    explore([a.initial], successors)
     return Pdes(a.alphabet, a.initial, trans, check_liveness=False)

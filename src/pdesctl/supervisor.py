@@ -109,6 +109,18 @@ class ScalingMap:
         return self.vectors.get(cls, self.default)
 
 
+def _validated(
+    classes: ObservationClasses, vectors: Dict[int, Tuple[Fraction, ...]], default: Optional[Tuple[Fraction, ...]]
+) -> ScalingMap:
+    """A `ScalingMap` of vectors that `validate_scaling_vector` has
+    already returned (``default`` None for all ones), not checked again."""
+    scaling = object.__new__(ScalingMap)
+    object.__setattr__(scaling, "classes", classes)
+    object.__setattr__(scaling, "vectors", vectors)
+    object.__setattr__(scaling, "default", _all_ones(classes.alphabet) if default is None else default)
+    return scaling
+
+
 @dataclass(frozen=True)
 class SupervisorMap:
     """Per-observation-class pattern distributions (the roulette form)."""
@@ -250,7 +262,7 @@ def scaling_from_supervisor(sup: SupervisorMap) -> ScalingMap:
         cls: marginals_of(dist, alphabet.m, alphabet.n) for cls, dist in sup.dists.items()
     }
     default = marginals_of(sup.default, alphabet.m, alphabet.n)
-    return ScalingMap(sup.classes, vectors, default)
+    return _validated(sup.classes, vectors, default)
 
 
 def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
@@ -463,7 +475,7 @@ def loads_scaling_map(text: str) -> ScalingMap:
             default = vector(fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
-    return ScalingMap(classes, vectors, default)
+    return _validated(classes, vectors, default)
 
 
 def dumps_supervisor_map(sup: SupervisorMap) -> str:

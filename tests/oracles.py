@@ -1,14 +1,26 @@
-"""Definitional brute-force oracles for the verification tests.
+"""Definitional brute-force oracles.
 
-They re-decide controllability and observability directly from the
-property definitions, using language values rather than stored
-transition probabilities, and so serve as independent oracles for the
-testing automata of `pdesctl.verification`.
+`brute_controllable` and `brute_observable` re-decide controllability
+and observability directly from the property definitions, using
+language values rather than stored transition probabilities, and so
+serve as independent oracles for the testing automata of
+`pdesctl.verification`.  `brute_minimal_count` counts the states of a
+minimal automaton by comparing the languages of every state, for
+`pdesctl.automata.minimize`.
 """
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from pdesctl.automata import Pdes, State, Verdict, Witness, Word, explore, require_same_alphabet
+from pdesctl.automata import (
+    Pdes,
+    State,
+    Verdict,
+    Witness,
+    Word,
+    explore,
+    language_equivalent,
+    require_same_alphabet,
+)
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
@@ -120,3 +132,22 @@ def brute_observable(plant: Pdes, spec: Pdes, depth: int) -> Verdict:
 
     explore([initial], successors)
     return Verdict(witness is None, witness)
+
+
+def rooted(a: Pdes, state: State) -> Pdes:
+    """The part of ``a`` reachable from ``state``, started there."""
+    keep = set(explore([state], lambda s: [a.target(s, e) for e in a.enabled(s)]))
+    trans = {key: edge for key, edge in a.transition_map().items() if key[0] in keep}
+    return Pdes(a.alphabet, state, trans, check_liveness=False)
+
+
+def brute_minimal_count(a: Pdes) -> int:
+    """The number of classes of a's states under `language_equivalent`
+    of the sub-automata rooted at them, found by comparing each state's
+    sub-automaton with one of every class found so far."""
+    classes: List[Pdes] = []
+    for s in a.states:
+        sub = rooted(a, s)
+        if not any(language_equivalent(sub, other) for other in classes):
+            classes.append(sub)
+    return len(classes)

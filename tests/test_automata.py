@@ -15,16 +15,19 @@ from pdesctl import (
     ONE,
     dumps_automaton,
     explore,
+    infimal_pipeline,
     is_subautomaton,
     is_sublanguage,
     language_equivalent,
     loads_automaton,
+    minimize,
     minimize_logic,
     observer,
     product,
 )
 from pdesctl.automata import require_same_alphabet
-from conftest import E, build, random_alphabet, random_plant, random_subspec, walk_pairs
+from conftest import E, build, eps_scaled, random_alphabet, random_plant, random_subspec, walk_pairs
+from oracles import brute_minimal_count
 
 F = Fraction
 
@@ -588,6 +591,54 @@ class TestMinimize:
         ])
         assert len(minimize_logic(unrolled).states) == 1
         assert language_equivalent(minimize_logic(unrolled), p)
+
+    def test_rejects_probabilities(self, robot):
+        plant, _ = robot
+        with pytest.raises(InvariantError, match="expects a logic automaton"):
+            minimize_logic(plant)
+
+    def test_keeps_apart_equal_structures_with_other_probabilities(self):
+        a = Alphabet.make(["c"], [], ["c"])
+        p = build(a, "y0", [
+            ("y0", "c", "y1", E(1, 2)),
+            ("y1", "c", "y0", E(1, 3)),
+        ])
+        assert len(minimize(p).states) == 2
+        assert len(minimize(p.logic()).states) == 1
+
+    @staticmethod
+    def inputs(seed=11, count=200):
+        """Seeded automata with states to merge: a sub-spec unfolded by a
+        product with the logic of another plant on its alphabet, and the
+        normal automaton `infimal_pipeline` builds for the sub-spec.
+        Every other sub-spec has infinitesimal probabilities."""
+        rng = random.Random(seed)
+        for i in range(count):
+            alphabet = random_alphabet(rng, max_events=3)
+            plant = random_plant(rng, alphabet)
+            spec = random_subspec(rng, plant)
+            if i % 2:
+                spec = eps_scaled(rng, spec)
+            yield product(spec, random_plant(rng, alphabet).logic())
+            yield infimal_pipeline(plant, spec).spec_normal
+
+    def test_inputs_merge_states_and_carry_eps(self):
+        inputs = list(self.inputs())
+        assert sum(len(minimize(a).states) < len(a.states) for a in inputs) >= 100
+        assert sum(a.has_eps_probabilities() for a in inputs) >= 100
+
+    def test_keeps_the_language(self):
+        for a in self.inputs():
+            assert language_equivalent(minimize(a), a)
+
+    def test_idempotent_on_state_count(self):
+        for a in self.inputs():
+            m = minimize(a)
+            assert len(minimize(m).states) == len(m.states)
+
+    def test_count_is_the_brute_force_count(self):
+        for a in self.inputs():
+            assert len(minimize(a).states) == brute_minimal_count(a)
 
 
 FORMAT_SAMPLE = """\

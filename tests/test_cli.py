@@ -26,13 +26,17 @@ from pdesctl import (
     dumps_scaling_map,
     dumps_supervisor_map,
     explore,
+    infimal_pipeline,
     is_sublanguage,
+    language_equivalent,
     loads_automaton,
     loads_scaling_map,
     loads_supervisor_map,
+    minimize,
     observer,
     product,
     scaling_from_spec,
+    strip_eps_edges,
     supervisor_from_scaling,
 )
 from pdesctl import cli
@@ -43,12 +47,17 @@ from conftest import (
     branch_spec,
     build,
     drop_transitions,
+    eps_scaled,
     loop_plant,
     loop_spec,
+    random_alphabet,
+    random_plant,
+    random_subspec,
     robot_plant,
     robot_spec,
     synthesis_pair,
 )
+from oracles import brute_minimal_count
 
 F = Fraction
 DEGREE = "infinitesimal degree must be a positive integer without leading zeros"
@@ -251,6 +260,38 @@ class TestInfPco:
         plant, spec = str(DATA / "infimal_plant.pda"), str(DATA / "infimal_spec.pda")
         assert main(["inf-pco", plant, spec]) == 0
         assert capsys.readouterr().out == (DATA / "infimal_golden.pda").read_text()
+
+    def test_golden_is_the_minimal_result(self):
+        """The golden output generates the pipeline's result and has no
+        states to merge."""
+        plant, spec, golden = (
+            loads_automaton((DATA / f"infimal_{name}.pda").read_text()) for name in ("plant", "spec", "golden")
+        )
+        assert language_equivalent(golden, infimal_pipeline(plant, spec).result)
+        assert len(minimize(golden).states) == len(golden.states)
+
+    def test_outputs_are_minimal_quotients(self, tmp_path):
+        """Plain and with --strip-eps, the output generates the (stripped)
+        pipeline result with the brute-force minimal state count, on
+        seeded sub-specs, half of them with infinitesimal probabilities."""
+        rng = random.Random(5)
+        stripped = 0
+        for i in range(60):
+            plant = random_plant(rng, random_alphabet(rng))
+            spec = random_subspec(rng, plant)
+            if i % 2:
+                spec = eps_scaled(rng, spec)
+            g = write(tmp_path, "g.pda", plant)
+            h = write(tmp_path, "h.pda", spec)
+            result = infimal_pipeline(plant, spec).result
+            stripped += result.has_eps_probabilities()
+            for flag, expected in (([], result), (["--strip-eps"], strip_eps_edges(result))):
+                out = tmp_path / "tilde.pda"
+                assert main(["inf-pco", g, h, "--out", str(out), *flag]) == 0
+                written = loads_automaton(out.read_text())
+                assert language_equivalent(written, expected)
+                assert len(written.states) == brute_minimal_count(expected)
+        assert stripped >= 5
 
     def test_non_sublanguage_is_failure(self, loop_files):
         g, h = loop_files

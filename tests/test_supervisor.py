@@ -361,6 +361,23 @@ class TestSerialization:
             done += 1
         assert done >= 150, done
 
+    def test_each_vector_is_validated_once(self, robot, monkeypatch):
+        import pdesctl.patterns as patterns
+        import pdesctl.supervisor as supervisor
+
+        scaling = scaling_from_spec(*robot)
+        text = dumps_scaling_map(scaling)
+        sup = supervisor_from_scaling(scaling)
+        calls = []
+        validate = patterns.validate_scaling_vector
+        for module in (patterns, supervisor):
+            monkeypatch.setattr(module, "validate_scaling_vector", lambda *a: calls.append(a) or validate(*a))
+        assert loads_scaling_map(text) == scaling
+        assert len(calls) == 3  # two classes and the default
+        calls.clear()
+        assert scaling_from_supervisor(sup) == scaling
+        assert len(calls) == 3
+
     def test_scaling_file_mentions_exact_factor(self, robot):
         plant, spec = robot
         text = dumps_scaling_map(scaling_from_spec(plant, spec))
