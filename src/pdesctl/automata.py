@@ -173,7 +173,7 @@ def _dominant_sum(row) -> Tuple[int, int, int]:
 class Pdes:
     """A deterministic probabilistic automaton (a PDES)."""
 
-    __slots__ = ("alphabet", "initial", "_states", "_trans", "_out")
+    __slots__ = ("alphabet", "initial", "_states", "_out")
 
     def __init__(
         self,
@@ -186,14 +186,13 @@ class Pdes:
     ):
         self.alphabet = alphabet
         self.initial = initial
-        trans = dict(transitions)
         # one row {event: (target, probability)} per state, in the order the
         # states are first named: initial, then `states`, then transitions
         out: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {initial: {}}
         for s in states or ():
             out.setdefault(s, {})
         events = alphabet._position
-        for key, edge in trans.items():
+        for key, edge in transitions.items():
             src, event = key
             dst, prob = edge
             if event not in events:
@@ -216,11 +215,9 @@ class Pdes:
             if on_unreachable != "trim":
                 raise InvariantError(f"unreachable states: {unreachable!r}")
             warnings.warn(f"dropping {len(unreachable)} unreachable state(s)", UnreachableStateWarning)
-            trans = {k: v for k, v in trans.items() if k[0] in keep}
             out = {s: row for s, row in out.items() if s in keep}
 
         self._states = tuple(out)
-        self._trans = trans
         self._out = out
         if check_liveness:
             for s, row in out.items():
@@ -264,7 +261,9 @@ class Pdes:
                     yield src, e, dst, p
 
     def transition_map(self) -> Dict[Tuple[State, str], Tuple[State, EpsProb]]:
-        return dict(self._trans)
+        """{(source, event): (target, probability)}, row by row in state
+        order, each row in the order its transitions were given."""
+        return {(s, e): edge for s, row in self._out.items() for e, edge in row.items()}
 
     def liveness(self, state: State) -> EpsProb:
         """Dominant-term sum of the outgoing probabilities."""
@@ -272,7 +271,7 @@ class Pdes:
         return EpsProb(Fraction(num, den), degree)
 
     def has_eps_probabilities(self) -> bool:
-        return any(not p.is_ordinary for _, p in self._trans.values())
+        return any(p.eps_degree for row in self._out.values() for _, p in row.values())
 
     # -- language -------------------------------------------------------
 
@@ -308,19 +307,18 @@ class Pdes:
 
     def logic(self) -> "Pdes":
         """The same transition structure with every probability set to one."""
-        trans = {key: (dst, ONE) for key, (dst, _) in self._trans.items()}
+        trans = {(s, e): (dst, ONE) for s, row in self._out.items() for e, (dst, _) in row.items()}
         return Pdes(self.alphabet, self.initial, trans, states=self._states, check_liveness=False)
 
     def accessible(self) -> "Pdes":
         reachable = set(explore([self.initial], self._targets))
-        trans = {k: v for k, v in self._trans.items() if k[0] in reachable}
         states = [s for s in self._states if s in reachable]
+        trans = {(s, e): edge for s in states for e, edge in self._out[s].items()}
         return Pdes(self.alphabet, self.initial, trans, states=states, check_liveness=False)
 
     def rename(self, mapping: Dict[State, State]) -> "Pdes":
-        trans = {
-            (mapping[src], e): (mapping[dst], p) for (src, e), (dst, p) in self._trans.items()
-        }
+        rows = self._out.items()
+        trans = {(mapping[src], e): (mapping[dst], p) for src, row in rows for e, (dst, p) in row.items()}
         states = [mapping[s] for s in self._states]
         return Pdes(self.alphabet, mapping[self.initial], trans, states=states, check_liveness=False)
 
@@ -331,7 +329,7 @@ class Pdes:
         return self.rename(mapping)
 
     def __repr__(self):
-        return f"<Pdes {len(self._states)} states, {len(self._trans)} transitions>"
+        return f"<Pdes {len(self._states)} states, {sum(map(len, self._out.values()))} transitions>"
 
 
 def require_same_alphabet(a: Pdes, b: Pdes):
@@ -625,7 +623,7 @@ def minimize(a: Pdes) -> Pdes:
 
 def minimize_logic(a: Pdes) -> Pdes:
     """`minimize` for a logic automaton (every probability one)."""
-    if any(p != ONE for _, p in a._trans.values()):
+    if any(p != ONE for row in a._out.values() for _, p in row.values()):
         raise InvariantError("minimize_logic expects a logic automaton")
     return minimize(a)
 

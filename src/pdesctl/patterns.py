@@ -33,17 +33,26 @@ class PatternDistribution:
     def __init__(self, m: int, probs: Mapping[int, Fraction]):
         if m < 0:
             raise InvariantError("m must be nonnegative")
-        support = tuple(sorted(
-            (j, p if p.__class__ is Fraction else Fraction(p)) for j, p in probs.items() if p != 0
-        ))
+        support = []
+        for j, p in probs.items():
+            if p.__class__ is not Fraction:
+                p = Fraction(p)
+            if p.numerator:
+                support.append((j, p))
+        support.sort()
         if any(not 0 <= j < 2**m for j, _ in support):
             raise InvariantError(f"pattern index out of range for m = {m}")
-        if any(p < 0 for _, p in support):
-            raise InvariantError("pattern probabilities must be nonnegative")
-        if sum(p for _, p in support) != 1:
+        # the sum as one unreduced integer ratio num/den
+        num, den = 0, 1
+        for _, p in support:
+            n, d = p.numerator, p.denominator
+            if n < 0:
+                raise InvariantError("pattern probabilities must be nonnegative")
+            num, den = num * d + n * den, den * d
+        if num != den:
             raise InvariantError("pattern probabilities must sum to exactly 1")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_support", tuple(support))
 
     def support(self) -> List[Tuple[int, Fraction]]:
         """The (pattern, probability) pairs of positive probability, in
@@ -57,11 +66,11 @@ def validate_scaling_vector(factors: Sequence[Fraction], m: int, n: int) -> Tupl
     factors = tuple([f if f.__class__ is Fraction else Fraction(f) for f in factors])
     if len(factors) != n:
         raise InvariantError(f"scaling vector must have {n} entries")
-    for i, f in enumerate(factors):
-        if i < m:
-            if not 0 <= f <= 1:
-                raise InvariantError(f"controllable scaling factor out of [0,1]: {f}")
-        elif f != 1:
+    for f in factors[:m]:
+        if not 0 <= f.numerator <= f.denominator:
+            raise InvariantError(f"controllable scaling factor out of [0,1]: {f}")
+    for f in factors[m:]:
+        if f.numerator != f.denominator:
             raise InvariantError("uncontrollable scaling factors must equal 1")
     return factors
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automata import (
     _ABSENT,
@@ -358,10 +358,10 @@ def _index(field: str, prefix: str = "t") -> int:
     return int(digits)
 
 
-def _read(get: Callable[[str], object], fields: Sequence[str], lineno: int) -> tuple:
-    """``get`` of each field; a ValueError is a FormatError on the line."""
+def _index_at(field: str, lineno: int, prefix: str = "t") -> int:
+    """`_index` of a field; a ValueError is a FormatError on the line."""
     try:
-        return tuple([get(f) for f in fields])
+        return _index(field, prefix)
     except ValueError as e:
         raise FormatError(str(e), lineno) from None
 
@@ -373,56 +373,62 @@ def _single_field(key: str, fields: List[str], lineno: int) -> str:
 
 
 def _parse_header(text: str):
+    """A map file's alphabet, classes and other lines as (line, directive,
+    fields); the directive ends at the first word's colon or whitespace."""
     header: List[Tuple[int, str, List[str]]] = []  # the alphabet lines
     count = None
     initial = None
     trans: Dict[Tuple[int, str], int] = {}
-    refs: List[Tuple[int, int]] = []  # (line, class index) to check against the count
-    moves: List[Tuple[int, str]] = []  # (line, obs-trans event) to check against the alphabet
-    body: List[Tuple[int, str, str]] = []
-    index = _Table(_index).__getitem__  # obs-trans lines repeat their classes
+    refs: List[Tuple[int, int, int, str]] = []  # (line, src, dst, event) of each obs-trans line
+    body: List[Tuple[int, str, List[str]]] = []
+    index = _Table(_index)  # obs-trans lines repeat their classes
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        head = line.split(None, 1)[0]
-        if ":" in head:
-            key, _, rest = line.partition(":")
+        key, _, first = fields[0].partition(":")
+        if first:
+            fields[0] = first
         else:
-            key, _, rest = line.partition(" ")
-        key = key.strip()
-        fields = rest.split()
-        if key in _ALPHABET_DIRECTIVES:
+            del fields[0]
+        if key == "obs-trans":
+            if len(fields) != 3:
+                raise FormatError("obs-trans takes: <src> <event> <dst>", lineno)
+            src, event, dst = fields
+            try:
+                src, dst = index[src], index[dst]
+            except ValueError as e:
+                raise FormatError(str(e), lineno) from None
+            if (src, event) in trans:
+                raise FormatError(f"duplicate obs-trans from t{src} on {event!r}", lineno)
+            trans[(src, event)] = dst
+            refs.append((lineno, src, dst, event))
+        elif key in _ALPHABET_DIRECTIVES:
             header.append((lineno, key, fields))
         elif key == "obs-classes":
             if count is not None:
                 raise FormatError("duplicate obs-classes line", lineno)
-            count = _read(lambda f: _index(f, ""), [_single_field(key, fields, lineno)], lineno)[0]
+            count = _index_at(_single_field(key, fields, lineno), lineno, "")
         elif key == "obs-initial":
             if initial is not None:
                 raise FormatError("duplicate obs-initial line", lineno)
-            initial = _read(_index, [_single_field(key, fields, lineno)], lineno)[0]
-            refs.append((lineno, initial))
-        elif key == "obs-trans":
-            if len(fields) != 3:
-                raise FormatError("obs-trans takes: <src> <event> <dst>", lineno)
-            src, dst = _read(index, (fields[0], fields[2]), lineno)
-            if (src, fields[1]) in trans:
-                raise FormatError(f"duplicate obs-trans from t{src} on {fields[1]!r}", lineno)
-            trans[(src, fields[1])] = dst
-            refs += [(lineno, src), (lineno, dst)]
-            moves.append((lineno, fields[1]))
+            initial = _index_at(_single_field(key, fields, lineno), lineno)
+            initial_line = lineno
         else:
-            body.append((lineno, key, rest.strip()))
+            body.append((lineno, key, fields))
     if count is None or initial is None:
         raise FormatError("missing obs-classes/obs-initial lines")
-    for lineno, cls in refs:
-        _check_class(cls, count, lineno)
+    if initial >= count or max(index.values(), default=0) >= count:
+        # report the first reference out of range, in line order
+        uses = [(initial_line, initial)] + [(lineno, c) for lineno, src, dst, _ in refs for c in (src, dst)]
+        for lineno, cls in sorted(uses, key=lambda use: use[0]):
+            _check_class(cls, count, lineno)
     alphabet = _header_alphabet(header)
-    for lineno, event in moves:
-        if event not in alphabet.events:
-            raise FormatError(f"obs-trans uses unknown event {event!r}", lineno)
-        if event not in alphabet.observable:
+    observable = alphabet.observable
+    for lineno, _, _, event in refs:
+        if event not in observable:
+            if event not in alphabet.events:
+                raise FormatError(f"obs-trans uses unknown event {event!r}", lineno)
             raise FormatError(f"obs-trans uses unobservable event {event!r}", lineno)
     classes = ObservationClasses(alphabet, initial, count, trans)
     return alphabet, classes, body
@@ -438,7 +444,7 @@ def _class_line(fields: List[str], count: int, lineno: int) -> int:
     """Class index of a ``class t<i> ...`` line."""
     if not fields:
         raise FormatError("class takes an observation class", lineno)
-    return _check_class(_read(_index, fields[:1], lineno)[0], count, lineno)
+    return _check_class(_index_at(fields[0], lineno), count, lineno)
 
 
 def dumps_scaling_map(scaling: ScalingMap) -> str:
@@ -452,18 +458,17 @@ def dumps_scaling_map(scaling: ScalingMap) -> str:
 
 def loads_scaling_map(text: str) -> ScalingMap:
     alphabet, classes, body = _parse_header(text)
-    rat = _Table(parse_rat).__getitem__
+    rat = _Table(parse_rat)
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     default = None
 
     def vector(fields: List[str], lineno: int) -> Tuple[Fraction, ...]:
         try:
-            return validate_scaling_vector(_read(rat, fields, lineno), alphabet.m, alphabet.n)
-        except InvariantError as e:
+            return validate_scaling_vector([rat[f] for f in fields], alphabet.m, alphabet.n)
+        except (ValueError, InvariantError) as e:
             raise FormatError(str(e), lineno) from None
 
-    for lineno, key, rest in body:
-        fields = rest.split()
+    for lineno, key, fields in body:
         if key == "class":
             cls = _class_line(fields, classes.count, lineno)
             if cls in vectors:
@@ -499,7 +504,7 @@ def dumps_supervisor_map(sup: SupervisorMap) -> str:
 
 def loads_supervisor_map(text: str) -> SupervisorMap:
     alphabet, classes, body = _parse_header(text)
-    rat = _Table(parse_rat).__getitem__
+    rat = _Table(parse_rat)
     m = alphabet.m
     dists: Dict[int, PatternDistribution] = {}
     current: Optional[int] = None
@@ -522,9 +527,24 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             dists[current] = dist
         pending = {}
 
-    for lineno, key, rest in body:
-        fields = rest.split()
-        if key == "class":
+    for lineno, key, fields in body:
+        if key == "pattern":
+            if len(fields) != 2:
+                raise FormatError("pattern takes: <bitstring> <prob>", lineno)
+            if current is None and not in_default:
+                raise FormatError("pattern outside a class or default section", lineno)
+            bits, prob = fields
+            valid = bits == "-" if m == 0 else len(bits) == m and not bits.strip("01")
+            if not valid:
+                raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
+            j = int(bits, 2) if m else 0
+            if j in pending:
+                raise FormatError(f"duplicate pattern {bits!r}", lineno)
+            try:
+                pending[j] = rat[prob]
+            except ValueError as e:
+                raise FormatError(str(e), lineno) from None
+        elif key == "class":
             flush()
             in_default = False
             current = _class_line(fields, classes.count, lineno)
@@ -542,19 +562,6 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             current = None
             in_default = True
             section_line = lineno
-        elif key == "pattern":
-            if len(fields) != 2:
-                raise FormatError("pattern takes: <bitstring> <prob>", lineno)
-            if current is None and not in_default:
-                raise FormatError("pattern outside a class or default section", lineno)
-            bits, prob = fields
-            valid = bits == "-" if m == 0 else len(bits) == m and not bits.strip("01")
-            if not valid:
-                raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
-            j = int(bits, 2) if m else 0
-            if j in pending:
-                raise FormatError(f"duplicate pattern {bits!r}", lineno)
-            pending[j] = _read(rat, [prob], lineno)[0]
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     flush()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+)|\.(\d+))?$")
 _EPS_RE = re.compile(r"^0\+(?:\^([1-9]\d*))?(?:[·*](.+))?$")
 
 
@@ -35,14 +35,24 @@ class _Table(dict):
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse ``p/q``, integer or decimal notation into an exact rational."""
+    """Parse ``p/q``, integer or decimal notation into an exact rational,
+    built from the integers that the one match delimits."""
     text = text.strip()
-    if not _RAT_RE.match(text):
+    m = _RAT_RE.match(text)
+    if not m:
         raise ValueError(f"malformed rational: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    whole, den, frac = m.groups()
+    if den is not None:
+        q = int(den)
+        if not q:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(whole), q)
+    if frac is not None:
+        # two int() calls, as Fraction(text) makes: each part alone must fit
+        # the interpreter's limit on the digits of one int() conversion
+        scale, f = 10 ** len(frac), int(frac)
+        return Fraction(int(whole) * scale + (-f if whole[0] == "-" else f), scale)
+    return Fraction(int(whole))
 
 
 def format_rat(value: Fraction, style: str = "decimal") -> str:
@@ -221,19 +231,20 @@ def parse_prob(text: str) -> EpsProb:
     ``0+``, ``0+^d`` or ``0+^d·p/q`` (``*`` accepted for ``·``), with the
     degree d >= 1 written without leading zeros."""
     text = text.strip()
-    m = _EPS_RE.match(text)
-    if m:
-        degree = int(m.group(1)) if m.group(1) else 1
-        magnitude = parse_rat(m.group(2)) if m.group(2) else Fraction(1)
-        if magnitude <= 0:
-            raise ValueError(f"infinitesimal magnitude must be positive: {text!r}")
-        return EpsProb(magnitude, degree)
-    if text.startswith("0+^"):
-        raise ValueError(f"infinitesimal degree must be a positive integer without leading zeros: {text!r}")
+    if text.startswith("0+"):
+        m = _EPS_RE.match(text)
+        if m:
+            degree = int(m.group(1)) if m.group(1) else 1
+            magnitude = parse_rat(m.group(2)) if m.group(2) else Fraction(1)
+            if magnitude.numerator <= 0:
+                raise ValueError(f"infinitesimal magnitude must be positive: {text!r}")
+            return _trusted(magnitude, degree)
+        if text.startswith("0+^"):
+            raise ValueError(f"infinitesimal degree must be a positive integer without leading zeros: {text!r}")
     value = parse_rat(text)
-    if value < 0:
+    if value.numerator < 0:
         raise ValueError(f"probability cannot be negative: {text!r}")
-    return EpsProb(value)
+    return _trusted(value, 0)
 
 
 def format_prob(p: EpsProb, style: str = "decimal") -> str:

@@ -120,7 +120,8 @@ class TestConstructionChecks:
             p = Pdes(self.A, "x", trans, states=["a", "x"], on_unreachable="trim")
         assert p.states == ("x", "a", "b")
         assert ("dead", "c") not in p.transition_map()
-        assert list(p.transition_map()) == [("x", "c"), ("b", "u"), ("a", "u")]
+        # the map reads the rows: state order, then each row's given order
+        assert list(p.transition_map()) == [("x", "c"), ("a", "u"), ("b", "u")]
 
     def test_state_order_is_first_mention(self):
         trans = {("y", "c"): ("z", E(1, 2)), ("x", "u"): ("y", E(1, 2)), ("z", "u"): ("x", E(1))}

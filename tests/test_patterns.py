@@ -14,6 +14,7 @@ from pdesctl import (
     marginals_of,
     pattern_enables,
 )
+from pdesctl.patterns import validate_scaling_vector
 
 F = Fraction
 
@@ -36,6 +37,60 @@ class TestPatternDistribution:
         assert d.support() == [(2, F(1, 5)), (3, F(4, 5))]
         assert d.m == 2
         assert d == PatternDistribution(2, {2: F(1, 5), 3: F(4, 5)})
+
+
+TINY = F(1, 10**40)
+# pairwise coprime denominators, the last three above 2^64
+COPRIME = [10**9 + 7, 2**61 - 1, 2**89 - 1, 2**107 - 1]
+
+
+class TestExactChecks:
+    """The range, sign and sum checks are exact: a float sum or comparison
+    could not tell 1 from 1 +- 10^-40."""
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=4), st.integers(0, 3))
+    def test_accepts_exact_sums_over_large_coprime_denominators(self, weights, at):
+        parts = [F(w, p) for w, p in zip(weights, COPRIME)]  # each below 1/1000
+        probs = {j: p for j, p in enumerate(parts, start=1)}
+        probs[0] = 1 - sum(parts)
+        d = PatternDistribution(3, probs)
+        assert d.support() == sorted(probs.items())
+        for off in (TINY, -TINY):
+            j = at % len(probs)
+            with pytest.raises(InvariantError, match="sum to exactly 1"):
+                PatternDistribution(3, {**probs, j: probs[j] + off})
+
+    @pytest.mark.parametrize("probs", [
+        {0: F(1, 2), 1: F(1, 2) + TINY},
+        {0: F(1, 2), 1: F(1, 2) - TINY},
+        {3: 1 + TINY},
+        {3: 1 - TINY},
+    ])
+    def test_rejects_sums_next_to_one(self, probs):
+        with pytest.raises(InvariantError, match="sum to exactly 1"):
+            PatternDistribution(2, probs)
+
+    @pytest.mark.parametrize("probs", [
+        {0: -TINY, 1: 1 + TINY},
+        {0: F(-1, 3), 1: F(2, 3), 2: F(2, 3)},
+    ])
+    def test_rejects_a_negative_entry_of_an_exact_sum(self, probs):
+        with pytest.raises(InvariantError, match="nonnegative"):
+            PatternDistribution(2, probs)
+
+    @pytest.mark.parametrize("factor", [F(0), F(1), TINY, 1 - TINY, F(1, 3)])
+    def test_controllable_factor_in_range(self, factor):
+        assert validate_scaling_vector((factor, 1), 1, 2) == (factor, F(1))
+
+    @pytest.mark.parametrize("factor", [1 + TINY, -TINY, F(-1), F(2)])
+    def test_controllable_factor_out_of_range(self, factor):
+        with pytest.raises(InvariantError, match=r"out of \[0,1\]"):
+            validate_scaling_vector((factor, F(1)), 1, 2)
+
+    @pytest.mark.parametrize("factor", [1 + TINY, 1 - TINY, F(0)])
+    def test_uncontrollable_factor_is_exactly_one(self, factor):
+        with pytest.raises(InvariantError, match="must equal 1"):
+            validate_scaling_vector((F(1, 2), F(1), factor), 1, 3)
 
 
 class TestMarginals:

@@ -22,10 +22,12 @@ from pdesctl import (
     controlled_automaton,
     controlled_language_value,
     controlled_xi,
+    dumps_automaton,
     dumps_scaling_map,
     dumps_supervisor_map,
     is_sublanguage,
     language_equivalent,
+    loads_automaton,
     loads_scaling_map,
     loads_supervisor_map,
     marginals_of,
@@ -377,6 +379,26 @@ class TestSerialization:
         calls.clear()
         assert scaling_from_supervisor(sup) == scaling
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("kind", ["automaton", "scaling", "supervisor"])
+    def test_tab_separated_text_loads_equal(self, robot, kind):
+        plant, spec = robot
+        scaling = scaling_from_spec(plant, spec)
+        dumps, loads, value = {
+            "automaton": (dumps_automaton, loads_automaton, plant),
+            "scaling": (dumps_scaling_map, loads_scaling_map, scaling),
+            "supervisor": (dumps_supervisor_map, loads_supervisor_map, supervisor_from_scaling(scaling)),
+        }[kind]
+        text = dumps(value)
+        tabbed = text.replace(" ", "\t")
+        # every directive keyword is followed by a tab, the map sections' too
+        assert "class\tt" in tabbed or kind == "automaton"
+        again = loads(tabbed)
+        assert dumps(again) == text
+        if kind == "automaton":
+            assert again.transition_map() == loads(text).transition_map()
+        else:
+            assert again == loads(text) == value
 
     def test_scaling_file_mentions_exact_factor(self, robot):
         plant, spec = robot

@@ -4,10 +4,11 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pdesctl import EPS, ONE, ZERO, EpsProb, format_prob, format_rat, parse_prob, parse_rat
+from pdesctl.values import _RAT_RE
 
 F = Fraction
 
@@ -51,6 +52,102 @@ class TestRationals:
     def test_roundtrip(self, q):
         assert parse_rat(format_rat(q)) == q
         assert parse_rat(format_rat(q, "fraction")) == q
+
+
+# digit runs as `_RAT_RE` accepts them: leading zeros, long runs, values
+# above 2^64 and Unicode decimal digits (which both ``\d`` and `int` read)
+DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=60),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 4), st.integers(0, 10**6)),
+    st.integers(2**64, 2**200).map(str),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=8),
+)
+RAT_TOKENS = st.builds(
+    lambda pad, sign, whole, tail: pad + sign + whole + tail + pad,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-"]),
+    DIGITS,
+    st.one_of(st.just(""), DIGITS.map("/".__add__), DIGITS.map(".".__add__)),
+)
+
+
+def exact(value, expected):
+    """Equal, and built as the same normalized Fraction."""
+    return type(value) is Fraction and (value.numerator, value.denominator) == (
+        expected.numerator, expected.denominator)
+
+
+class TestRationalTokens:
+    """`parse_rat` agrees with `Fraction(text)` on the tokens `_RAT_RE`
+    accepts, and rejects every other token."""
+
+    @given(RAT_TOKENS)
+    @example("-0.000")
+    @example("+007/0010")
+    @example("1/0")
+    @example("-0/00")
+    @example("\u0661\u0662.\u0665")
+    @example(f"{2**64 + 1}/{2**65}")
+    @example("-" + "7" * 3000 + "." + "0" * 2999 + "1")
+    def test_accepted_tokens_read_as_fraction(self, text):
+        assert _RAT_RE.match(text.strip())
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="^zero denominator: "):
+                parse_rat(text)
+            return
+        assert exact(parse_rat(text), expected)
+
+    @given(st.text("0123456789+-./e_ x\u0663", max_size=12))
+    @example("1e5")
+    @example("1.")
+    @example(".5")
+    @example("1_000")
+    @example("1/2/3")
+    @example("- 1")
+    @example("")
+    def test_other_tokens_raise_value_error(self, text):
+        assume(not _RAT_RE.match(text.strip()))
+        with pytest.raises(ValueError, match="^malformed rational: "):
+            parse_rat(text)
+
+    @given(RAT_TOKENS)
+    def test_ordinary_probabilities(self, text):
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="^zero denominator: "):
+                parse_prob(text)
+            return
+        if expected < 0:
+            with pytest.raises(ValueError, match="^probability cannot be negative: "):
+                parse_prob(text)
+            return
+        p = parse_prob(text)
+        assert p == EpsProb(expected) and p.eps_degree == 0 and exact(p.magnitude, expected)
+        assert hash(p) == hash(EpsProb(expected))
+
+    @given(
+        st.integers(1, 2**70),
+        st.integers(-(2**70), 2**70),
+        st.integers(1, 2**70),
+        st.sampled_from("·*"),
+    )
+    @example(1, 1, 1, "·")
+    @example(3, 0, 5, "*")
+    def test_infinitesimal_forms(self, degree, num, den, sep):
+        assert parse_prob("0+") == EPS
+        assert parse_prob(f"0+^{degree}") == EpsProb(F(1), degree)
+        text = f"0+^{degree}{sep}{num}/{den}"
+        if num <= 0:
+            with pytest.raises(ValueError, match="^infinitesimal magnitude must be positive: "):
+                parse_prob(text)
+        else:
+            p = parse_prob(text)
+            assert p == EpsProb(F(num, den), degree) and exact(p.magnitude, F(num, den))
+        with pytest.raises(ValueError, match="^infinitesimal degree must be a positive integer"):
+            parse_prob(f"0+^0{degree}{sep}1/2")
 
 
 class TestEpsProb:
