@@ -310,12 +310,6 @@ class Pdes:
         trans = {(s, e): (dst, ONE) for s, row in self._out.items() for e, (dst, _) in row.items()}
         return Pdes(self.alphabet, self.initial, trans, states=self._states, check_liveness=False)
 
-    def accessible(self) -> "Pdes":
-        reachable = set(explore([self.initial], self._targets))
-        states = [s for s in self._states if s in reachable]
-        trans = {(s, e): edge for s in states for e, edge in self._out[s].items()}
-        return Pdes(self.alphabet, self.initial, trans, states=states, check_liveness=False)
-
     def rename(self, mapping: Dict[State, State]) -> "Pdes":
         rows = self._out.items()
         trans = {(mapping[src], e): (mapping[dst], p) for src, row in rows for e, (dst, p) in row.items()}
@@ -448,18 +442,17 @@ def _sublanguage(joint: JointSupport, a: Pdes, b: Pdes, side: int = 0) -> Verdic
 def is_subautomaton(a: Pdes, b: Pdes) -> bool:
     """Structural containment: a's diagram is a subgraph of b's (same
     initial state, same targets) with pointwise smaller probabilities."""
-    if a.alphabet != b.alphabet:
+    if a.alphabet != b.alphabet or a.initial != b.initial:
         return False
-    if a.initial != b.initial:
-        return False
-    bstates = set(b.states)
-    if not set(a.states) <= bstates:
-        return False
-    for (src, e), (dst, p) in a.transition_map().items():
-        if b.target(src, e) != dst:
+    rows = b._out
+    for s, ra in a._out.items():
+        rb = rows.get(s)
+        if rb is None:
             return False
-        if p > b.rho(src, e):
-            return False
+        for e, (dst, p) in ra.items():
+            edge = rb.get(e)
+            if edge is None or edge[0] != dst or p > edge[1]:
+                return False
     return True
 
 
@@ -678,7 +671,7 @@ def _alphabet_lines(alphabet: Alphabet) -> List[str]:
 
 def loads_automaton(text: str) -> Pdes:
     """Parse the line-oriented automaton format (see `dumps_automaton`)."""
-    states: list = []
+    states: dict = {}  # the declared states, in order
     initial = None
     header: list = []  # (line, directive, events) of the alphabet lines
     raw_trans: list = []
@@ -692,7 +685,10 @@ def loads_automaton(text: str) -> Pdes:
         key = key.strip()
         fields = rest.split()
         if key == "states":
-            states.extend(fields)
+            for s in fields:
+                if s in states:
+                    raise FormatError(f"duplicate state {s!r}", lineno)
+                states[s] = None
         elif key == "initial":
             if initial is not None:
                 raise FormatError("duplicate initial line", lineno)
@@ -712,11 +708,10 @@ def loads_automaton(text: str) -> Pdes:
         raise FormatError("missing 'initial:' line")
     alphabet = _header_alphabet(header)
 
-    known = set(states) if states else None
     probs = _Table(parse_prob)
     trans = {}
     for lineno, (src, event, dst, prob_text) in raw_trans:
-        if known is not None and (src not in known or dst not in known):
+        if states and (src not in states or dst not in states):
             raise FormatError(f"transition references undeclared state", lineno)
         if (src, event) in trans:
             raise FormatError(f"duplicate transition from {src!r} on {event!r}", lineno)
@@ -730,10 +725,10 @@ def loads_automaton(text: str) -> Pdes:
             raise FormatError("transitions must have positive probability", lineno)
         trans[(src, event)] = (dst, prob)
 
-    if known is not None and initial not in known:
+    if states and initial not in states:
         raise FormatError(f"initial state {initial!r} not declared")
     try:
-        return Pdes(alphabet, initial, trans, states=states or None, on_unreachable="trim")
+        return Pdes(alphabet, initial, trans, states=states, on_unreachable="trim")
     except InvariantError as e:
         raise FormatError(str(e)) from None
 

@@ -36,6 +36,7 @@ from .supervisor import (
     supervisor_from_scaling,
 )
 from .values import format_prob
+from .verification import check_controllable, check_observable
 
 
 def _color_enabled() -> bool:
@@ -96,25 +97,28 @@ def _print_verdict(name: str, verdict: Verdict) -> int:
     return 1
 
 
-def cmd_check_ctrl(args) -> int:
-    from .verification import check_controllable
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write a command's output to the file ``out``, or to stdout."""
+    if out:
+        _write(out, text)
+    else:
+        sys.stdout.write(text)
 
+
+# command -> (the property it checks, its check)
+_CHECKS = {
+    "check-ctrl": ("probabilistic controllability", check_controllable),
+    "check-obs": ("probabilistic observability", check_observable),
+}
+
+
+def cmd_check(args) -> int:
     plant = _load(args.plant)
     spec = _load(args.spec)
-    return _print_verdict("probabilistic controllability", check_controllable(plant, spec))
-
-
-def cmd_check_obs(args) -> int:
-    from .verification import check_observable
-
-    plant = _load(args.plant)
-    spec = _load(args.spec)
-    return _print_verdict("probabilistic observability", check_observable(plant, spec))
+    return _print_verdict(args.property, args.check(plant, spec))
 
 
 def cmd_synthesize(args) -> int:
-    from .verification import check_controllable, check_observable
-
     plant = _load(args.plant)
     spec = _load(args.spec)
     # synthesis succeeds only where both checks hold, so the checks run
@@ -122,13 +126,11 @@ def cmd_synthesize(args) -> int:
     try:
         scaling = scaling_from_spec(plant, spec)
     except (SynthesisError, InvariantError) as e:
-        ctrl = check_controllable(plant, spec)
-        obs = check_observable(plant, spec)
-        if not ctrl or not obs:
-            if not ctrl:
-                _print_verdict("probabilistic controllability", ctrl)
-            if not obs:
-                _print_verdict("probabilistic observability", obs)
+        verdicts = [(title, check(plant, spec)) for title, check in _CHECKS.values()]
+        if not all(verdict for _, verdict in verdicts):
+            for title, verdict in verdicts:
+                if not verdict:
+                    _print_verdict(title, verdict)
             print("specification is not achievable; consider inf-pco for the closest superlanguage")
             return 1
         if isinstance(e, InvariantError):
@@ -149,12 +151,9 @@ def cmd_inf_pco(args) -> int:
     result = infimal_pipeline(plant, spec).result
     if args.strip_eps:
         result = strip_eps_edges(result)
-    text = dumps_automaton(minimize(result).canonical_names())
+    _emit(dumps_automaton(minimize(result).canonical_names()), args.out)
     if args.out:
-        _write(args.out, text)
         print(f"infimal superlanguage generator written to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -170,21 +169,13 @@ def cmd_simulate(args) -> int:
 def cmd_product(args) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    text = dumps_automaton(product(a, b).canonical_names())
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(dumps_automaton(product(a, b).canonical_names()), args.out)
     return 0
 
 
 def cmd_observer(args) -> int:
     a = _load(args.automaton)
-    text = dumps_automaton(observer_automaton(a).canonical_names("t"))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(dumps_automaton(observer_automaton(a).canonical_names("t")), args.out)
     return 0
 
 
@@ -205,15 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-ctrl", help="verify probabilistic controllability")
-    p.add_argument("plant")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_check_ctrl)
-
-    p = sub.add_parser("check-obs", help="verify probabilistic observability")
-    p.add_argument("plant")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_check_obs)
+    for command, (title, check) in _CHECKS.items():
+        p = sub.add_parser(command, help=f"verify {title}")
+        p.add_argument("plant")
+        p.add_argument("spec")
+        p.set_defaults(func=cmd_check, check=check, property=title)
 
     p = sub.add_parser("synthesize", help="synthesize a supervisor realizing the spec")
     p.add_argument("plant")
@@ -265,15 +252,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InvariantError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SynthesisError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except PdesError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, SynthesisError) else 2
 
 
 if __name__ == "__main__":

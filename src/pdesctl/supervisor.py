@@ -459,27 +459,22 @@ def dumps_scaling_map(scaling: ScalingMap) -> str:
 def loads_scaling_map(text: str) -> ScalingMap:
     alphabet, classes, body = _parse_header(text)
     rat = _Table(parse_rat)
-    vectors: Dict[int, Tuple[Fraction, ...]] = {}
-    default = None
-
-    def vector(fields: List[str], lineno: int) -> Tuple[Fraction, ...]:
-        try:
-            return validate_scaling_vector([rat[f] for f in fields], alphabet.m, alphabet.n)
-        except (ValueError, InvariantError) as e:
-            raise FormatError(str(e), lineno) from None
-
+    vectors: Dict[Optional[int], Tuple[Fraction, ...]] = {}  # None: the default vector
     for lineno, key, fields in body:
         if key == "class":
             cls = _class_line(fields, classes.count, lineno)
-            if cls in vectors:
-                raise FormatError(f"duplicate class t{cls}", lineno)
-            vectors[cls] = vector(fields[1:], lineno)
+            fields = fields[1:]
         elif key == "default":
-            if default is not None:
-                raise FormatError("duplicate default", lineno)
-            default = vector(fields, lineno)
+            cls = None
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
+        if cls in vectors:
+            raise FormatError("duplicate default" if cls is None else f"duplicate class t{cls}", lineno)
+        try:
+            vectors[cls] = validate_scaling_vector([rat[f] for f in fields], alphabet.m, alphabet.n)
+        except (ValueError, InvariantError) as e:
+            raise FormatError(str(e), lineno) from None
+    default = vectors.pop(None, None)
     return _validated(classes, vectors, default)
 
 
@@ -506,65 +501,53 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
     alphabet, classes, body = _parse_header(text)
     rat = _Table(parse_rat)
     m = alphabet.m
-    dists: Dict[int, PatternDistribution] = {}
-    current: Optional[int] = None
-    in_default = False
-    section_line = 0
-    pending: Dict[int, Fraction] = {}
-    default = None
+    dists: Dict[Optional[int], PatternDistribution] = {}  # None: the default section
+    section = None  # the open section: (line, class index or None, {pattern: probability})
 
-    def flush():
-        nonlocal pending, default
-        if current is None and not in_default:
-            return
-        try:
-            dist = PatternDistribution(m, pending)
-        except InvariantError as e:
-            raise FormatError(str(e), section_line) from None
-        if in_default:
-            default = dist
-        else:
-            dists[current] = dist
-        pending = {}
+    def close():
+        """Build the roulette of the section that just ended."""
+        if section is not None:
+            lineno, cls, pending = section
+            try:
+                dists[cls] = PatternDistribution(m, pending)
+            except InvariantError as e:
+                raise FormatError(str(e), lineno) from None
 
     for lineno, key, fields in body:
         if key == "pattern":
             if len(fields) != 2:
                 raise FormatError("pattern takes: <bitstring> <prob>", lineno)
-            if current is None and not in_default:
+            if section is None:
                 raise FormatError("pattern outside a class or default section", lineno)
             bits, prob = fields
             valid = bits == "-" if m == 0 else len(bits) == m and not bits.strip("01")
             if not valid:
                 raise FormatError(f"pattern {bits!r} is not a bitstring over {m} events", lineno)
             j = int(bits, 2) if m else 0
+            pending = section[2]
             if j in pending:
                 raise FormatError(f"duplicate pattern {bits!r}", lineno)
             try:
                 pending[j] = rat[prob]
             except ValueError as e:
                 raise FormatError(str(e), lineno) from None
-        elif key == "class":
-            flush()
-            in_default = False
-            current = _class_line(fields, classes.count, lineno)
-            if len(fields) > 1:
-                raise FormatError("class takes only an observation class", lineno)
-            if current in dists:
-                raise FormatError(f"duplicate class t{current}", lineno)
-            section_line = lineno
-        elif key == "default":
-            flush()
-            if fields:
-                raise FormatError("default takes no values", lineno)
-            if default is not None:
-                raise FormatError("duplicate default", lineno)
-            current = None
-            in_default = True
-            section_line = lineno
+        elif key in ("class", "default"):
+            close()
+            if key == "default":
+                if fields:
+                    raise FormatError("default takes no values", lineno)
+                cls = None
+            else:
+                cls = _class_line(fields, classes.count, lineno)
+                if len(fields) > 1:
+                    raise FormatError("class takes only an observation class", lineno)
+            if cls in dists:
+                raise FormatError("duplicate default" if cls is None else f"duplicate class t{cls}", lineno)
+            section = (lineno, cls, {})
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
-    flush()
+    close()
+    default = dists.pop(None, None)
     try:
         return SupervisorMap(classes, dists, default)
     except InvariantError as e:

@@ -191,7 +191,6 @@ class TestExplore:
 class TestAccessible:
     def test_trims_and_is_idempotent(self, robot):
         plant, _ = robot
-        assert plant.accessible().states == plant.states
         trans = plant.transition_map()
         trans[("dead", "s1")] = ("x0", E(1, 2))
         with pytest.warns(UserWarning):
@@ -372,6 +371,21 @@ class TestSubautomaton:
         big = build(a, "x", [("x", "c", "y", E(1, 2)), ("y", "u", "x", E(1))])
         rerouted = build(a, "x", [("x", "c", "x", E(1, 2))])
         assert not is_subautomaton(rerouted, big)
+
+    A = Alphabet.make(["c"], ["u"], ["c", "u"])
+    BIG = [("x", "c", "y", E(1, 4)), ("y", "u", "x", E(1))]
+
+    @pytest.mark.parametrize("initial, triples", [
+        ("x", [("x", "u", "x", E(1, 2))]),  # b lacks the event
+        ("x", [("x", "c", "y", E(1, 2)), ("y", "u", "x", E(1))]),  # a has a higher probability
+        # b lacks z, whose row comes before the row of y, the edge into z
+        ("x", [("z", "c", "x", E(1)), ("x", "c", "y", E(1, 4)), ("y", "u", "z", E(1))]),
+        ("y", BIG),  # the initial states differ
+    ])
+    def test_not_contained(self, initial, triples):
+        big = build(self.A, "x", self.BIG)
+        assert is_subautomaton(big, big)
+        assert not is_subautomaton(build(self.A, initial, triples), big)
 
 
 class TestLanguageEquivalence:

@@ -39,7 +39,7 @@ from pdesctl import (
     strip_eps_edges,
     supervisor_from_scaling,
 )
-from pdesctl import cli
+from pdesctl import cli, infimal
 from pdesctl.cli import main
 from conftest import (
     E,
@@ -138,6 +138,8 @@ class TestCheckCommands:
         ("x1 s1 x0 0.5", "x1 s1 x0 0+^0·1/2", f"line 10: {DEGREE}: '0+^0·1/2'"),
         ("x1 s1 x0 0.5", "x1 s1 x0 0+^01", f"line 10: {DEGREE}: '0+^01'"),
         ("x2 0.375\ntrans: x0 s5 x3 0.375", "x2 1/0\ntrans: x0 s5 x3 1/0", "line 8: zero denominator"),
+        ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3 x0", "line 1: duplicate state 'x0'"),
+        ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3\nstates: x1", "line 2: duplicate state 'x1'"),
     ])
     def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):
         text = dumps_automaton(robot_plant())
@@ -453,6 +455,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
+
+    def test_other_package_error_is_2(self, tmp_path, capsys, monkeypatch):
+        # a PdesError that is neither a FormatError nor an InvariantError;
+        # the first saturation round on the branches pair adds strings
+        monkeypatch.setattr(infimal, "_MAX_ROUNDS", 1)
+        g, h = write(tmp_path, "g.pda", branch_plant()), write(tmp_path, "h.pda", branch_spec())
+        assert main(["inf-pco", g, h]) == 2
+        assert capsys.readouterr() == ("", "error: support saturation still growing after 1 rounds\n")
 
     def test_repeated_calls_share_nothing(self, tmp_path, capsys):
         """One process, several commands: each call parses its own arguments."""
