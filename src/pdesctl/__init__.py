@@ -60,12 +60,10 @@ from .verification import (
     check_observable,
 )
 from .infimal import (
-    ClosureDivergenceError,
     InfimalResult,
     NormalPair,
     infimal_co_support,
     infimal_pipeline,
-    infimal_superlanguage,
     refine_to_normal,
     reweight_infimal,
     strip_eps_edges,

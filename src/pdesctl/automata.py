@@ -111,16 +111,6 @@ class Alphabet:
     def uncontrollable_events(self) -> Tuple[str, ...]:
         return self.events[self.m :]
 
-    def project(self, word: Iterable[str]) -> Word:
-        """Erase unobservable events, preserving order."""
-        out = []
-        for e in word:
-            if e not in self._position:
-                raise InvariantError(f"unknown event {e!r}")
-            if e in self.observable:
-                out.append(e)
-        return tuple(out)
-
     def restrict_to_observable(self) -> "Alphabet":
         ctrl = [e for e in self.events if e in self.observable and e in self.controllable]
         unctrl = [e for e in self.events if e in self.observable and e not in self.controllable]
@@ -503,14 +493,6 @@ class Observer(ObservationClasses):
     under unobservable reach."""
 
     cells: Tuple[FrozenSet[State], ...]
-
-    def is_partition(self, states: Iterable[State]) -> bool:
-        todo = set(states)
-        for cell in self.cells:
-            if not cell <= todo:
-                return False
-            todo -= cell
-        return not todo
 
 
 def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]]:

@@ -1,74 +1,74 @@
 """Infimal probabilistic controllable and observable superlanguage.
 
 When a specification is unachievable, the best achievable approximation
-from above is computed in three stages.  "Least" is in the order that
-`is_sublanguage` decides, where every one-step extension ratio of the
-smaller language is bounded by the larger one's, not in the pointwise
-order on string values.
+from above is the closed loop of one supervisor.  "Least" is in the
+order that `is_sublanguage` decides, where every one-step extension
+ratio of the smaller language is bounded by the larger one's, not in the
+pointwise order on string values.
 
-1. `infimal_co_support` saturates the spec's support into the least
-   prefix-closed language, inside the plant's support, that is closed
-   under uncontrollable extension and under observational saturation
-   (if one of two observation-equivalent strings may continue with a
-   controllable event, the other must be allowed to as well).
-2. `refine_to_normal` rebuilds the saturated spec as one normal
-   automaton (observer cells partition the state set) whose states
-   carry the plant state they track and are labelled with their
-   observer cell, with the strings added by saturation carrying
-   infinitesimal probabilities so they are present logically but
-   weightless.  It is one breadth-first walk over (state triple, cell):
-   the triples (plant, support, spec or `SINK`) are a `JointSupport`,
-   the cells come from that joint support's observer, and each edge
-   takes its probability as it is emitted.
-3. `reweight_infimal` raises probabilities the minimal amount needed on
-   that automaton's own edges: uncontrollable transitions take the
-   plant's probabilities, and each controllable event is scaled,
-   uniformly on every observation cell (the states sharing a label),
-   to the largest spec/plant ratio occurring in the cell.
+Let K be the spec's support and G the plant's.  The supervisor S_K
+enables every uncontrollable event, and a controllable event e after a
+string s exactly when some t in K with the same observation as s has te
+in K.  Its closed loop L(S_K/G)
 
-Each saturation round starts from the Moore-minimal quotient of the
-support so far (`minimize_logic`).  The result keeps the labelled
-structure of stage 2, so `InfimalResult.result` has one state per
-(state triple, cell); `automata.minimize` quotients it to the fewest
-states that generate the same language, which is what `inf-pco` writes.
+- contains K, because every step of a string of K is enabled;
+- is controllable and observable, because S_K never disables an
+  uncontrollable event and decides on the observation alone;
+- lies inside every prefix-closed controllable and observable M that
+  contains K: by induction on s, an uncontrollable e is in M by
+  controllability, and a controllable e by observability of M at t and
+  s.
+
+So L(S_K/G) is the infimal prefix-closed controllable and observable
+superlanguage of K (the logical result of Rudie and Wonham, 1990), and
+one walk builds it:
+
+1. `infimal_co_support` builds L(S_K/G) over (plant state, spec state,
+   cell of the spec's observer); the cell says what S_K enables.
+2. `reweight_infimal` gives each (cell of the closure's observer,
+   controllable event) the least factor that keeps the spec: the
+   largest spec/plant ratio over the closure states in the cell.  An
+   edge the closure added off the spec carries an infinitesimal ratio,
+   below every ordinary one, so added strings are present logically but
+   weightless.
+3. `refine_to_normal` controls the plant with those factors over (plant
+   state, closure cell): uncontrollable edges keep the plant's
+   probability, and a controllable edge exists where its (cell, event)
+   has a factor, with the plant's probability times that factor.  The
+   states are labelled with their cell, so the result is normal, which
+   `NormalPair` checks.
+
+`InfimalResult.result` has one state per (plant state, closure cell);
+`automata.minimize` quotients it to the fewest states that generate the
+same language, which is what `inf-pco` writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .automata import (
     InvariantError,
     JointSupport,
+    Observer,
     Pdes,
-    PdesError,
     State,
     _unobservable_reach,
     explore,
-    minimize_logic,
     observer,
     require_same_alphabet,
 )
-from .supervisor import NotSublanguageError, _require_sublanguage
-from .values import EPS, ONE, ZERO, EpsProb
-
-
-class ClosureDivergenceError(PdesError):
-    """The support saturation failed to stabilize within the round budget."""
-
-
-# the budget of saturation rounds, the last of which finds nothing to add
-_MAX_ROUNDS = 64
+from .supervisor import _require_sublanguage
+from .values import ONE, ZERO, EpsProb
 
 
 @dataclass(frozen=True)
 class NormalPair:
-    """The plant `g_n` as given, and a normal spec automaton `h_n` whose
-    states `x` track the plant state `x[0][0]` they are reached with and
-    are labelled `x[1]` with their observer cell: the states sharing a
-    label are one cell of `observer(h_n)`.  Building a pair checks this
+    """The plant `g_n` as given, and a normal automaton `h_n` whose states
+    `x` track the plant state `x[0]` they are reached with and are
+    labelled `x[1]` with their observer cell: the states sharing a label
+    are one cell of `observer(h_n)`.  Building a pair checks this
     (`validate`), so the cells are read from the labels."""
 
     g_n: Pdes
@@ -100,232 +100,122 @@ class NormalPair:
                 raise InvariantError("refined spec is not normal")
 
 
-def _pair_support(joint: JointSupport, spec: Pdes) -> Pdes:
-    """Logic automaton for the spec's support, on the integer states of
-    ``joint = JointSupport(plant, spec)``.  Rejects specs whose support leaves
-    the plant's, at the first pair (breadth-first) and event (event order)."""
-    escape = joint._first_escape(spec._out)
-    if escape is not None:
-        raise NotSublanguageError(f"specification support leaves the plant support on {escape[1]!r}")
-    trans = {(i, e): edge for i, row in enumerate(joint._out) for e, edge in row.items()}
-    return Pdes(joint.alphabet, joint.initial, trans, check_liveness=False)
+def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
+    """Generator of L(S_K/G), the infimal prefix-closed controllable and
+    observable superlanguage of the spec's support within the plant's.
+    Only the supports of the two automata are read.
 
-
-def _saturate_once(support: Pdes, plant: Pdes) -> Optional[Pdes]:
-    """One closure round, or None if it adds nothing.  Strings are tracked
-    as (support state or None, plant state, observation cell of the
-    current support or None); a frontier transition is added when the
-    plant allows an uncontrollable extension, or a controllable one that
-    some observation-equivalent support string already performs."""
+    A state is (plant state, spec state or None once the string has left
+    the spec, cell of `observer(spec)` or None once the observation has
+    left the spec's).  A plant edge is kept when the spec has it too, when
+    it is uncontrollable, or when some spec state of the cell enables it;
+    a spec edge the plant lacks raises `InvariantError`."""
+    require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
     controllable = alphabet.controllable
-    obs = observer(support)
-    enabled: List[Set[str]] = [
-        {e for s in cell for e in support._out[s] if e in controllable} for cell in obs.cells
-    ]
-
+    obs = observer(spec)
+    enabled = [{e for q in cell for e in spec._out[q] if e in controllable} for cell in obs.cells]
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    added = False
 
     def successors(state):
-        nonlocal added
-        k, x, o = state
-        rk = support._out[k] if k is not None else {}
+        x, q, o = state
         rx = plant._out[x]
+        rq = spec._out[q] if q is not None else {}
         for e in alphabet.events:
-            ek, ex = rk.get(e), rx.get(e)
-            kt = ek[0] if ek is not None else None
-            xt = ex[0] if ex is not None else None
-            if kt is not None:
-                if xt is None:
-                    raise InvariantError("support left the plant during saturation")
-            elif xt is not None and (
-                e not in controllable
-                or (o is not None and e in enabled[o])
-            ):
-                added = True
-            else:
+            ex, eq = rx.get(e), rq.get(e)
+            if ex is None:
+                if eq is not None:
+                    raise InvariantError(f"the spec leaves the plant's support on {e!r}")
                 continue
-            dst = (kt, xt, obs.step(o, e))
+            if eq is None and e in controllable and (o is None or e not in enabled[o]):
+                continue
+            dst = (ex[0], eq[0] if eq is not None else None, obs.step(o, e))
             trans[(state, e)] = (dst, ONE)
             yield dst
 
-    initial = (support.initial, plant.initial, obs.initial)
+    initial = (plant.initial, spec.initial, obs.initial)
     explore([initial], successors)
-    return Pdes(alphabet, initial, trans, check_liveness=False) if added else None
+    return Pdes(alphabet, initial, trans, check_liveness=False)
 
 
-def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
-    """Generator of the infimal prefix-closed controllable and observable
-    superlanguage of the spec's support, within the plant's support.
-    Only the supports of the two automata are read.
-
-    Iterates saturation rounds until a fixpoint; on return, no
-    uncontrollable extension and no observational saturation obligation
-    remains open (the final round is itself the check).
-    """
-    return _saturate(_pair_support(JointSupport(plant, spec), spec), plant)
-
-
-def _saturate(support: Pdes, plant: Pdes) -> Pdes:
-    for _ in range(_MAX_ROUNDS):
-        support = minimize_logic(support)
-        grown = _saturate_once(support, plant)
-        if grown is None:
-            return support
-        support = grown
-    raise ClosureDivergenceError(
-        f"support saturation still growing after {_MAX_ROUNDS} rounds"
-    )
-
-
-class _Sink:
-    """Absorbing completion state: reached as soon as a run leaves the
-    automaton it completes, and never left again."""
-
-    def __reduce__(self):
-        return "SINK"  # copies and pickles are the one module-level SINK
-
-    def __repr__(self):
-        return "<off>"
-
-
-SINK = _Sink()
-
-# the edge read for an event the tracked spec state lacks: into SINK, at EPS
-_OFF_SPEC = (SINK, EPS)
+def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> Dict[Tuple[int, str], EpsProb]:
+    """The factor of each (cell of ``obs = observer(support)``, controllable
+    event) that some state of the cell enables, for the closure ``support
+    = infimal_co_support(plant, spec)``: the largest spec/plant ratio over
+    the cell's states.  A state (x, q, o) reads the plant at x and the spec
+    at q.  An edge off the spec, with plant probability p, has the ratio
+    ``EpsProb(1 / p.magnitude, 1)``: infinitesimal whatever p is, so it
+    ranks below every ordinary ratio, and ``EPS / p`` when p is ordinary."""
+    controllable = plant.alphabet.controllable
+    best: Dict[Tuple[int, str], EpsProb] = {}
+    for i, cell in enumerate(obs.cells):
+        for state in cell:
+            x, q, _ = state
+            rx = plant._out[x]
+            rq = spec._out[q] if q is not None else {}
+            for e in support._out[state]:
+                if e in controllable:
+                    p, eq = rx[e][1], rq.get(e)
+                    ratio = eq[1] / p if eq is not None else EpsProb(1 / p.magnitude, 1)
+                    if ratio > best.get((i, e), ZERO):
+                        best[(i, e)] = ratio
+    return best
 
 
 def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
-    """Rebuild the (saturated) spec as a normal automaton.
-
-    The spec side generates the given support language, keeping the
-    original spec probabilities on the spec's own support and
-    infinitesimal probabilities on the strings the saturation added.
-    The (plant, support, spec-or-`SINK`) state triples are the joint
-    support of the plant, the support and the sink-completed spec, and
-    each state `(triple, cell)` is labelled with the index of its cell
-    in that joint support's observer; these labels are the observer
-    cells of the result, which `NormalPair` checks.  One breadth-first
-    walk over (triple, cell) emits each edge with its probability.  The
-    plant is returned as given beside it.
-    """
-    require_same_alphabet(plant, spec)
-    inner = JointSupport(plant, support)
-    if inner._first_escape(support._out) is not None:
-        raise InvariantError("the support automaton is not contained in the plant's support")
-    # the spec completed to SINK, as rows: an event a spec row lacks leads
-    # to SINK at EPS, and SINK leads to itself on every event
-    off = dict.fromkeys(plant.alphabet.events, _OFF_SPEC)
-    spec_rows = {q: {**off, **row} for q, row in spec._out.items()}
-    spec_rows[SINK] = off
-    completion = SimpleNamespace(alphabet=spec.alphabet, initial=spec.initial, _out=spec_rows)
-    joint = JointSupport(inner, completion)
-    # with the support inside the plant, a spec event the joint row lacks
-    # is one the support lacks
-    if joint._first_escape({**spec._out, SINK: {}}) is not None:
-        raise InvariantError("the support automaton does not contain the spec's support")
-    triples = [inner.pairs[i] + (h,) for i, h in joint.pairs]
-    obs = observer(joint)
+    """The plant controlled over (plant state, cell of
+    ``observer(support)``), for the closure ``support =
+    infimal_co_support(plant, spec)``: an uncontrollable edge keeps the
+    plant's probability, and a controllable one exists where its (cell,
+    event) has a `reweight_infimal` factor, with the plant's probability
+    times that factor.  Successors are scanned in event order, so the
+    states are numbered as a breadth-first walk of the result finds them.
+    Returns the plant beside it."""
+    obs = observer(support)
+    factors = reweight_infimal(plant, spec, support, obs)
+    alphabet = plant.alphabet
+    controllable = alphabet.controllable
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
     def successors(state):
-        t, o = state
-        src = (triples[t], o)
-        rh = spec_rows[triples[t][2]]
-        for e, (u, _) in joint._out[t].items():
-            dst = (u, obs.step(o, e))
-            trans[(src, e)] = ((triples[u], dst[1]), rh[e][1])
+        x, o = state
+        rx = plant._out[x]
+        for e in alphabet.events:
+            edge = rx.get(e)
+            if edge is None:
+                continue
+            p = edge[1]
+            if e in controllable:
+                factor = factors.get((o, e))
+                if factor is None:
+                    continue
+                p = factor * p
+            dst = (edge[0], obs.step(o, e))
+            trans[(state, e)] = (dst, p)
             yield dst
 
-    explore([(joint.initial, obs.initial)], successors)
-    h_n = Pdes(plant.alphabet, (triples[joint.initial], obs.initial), trans)
-
-    pair = NormalPair(plant, h_n)
-    _check_refinement(h_n, support, spec)
-    return pair
-
-
-def _check_refinement(h_n: Pdes, support: Pdes, spec: Pdes):
-    """The refined automaton must have the saturated support's structure,
-    carry exactly the spec's probabilities on the spec's support, and
-    exactly `EPS` on every edge off it.  Walks h_n beside the support and
-    the spec, tracking `SINK` once the run has left the spec."""
-    def successors(state):
-        y, k, q = state
-        ry, rk = h_n._out[y], support._out[k]
-        rq = spec._out[q] if q is not SINK else {}
-        if ry.keys() != rk.keys():
-            raise InvariantError("spec refinement changed the saturated support")
-        if not rq.keys() <= ry.keys():
-            raise InvariantError("spec refinement dropped a spec transition")
-        for e, (ty, p) in ry.items():
-            tq, pq = rq.get(e, _OFF_SPEC)
-            if p != pq:
-                raise InvariantError(f"spec refinement altered the probability of {e!r}")
-            yield (ty, rk[e][0], tq)
-
-    explore([(h_n.initial, support.initial, spec.initial)], successors)
-
-
-def reweight_infimal(pair: NormalPair) -> Pdes:
-    """Minimal probability lift of the refined spec, on its own edges.
-
-    Uncontrollable transitions take the plant's probabilities verbatim.
-    For each observation cell (the states sharing a label `x[1]`) and
-    controllable event, every member state is scaled to the same
-    fraction of its plant probability: the largest spec/plant ratio
-    achieved inside the cell (infinitesimal ratios rank below every
-    ordinary one).  A state `x` reads the plant at `x[0][0]`.  An edge
-    the plant lacks there, or a transition the plant forces where the
-    refined spec has none, raises `InvariantError`; `refine_to_normal`
-    follows the plant, and the saturated support is controllable and
-    observable, so on a pair it builds that never happens.
-    """
-    plant, h_n = pair.g_n, pair.h_n
-    controllable = plant.alphabet.controllable
-    rows = [(x, h_n._out[x], plant._out[x[0][0]]) for x in h_n.states]
-    best: Dict[Tuple[State, str], EpsProb] = {}  # (label, controllable event) -> largest ratio
-    for x, row, prow in rows:
-        if not row.keys() <= prow.keys():
-            raise InvariantError(f"the refined spec leaves the plant at {x!r}")
-        for e, (_, p) in row.items():
-            if e in controllable:
-                ratio, key = p / prow[e][1], (x[1], e)
-                if ratio > best.get(key, ZERO):
-                    best[key] = ratio
-
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    for x, row, prow in rows:
-        for e in prow:
-            if e not in row and (e not in controllable or (x[1], e) in best):
-                raise InvariantError(f"the plant forces {e!r} at {x!r} but the refined spec lacks it")
-        for e, (dst, _) in row.items():
-            q = prow[e][1]
-            trans[(x, e)] = (dst, best[(x[1], e)] * q if e in controllable else q)
-    return Pdes(plant.alphabet, h_n.initial, trans, states=h_n.states)
+    initial = (plant.initial, obs.initial)
+    explore([initial], successors)
+    return NormalPair(plant, Pdes(alphabet, initial, trans))
 
 
 @dataclass(frozen=True)
 class InfimalResult:
+    """The closure L(S_K/G) as a logic automaton, and the labelled
+    controlled plant that generates the infimum."""
+
     support: Pdes
-    spec_normal: Pdes
     result: Pdes
 
 
 def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
     """Full pipeline; the result generates the infimal probabilistic
-    controllable and observable superlanguage of the spec w.r.t. the plant."""
-    joint = JointSupport(plant, spec)
-    _require_sublanguage(joint, plant, spec)
-    support = _saturate(_pair_support(joint, spec), plant)
-    pair = refine_to_normal(plant, spec, support)
-    result = reweight_infimal(pair)
-    return InfimalResult(support, pair.h_n, result)
-
-
-def infimal_superlanguage(plant: Pdes, spec: Pdes) -> Pdes:
-    return infimal_pipeline(plant, spec).result
+    controllable and observable superlanguage of the spec w.r.t. the
+    plant.  A spec that is not a sublanguage of the plant raises
+    `NotSublanguageError` with the witness of `is_sublanguage`."""
+    _require_sublanguage(JointSupport(plant, spec), plant, spec)
+    support = infimal_co_support(plant, spec)
+    return InfimalResult(support, refine_to_normal(plant, spec, support).h_n)
 
 
 def strip_eps_edges(a: Pdes) -> Pdes:

@@ -32,6 +32,23 @@ def build(alphabet, initial, triples):
     return Pdes(alphabet, initial, trans)
 
 
+def project(alphabet, word):
+    """The observation of a string: its observable events, in order."""
+    for e in word:
+        alphabet.index(e)  # rejects an unknown event
+    return tuple(e for e in word if e in alphabet.observable)
+
+
+def is_partition(cells, states):
+    """Whether the cells are disjoint and cover exactly the states."""
+    todo = set(states)
+    for cell in cells:
+        if not cell <= todo:
+            return False
+        todo -= cell
+    return not todo
+
+
 # -- patrol robot model: five events, two controllable turns ------------
 
 

@@ -39,7 +39,7 @@ from pdesctl import (
     strip_eps_edges,
     supervisor_from_scaling,
 )
-from pdesctl import cli, infimal
+from pdesctl import cli
 from pdesctl.cli import main
 from conftest import (
     E,
@@ -299,6 +299,43 @@ class TestInfPco:
         g, h = loop_files
         assert main(["inf-pco", h, g]) == 1
 
+    # e2 is controllable and unobservable, and the plant gives it an
+    # infinitesimal probability at n0; the spec lowers e0 and e1 and drops
+    # e2 at n1, so the closure adds e2 at n0 off the spec
+    EPS_PLANT = """\
+states: n0 n1
+initial: n0
+controllable: e0 e1 e2
+uncontrollable: e3
+observable: e0 e1
+unobservable: e2 e3
+trans: n0 e0 n1 5/13
+trans: n0 e1 n1 5/13
+trans: n0 e2 n1 0+^{degree}·3/26
+trans: n1 e1 n1 0.2
+trans: n1 e2 n0 0.8
+"""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_off_spec_edge_at_infinitesimal_plant_probability(self, tmp_path, capsys, degree):
+        # the off-spec ratio stays infinitesimal: it used to be EPS / p,
+        # which is 26/3 for degree 1 (liveness above one) and has a negative
+        # degree for degree 2
+        plant = self.EPS_PLANT.format(degree=degree)
+        spec = plant.replace("n0 e0 n1 5/13", "n0 e0 n1 20/91").replace("n1 e1 n1 0.2", "n1 e1 n1 4/35")
+        spec = spec.replace("trans: n1 e2 n0 0.8\n", "")
+        g, h, out = tmp_path / "g.pda", tmp_path / "h.pda", tmp_path / "tilde.pda"
+        g.write_text(plant)
+        h.write_text(spec)
+        assert main(["inf-pco", str(g), str(h), "--out", str(out)]) == 0
+        assert f"trans: x0 e2 x2 0+^{degree}·3/26\n" in out.read_text()
+        capsys.readouterr()
+        assert main(["check-ctrl", str(g), str(out)]) == 0
+        assert main(["check-obs", str(g), str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "probabilistic controllability: HOLDS\nprobabilistic observability: HOLDS\n"
+        )
+
 
 class TestSimulateCommand:
     def test_simulate_tsv(self, robot_files, tmp_path, capsys):
@@ -456,13 +493,12 @@ class TestExitCodes:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
 
-    def test_other_package_error_is_2(self, tmp_path, capsys, monkeypatch):
-        # a PdesError that is neither a FormatError nor an InvariantError;
-        # the first saturation round on the branches pair adds strings
-        monkeypatch.setattr(infimal, "_MAX_ROUNDS", 1)
-        g, h = write(tmp_path, "g.pda", branch_plant()), write(tmp_path, "h.pda", branch_spec())
+    def test_other_package_error_is_2(self, tmp_path, capsys):
+        # a PdesError that is neither a FormatError nor an InvariantError:
+        # the branches plant and the robot spec have different alphabets
+        g, h = write(tmp_path, "g.pda", branch_plant()), write(tmp_path, "h.pda", robot_spec())
         assert main(["inf-pco", g, h]) == 2
-        assert capsys.readouterr() == ("", "error: support saturation still growing after 1 rounds\n")
+        assert capsys.readouterr() == ("", "error: operands must share one alphabet\n")
 
     def test_repeated_calls_share_nothing(self, tmp_path, capsys):
         """One process, several commands: each call parses its own arguments."""

@@ -107,9 +107,9 @@ class TestConvergence:
 class TestRejections:
     def test_rejects_infinitesimal_probabilities(self, branches):
         plant, spec = branches
-        from pdesctl import infimal_pipeline
+        from reference_infimal import reference_infimal_pipeline
 
-        h_n = infimal_pipeline(plant, spec).spec_normal
+        h_n = reference_infimal_pipeline(plant, spec).spec_normal
         sup = full_supervisor(h_n)
         with pytest.raises(InvariantError):
             run_trials(h_n, sup, TrialConfig(trials=10, max_depth=2, seed=1))

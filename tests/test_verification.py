@@ -20,6 +20,7 @@ from pdesctl.verification import _ANY, _ratio_class
 from conftest import (
     E,
     drop_transitions,
+    project,
     random_alphabet,
     random_plant,
     random_subspec,
@@ -172,7 +173,7 @@ class TestWitnessValidity:
             found += 1
             s1, s2 = verdict.witness.strings
             e = verdict.witness.event
-            assert plant.alphabet.project(s1) == plant.alphabet.project(s2)
+            assert project(plant.alphabet, s1) == project(plant.alphabet, s2)
             assert not spec.eval_language(s1).is_zero
             assert not spec.eval_language(s2).is_zero
             g1, h1 = plant.eval_language(s1), spec.eval_language(s1)
