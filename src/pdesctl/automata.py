@@ -496,7 +496,9 @@ class Observer(ObservationClasses):
 
 
 def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]]:
-    """The closure of a set of states under unobservable events, as a function."""
+    """The closure of a set of states under unobservable events, as a
+    function that closes each distinct set once: its table lives as long
+    as the function."""
     out = a._out
     unobs = [e for e in a.alphabet.events if e not in a.alphabet.observable]
 
@@ -504,7 +506,8 @@ def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]
         row = out[s]
         return [row[e][0] for e in unobs if e in row]
 
-    return lambda states: frozenset(explore(states, successors))
+    closures = _Table(lambda targets: frozenset(explore(targets, successors)))
+    return lambda states: closures[frozenset(states)]
 
 
 def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] = None) -> Observer:

@@ -27,7 +27,9 @@ one walk builds it:
    cell of the spec's observer); the cell says what S_K enables.
 2. `reweight_infimal` gives each (cell of the closure's observer,
    controllable event) the least factor that keeps the spec: the
-   largest spec/plant ratio over the closure states in the cell.  An
+   largest spec/plant ratio over the closure states in the cell.  A
+   closure state can lie in several cells, so each ratio is computed
+   once per (plant state, spec state, event) and read per cell.  An
    edge the closure added off the spec carries an infinitesimal ratio,
    below every ordinary one, so added strings are present logically but
    weightless.
@@ -60,7 +62,7 @@ from .automata import (
     require_same_alphabet,
 )
 from .supervisor import _require_sublanguage
-from .values import ONE, ZERO, EpsProb
+from .values import ONE, ZERO, EpsProb, _Table
 
 
 @dataclass(frozen=True)
@@ -147,18 +149,23 @@ def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> D
     ``EpsProb(1 / p.magnitude, 1)``: infinitesimal whatever p is, so it
     ranks below every ordinary ratio, and ``EPS / p`` when p is ordinary."""
     controllable = plant.alphabet.controllable
+
+    def ratio(key):
+        x, q, e = key
+        p = plant._out[x][e][1]
+        eq = spec._out[q].get(e) if q is not None else None
+        return eq[1] / p if eq is not None else EpsProb(1 / p.magnitude, 1)
+
+    ratios = _Table(ratio)  # per (x, q, e): a state can lie in several cells
     best: Dict[Tuple[int, str], EpsProb] = {}
     for i, cell in enumerate(obs.cells):
         for state in cell:
             x, q, _ = state
-            rx = plant._out[x]
-            rq = spec._out[q] if q is not None else {}
             for e in support._out[state]:
                 if e in controllable:
-                    p, eq = rx[e][1], rq.get(e)
-                    ratio = eq[1] / p if eq is not None else EpsProb(1 / p.magnitude, 1)
-                    if ratio > best.get((i, e), ZERO):
-                        best[(i, e)] = ratio
+                    r = ratios[(x, q, e)]
+                    if r > best.get((i, e), ZERO):
+                        best[(i, e)] = r
     return best
 
 
@@ -174,7 +181,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     obs = observer(support)
     factors = reweight_infimal(plant, spec, support, obs)
     alphabet = plant.alphabet
-    controllable = alphabet.controllable
+    controllable, observable = alphabet.controllable, alphabet.observable
     trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
     def successors(state):
@@ -190,7 +197,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
                 if factor is None:
                     continue
                 p = factor * p
-            dst = (edge[0], obs.step(o, e))
+            dst = (edge[0], obs.trans[(o, e)] if e in observable else o)
             trans[(state, e)] = (dst, p)
             yield dst
 

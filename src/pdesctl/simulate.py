@@ -3,9 +3,9 @@
 Each trial replays the roulette semantics: at every step the supervisor
 samples a control pattern for the current observation class, then the
 plant fires one of the enabled transitions (or terminates with the
-residual probability mass).  Trials draw from independent generators
-keyed by (seed, trial index), so reports are reproducible and
-aggregation order does not matter.
+residual probability mass).  Each trial reseeds one generator from a
+key of (seed, trial index), so reports are reproducible and aggregation
+order does not matter.
 
 Sampling walks per-state transition rows built once before the trials.
 The exact target of each reported string is computed once, along the
@@ -64,11 +64,6 @@ class FrequencyReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    digest = hashlib.blake2b(f"{seed}:{trial}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyReport:
     if sup.alphabet != plant.alphabet:
         raise InvariantError("supervisor alphabet does not match the plant")
@@ -101,8 +96,10 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
     cdfs = _Table(pattern_cdf)  # per class, built on first use
 
     counts: Dict[Word, int] = {(): cfg.trials}
+    rng = random.Random()  # reseeded per trial, keyed by (seed, trial index)
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
+        digest = hashlib.blake2b(f"{cfg.seed}:{trial}".encode(), digest_size=8).digest()
+        rng.seed(int.from_bytes(digest, "big"))
         state = plant.initial
         cls = classes.initial
         word: Word = ()

@@ -25,7 +25,7 @@ from pdesctl import (
     observer,
     product,
 )
-from pdesctl.automata import require_same_alphabet
+from pdesctl.automata import JointSupport, require_same_alphabet
 from conftest import (
     E,
     build,
@@ -591,6 +591,85 @@ class TestObserver:
             assert set(reads) <= cells[0]
             multi += len(cells) > 1
         assert multi >= 25
+
+
+def reference_observer(a):
+    """A plain subset construction: every cell's unobservable reach is a
+    fresh walk, cells are numbered as a breadth-first walk finds them and
+    successors are taken in event order.  Returns (cells, transitions)."""
+    out, observable = a._out, a.alphabet.observable
+
+    def close(states):
+        cell, stack = set(states), list(states)
+        while stack:
+            for e, (dst, _) in out[stack.pop()].items():
+                if e not in observable and dst not in cell:
+                    cell.add(dst)
+                    stack.append(dst)
+        return frozenset(cell)
+
+    cells = [close([a.initial])]
+    index = {cells[0]: 0}
+    trans = {}
+    for i, cell in enumerate(cells):  # grows as cells are found
+        for e in a.alphabet.events:
+            targets = {out[s][e][0] for s in cell if e in out[s]}
+            if e in observable and targets:
+                nxt = close(targets)
+                if nxt not in index:
+                    index[nxt] = len(cells)
+                    cells.append(nxt)
+                trans[(i, e)] = index[nxt]
+    return cells, trans
+
+
+def unobservable_shapes_plant(rng):
+    """A plant over unobservable a, b and observable c, d: a runs a chain
+    through all states and then back (a cycle, or a self-loop at the last
+    state), b adds self-loops and back edges, c and d jump anywhere."""
+    alphabet = Alphabet.make(["a", "c"], ["b", "d"], ["c", "d"])
+    k = rng.randint(1, 12)
+    trans = {}
+    for i in range(k):
+        targets = {"a": i + 1 if i + 1 < k else rng.randrange(k)}
+        if rng.random() < 0.6:
+            targets["b"] = rng.choice([i, rng.randrange(i + 1)])
+        for e in "cd":
+            if rng.random() < 0.5:
+                targets[e] = rng.randrange(k)
+        weights = [rng.randint(1, 4) for _ in targets]
+        denom = sum(weights) + rng.randint(0, 2)
+        for (e, j), w in zip(targets.items(), weights):
+            trans[(f"n{i}", e)] = (f"n{j}", E(w, denom))
+    return Pdes(alphabet, "n0", trans)
+
+
+class TestObserverReference:
+    def inputs(self):
+        rng = random.Random(47)
+        for i in range(300):
+            if i % 2:
+                plant = random_plant(rng, random_alphabet(rng), max_states=7)
+            else:
+                plant = unobservable_shapes_plant(rng)
+            yield plant
+            yield JointSupport(plant, random_subspec(rng, plant))
+
+    def test_matches_plain_subset_construction(self):
+        # a reach table keyed by anything less than the whole target set
+        # would hand some cell a closure of other targets
+        seen = {"multi_target": 0, "joint": 0}
+        for a in self.inputs():
+            cells, trans = reference_observer(a)
+            obs = observer(a)
+            assert (obs.initial, obs.count) == (0, len(cells))
+            assert obs.cells == tuple(cells)
+            assert obs.trans == trans
+            seen["joint"] += isinstance(a, JointSupport)
+            seen["multi_target"] += any(
+                len({a._out[s][e][0] for s in cells[i] if e in a._out[s]}) > 1 for i, e in trans
+            )
+        assert seen["joint"] == 300 and seen["multi_target"] >= 100, seen
 
 
 class TestLogic:

@@ -514,6 +514,30 @@ class TestReweight:
                 seen["ordinary" if factor.is_ordinary else "eps"] += 1
         assert min(seen.values()) >= 40, seen
 
+    def test_table_is_the_brute_force_maximum(self):
+        # one ratio per cell membership, with no memo; a memo keyed without
+        # the spec state would hand one spec state's ratio to another
+        seen = {"shared_state": 0, "eps_plant_off_spec": 0}
+        for plant, spec in [*seeded_pairs(), *eps_plant_pairs(263, 300)]:
+            support, obs, factors = factor_table(plant, spec)
+            best = {}
+            for i, cell in enumerate(obs.cells):
+                for state in cell:
+                    x, q, _ = state
+                    for e in support._out[state]:
+                        if e not in plant.alphabet.controllable:
+                            continue
+                        p = plant._out[x][e][1]
+                        eq = spec._out[q].get(e) if q is not None else None
+                        ratio = eq[1] / p if eq is not None else EpsProb(1 / p.magnitude, 1)
+                        if ratio > best.get((i, e), ZERO):
+                            best[(i, e)] = ratio
+                        seen["eps_plant_off_spec"] += eq is None and not p.is_ordinary
+            assert factors == best
+            memberships = [state for cell in obs.cells for state in cell]
+            seen["shared_state"] += len(memberships) > len(set(memberships))
+        assert seen["shared_state"] >= 50 and seen["eps_plant_off_spec"] >= 40, seen
+
     def test_off_spec_ratio_over_infinitesimal_plant_probability(self):
         # c is unobservable, so every string is in one cell.  The spec
         # takes c once, at EPS/4 where the plant has 1/2; the closure adds
