@@ -1,11 +1,12 @@
 """Deterministic probabilistic automata and their structural operations.
 
-States are arbitrary hashable objects (the text format uses strings;
-constructed automata use tuples, and `minimize` block numbers).  Transition probabilities are exact
-`EpsProb` values and are strictly positive wherever a transition is
-stored; per-state liveness (the dominant-term sum of outgoing
-probabilities) never exceeds one for probabilistic automata.  Logic
-automata (all probabilities one) skip the liveness bound.
+States are arbitrary hashable objects: the text format uses strings,
+`product` pairs, and walks the numbers 0..n-1 with a label table.
+Transition probabilities are exact `EpsProb` values and are strictly
+positive wherever a transition is stored; per-state liveness (the
+dominant-term sum of outgoing probabilities) never exceeds one for
+probabilistic automata.  Logic automata (all probabilities one) skip the
+liveness bound.  Every automaton is checked on one path, `Pdes._take_rows`.
 """
 
 from __future__ import annotations
@@ -161,9 +162,10 @@ def _dominant_sum(row) -> Tuple[int, int, int]:
 
 
 class Pdes:
-    """A deterministic probabilistic automaton (a PDES)."""
+    """A deterministic probabilistic automaton (a PDES); ``labels``, if not
+    None, is a table saying what each of the states 0..n-1 stands for."""
 
-    __slots__ = ("alphabet", "initial", "_states", "_out")
+    __slots__ = ("alphabet", "initial", "_states", "_out", "labels")
 
     def __init__(
         self,
@@ -174,46 +176,66 @@ class Pdes:
         check_liveness: bool = True,
         on_unreachable: str = "error",
     ):
-        self.alphabet = alphabet
-        self.initial = initial
         # one row {event: (target, probability)} per state, in the order the
         # states are first named: initial, then `states`, then transitions
-        out: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {initial: {}}
-        for s in states or ():
-            out.setdefault(s, {})
-        events = alphabet._position
-        for key, edge in transitions.items():
-            src, event = key
-            dst, prob = edge
-            if event not in events:
-                raise InvariantError(f"transition uses unknown event {event!r}")
-            if not isinstance(prob, EpsProb):
-                raise InvariantError("transition probabilities must be EpsProb values")
-            if not prob.magnitude:
-                raise InvariantError(f"stored transition ({src!r},{event!r}) must have positive probability")
-            row = out.get(src)
-            if row is None:
-                row = out[src] = {}
-            row[event] = edge
-            if dst not in out:
-                out[dst] = {}
+        rows: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {s: {} for s in (initial, *(states or ()))}
+        for (src, event), edge in transitions.items():
+            rows.setdefault(src, {})[event] = edge
+            rows.setdefault(edge[0], {})
+        self._take_rows(alphabet, initial, rows, None, check_liveness, on_unreachable)
 
-        reachable = explore([initial], lambda s: [edge[0] for edge in out[s].values()])
-        if len(reachable) != len(out):
-            keep = set(reachable)
-            unreachable = [s for s in out if s not in keep]
+    @classmethod
+    def _from_rows(cls, alphabet: Alphabet, initial: State, rows, labels: Optional[Sequence] = None,
+                   check_liveness: bool = True, on_unreachable: str = "error") -> "Pdes":
+        """The automaton of ``rows``: {state: {event: (target, probability)}}
+        in state order, or the list of the rows of states 0..n-1, with a row
+        for every target."""
+        a = cls.__new__(cls)
+        a._take_rows(alphabet, initial, rows, labels, check_liveness, on_unreachable)
+        return a
+
+    def _take_rows(self, alphabet, initial, rows, labels, check_liveness, on_unreachable):
+        """The one checking path of every automaton: each edge's event and
+        probability, reachability (or trimming, with a warning), liveness."""
+        rows = dict(enumerate(rows)) if isinstance(rows, list) else rows
+        events = alphabet._position
+
+        def check(src):
+            for event, (_, prob) in rows[src].items():
+                if event not in events:
+                    raise InvariantError(f"transition uses unknown event {event!r}")
+                if not isinstance(prob, EpsProb):
+                    raise InvariantError("transition probabilities must be EpsProb values")
+                if not prob.magnitude:
+                    raise InvariantError(f"stored transition ({src!r},{event!r}) must have positive probability")
+
+        reached, stack = {initial}, [initial]  # depth first, checking each row it reaches
+        while stack:
+            src = stack.pop()
+            check(src)
+            for dst, _ in rows[src].values():
+                if dst not in reached:
+                    reached.add(dst)
+                    stack.append(dst)
+        if len(reached) != len(rows):
+            unreachable = [s for s in rows if s not in reached]
+            for s in unreachable:
+                check(s)
             if on_unreachable != "trim":
                 raise InvariantError(f"unreachable states: {unreachable!r}")
             warnings.warn(f"dropping {len(unreachable)} unreachable state(s)", UnreachableStateWarning)
-            out = {s: row for s, row in out.items() if s in keep}
-
-        self._states = tuple(out)
-        self._out = out
+            rows = {s: row for s, row in rows.items() if s in reached}
         if check_liveness:
-            for s, row in out.items():
+            for s, row in rows.items():
                 num, den, degree = _dominant_sum(row)
                 if not degree and num > den:
                     raise InvariantError(f"liveness exceeds 1 at state {s!r}")
+
+        self.alphabet = alphabet
+        self.initial = initial
+        self._states = tuple(rows)
+        self._out = rows
+        self.labels = labels
 
     def _targets(self, state: State) -> List[State]:
         """Targets of the state's transitions, in event order."""
@@ -297,14 +319,13 @@ class Pdes:
 
     def logic(self) -> "Pdes":
         """The same transition structure with every probability set to one."""
-        trans = {(s, e): (dst, ONE) for s, row in self._out.items() for e, (dst, _) in row.items()}
-        return Pdes(self.alphabet, self.initial, trans, states=self._states, check_liveness=False)
+        rows = {s: {e: (dst, ONE) for e, (dst, _) in row.items()} for s, row in self._out.items()}
+        return Pdes._from_rows(self.alphabet, self.initial, rows, self.labels, check_liveness=False)
 
     def rename(self, mapping: Dict[State, State]) -> "Pdes":
-        rows = self._out.items()
-        trans = {(mapping[src], e): (mapping[dst], p) for src, row in rows for e, (dst, p) in row.items()}
-        states = [mapping[s] for s in self._states]
-        return Pdes(self.alphabet, mapping[self.initial], trans, states=states, check_liveness=False)
+        """State s named ``mapping[s]``, for a one-to-one mapping."""
+        rows = {mapping[s]: {e: (mapping[d], p) for e, (d, p) in row.items()} for s, row in self._out.items()}
+        return Pdes._from_rows(self.alphabet, mapping[self.initial], rows, check_liveness=False)
 
     def canonical_names(self, prefix: str = "x") -> "Pdes":
         """Rename states ``x0, x1, ...`` in breadth-first discovery order."""
@@ -336,6 +357,23 @@ def explore(initial: Iterable[State], successors: Callable[[State], Iterable[Sta
     return list(seen)
 
 
+def numbered_walk(initial: State, successors: Callable[[State], Iterable[Tuple[str, State, EpsProb]]]):
+    """Breadth-first walk numbering states 0..n-1 as found; ``successors(label)``
+    yields a state's (event, target label, probability) in row order.
+    Returns the labels (state i's is ``labels[i]``) and the rows on numbers."""
+    index, labels, rows = {initial: 0}, [initial], []
+    for label in labels:  # grows as the walk finds states
+        row = {}
+        for e, target, p in successors(label):
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(labels)
+                labels.append(target)
+            row[e] = (j, p)
+        rows.append(row)
+    return labels, rows
+
+
 # the edge read for an event a row lacks: row.get(e, _ABSENT)[1] is its probability
 _ABSENT = (None, ZERO)
 
@@ -353,19 +391,15 @@ class JointSupport:
     def __init__(self, a: Pdes, b: Pdes):
         require_same_alphabet(a, b)
         events = a.alphabet.events
-        targets: List[Dict[str, Tuple[State, State]]] = []
 
         def successors(pair):
             ra, rb = a._out[pair[0]], b._out[pair[1]]
-            row = {e: (ra[e][0], rb[e][0]) for e in events if e in ra and e in rb}
-            targets.append(row)
-            return row.values()
+            return [(e, (ra[e][0], rb[e][0]), ONE) for e in events if e in ra and e in rb]
 
         self.alphabet = a.alphabet
         self.initial = 0
-        self.pairs = explore([(a.initial, b.initial)], successors)
-        index = self.index = {pair: i for i, pair in enumerate(self.pairs)}
-        self._out = [{e: (index[dst], ONE) for e, dst in row.items()} for row in targets]
+        self.pairs, self._out = numbered_walk((a.initial, b.initial), successors)
+        self.index = {pair: i for i, pair in enumerate(self.pairs)}
 
     def access(self) -> List[Word]:
         """Per state, the shortest string reaching it (ties broken by event
@@ -395,14 +429,11 @@ def product(a: Pdes, b: Pdes) -> Pdes:
     component probabilities and exists only where that minimum is positive.
     Its states are the pairs of `JointSupport(a, b)`, in the same order."""
     joint = JointSupport(a, b)
-    pairs = joint.pairs
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    for pair, row in zip(pairs, joint._out):
-        ra, rb = a._out[pair[0]], b._out[pair[1]]
-        for e, (j, _) in row.items():
-            pa, pb = ra[e][1], rb[e][1]
-            trans[(pair, e)] = (pairs[j], pa if pa <= pb else pb)
-    return Pdes(a.alphabet, pairs[0], trans, check_liveness=False)
+    pairs, rows = joint.pairs, {}
+    for (x, y), row in zip(pairs, joint._out):
+        ra, rb = a._out[x], b._out[y]
+        rows[(x, y)] = {e: (pairs[j], min(ra[e][1], rb[e][1])) for e, (j, _) in row.items()}
+    return Pdes._from_rows(a.alphabet, pairs[0], rows, check_liveness=False)
 
 
 def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
@@ -549,21 +580,26 @@ def observer_automaton(a: Pdes) -> Pdes:
     return Pdes(alph, obs.cells[obs.initial], trans, states=obs.cells, check_liveness=False)
 
 
-def minimize(a: Pdes) -> Pdes:
+def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
     """Quotient by equal futures: two states merge when they define the
     same events with the same probabilities into states that merge.  The
     result generates the same language with the fewest states.
 
-    Moore refinement on integer rows: the states are numbered in order
-    and each row is kept as the list of its targets' numbers in event
-    order.  The first partition groups the rows by (event, probability),
-    a probability read as the integers (numerator, denominator, degree);
-    each round then splits a block by its members' target blocks, until
-    the block count stops changing.  The quotient's states are the block
-    numbers, the initial state's block being 0, and each block takes the
-    row of its first member."""
+    Moore refinement on integer rows: each row is kept as its targets'
+    numbers in event order (the states themselves when they are 0..n-1).
+    The first partition groups the rows by (event, probability), read as
+    the integers (numerator, denominator, degree); each round splits a
+    block by its members' target blocks, until the count stops changing.
+    Blocks are numbered in the order of their first members, whose rows
+    they take, and named ``f"{prefix}{b}"`` when a prefix is given.  On an
+    automaton numbered breadth first in event order (as `numbered_walk`
+    numbers a walk in event order) the walk of the quotient meets each
+    block first at its first member, so the blocks are in breadth-first
+    order too and ``minimize(a, prefix)`` is
+    ``minimize(a).canonical_names(prefix)``."""
     states, out = a._states, a._out
-    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    index = range(n) if states == tuple(range(n)) else {s: i for i, s in enumerate(states)}
     events = a.alphabet.events
     keys: Dict[tuple, int] = {}
     block: List[int] = []
@@ -589,14 +625,12 @@ def minimize(a: Pdes) -> Pdes:
         if len(sigs) == count:
             break
         count = len(sigs)
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
-    built = [False] * count
+    names = range(count) if prefix is None else [f"{prefix}{b}" for b in range(count)]
+    quotient: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {}
     for s, b in zip(states, block):
-        if not built[b]:
-            built[b] = True
-            for e, (dst, p) in out[s].items():
-                trans[(b, e)] = (block[index[dst]], p)
-    return Pdes(a.alphabet, 0, trans, check_liveness=False)
+        if names[b] not in quotient:
+            quotient[names[b]] = {e: (names[block[index[dst]]], p) for e, (dst, p) in out[s].items()}
+    return Pdes._from_rows(a.alphabet, names[0], quotient, check_liveness=False)
 
 
 def minimize_logic(a: Pdes) -> Pdes:
@@ -656,7 +690,7 @@ def _alphabet_lines(alphabet: Alphabet) -> List[str]:
 
 def loads_automaton(text: str) -> Pdes:
     """Parse the line-oriented automaton format (see `dumps_automaton`)."""
-    states: dict = {}  # the declared states, in order
+    states: Optional[dict] = None  # the declared states, in order, once a states line is read
     initial = None
     header: list = []  # (line, directive, events) of the alphabet lines
     raw_trans: list = []
@@ -670,6 +704,7 @@ def loads_automaton(text: str) -> Pdes:
         key = key.strip()
         fields = rest.split()
         if key == "states":
+            states = {} if states is None else states
             for s in fields:
                 if s in states:
                     raise FormatError(f"duplicate state {s!r}", lineno)
@@ -694,13 +729,18 @@ def loads_automaton(text: str) -> Pdes:
     alphabet = _header_alphabet(header)
 
     probs = _Table(parse_prob)
-    trans = {}
+    # one row per state, in the order the states are first named: initial,
+    # then the declared states, then the transitions' sources and targets
+    rows: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {s: {} for s in (initial, *(states or ()))}
     for lineno, (src, event, dst, prob_text) in raw_trans:
-        if states and (src not in states or dst not in states):
+        if states is not None and (src not in states or dst not in states):
             raise FormatError(f"transition references undeclared state", lineno)
-        if (src, event) in trans:
+        row = rows.get(src)
+        if row is None:
+            row = rows[src] = {}
+        elif event in row:
             raise FormatError(f"duplicate transition from {src!r} on {event!r}", lineno)
-        if event not in alphabet.events:
+        if event not in alphabet._position:
             raise FormatError(f"unknown event {event!r}", lineno)
         try:
             prob = probs[prob_text]
@@ -708,12 +748,14 @@ def loads_automaton(text: str) -> Pdes:
             raise FormatError(str(e), lineno) from None
         if prob.is_zero:
             raise FormatError("transitions must have positive probability", lineno)
-        trans[(src, event)] = (dst, prob)
+        row[event] = (dst, prob)
+        if dst not in rows:
+            rows[dst] = {}
 
-    if states and initial not in states:
+    if states is not None and initial not in states:
         raise FormatError(f"initial state {initial!r} not declared")
     try:
-        return Pdes(alphabet, initial, trans, states=states, on_unreachable="trim")
+        return Pdes._from_rows(alphabet, initial, rows, on_unreachable="trim")
     except InvariantError as e:
         raise FormatError(str(e)) from None
 

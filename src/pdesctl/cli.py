@@ -151,7 +151,7 @@ def cmd_inf_pco(args) -> int:
     result = infimal_pipeline(plant, spec).result
     if args.strip_eps:
         result = strip_eps_edges(result)
-    _emit(dumps_automaton(minimize(result).canonical_names()), args.out)
+    _emit(dumps_automaton(minimize(result, prefix="x")), args.out)
     if args.out:
         print(f"infimal superlanguage generator written to {args.out}")
     return 0

@@ -24,7 +24,8 @@ superlanguage of K (the logical result of Rudie and Wonham, 1990), and
 one walk builds it:
 
 1. `infimal_co_support` builds L(S_K/G) over (plant state, spec state,
-   cell of the spec's observer); the cell says what S_K enables.
+   cell of the spec's observer); the cell says what S_K enables.  Its
+   states, like the result's, are 0..n-1 with a table of these labels.
 2. `reweight_infimal` gives each (cell of the closure's observer,
    controllable event) the least factor that keeps the spec: the
    largest spec/plant ratio over the closure states in the cell.  A
@@ -36,9 +37,9 @@ one walk builds it:
 3. `refine_to_normal` controls the plant with those factors over (plant
    state, closure cell): uncontrollable edges keep the plant's
    probability, and a controllable edge exists where its (cell, event)
-   has a factor, with the plant's probability times that factor.  The
-   states are labelled with their cell, so the result is normal, which
-   `NormalPair` checks.
+   has a factor, with the plant's probability times that factor.  Each
+   state is labelled with its cell, so the result is normal, which
+   `NormalPair` checks on the labels.
 
 `InfimalResult.result` has one state per (plant state, closure cell);
 `automata.minimize` quotients it to the fewest states that generate the
@@ -57,7 +58,7 @@ from .automata import (
     Pdes,
     State,
     _unobservable_reach,
-    explore,
+    numbered_walk,
     observer,
     require_same_alphabet,
 )
@@ -67,10 +68,10 @@ from .values import ONE, ZERO, EpsProb, _Table
 
 @dataclass(frozen=True)
 class NormalPair:
-    """The plant `g_n` as given, and a normal automaton `h_n` whose states
-    `x` track the plant state `x[0]` they are reached with and are
-    labelled `x[1]` with their observer cell: the states sharing a label
-    are one cell of `observer(h_n)`.  Building a pair checks this
+    """The plant `g_n` as given, and a normal automaton `h_n` whose label
+    table gives state i the label ``(x, o)``: the plant state x it is
+    reached with, and its observer cell o.  The states sharing a cell are
+    one cell of `observer(h_n)`.  Building a pair checks this
     (`validate`), so the cells are read from the labels."""
 
     g_n: Pdes
@@ -80,25 +81,28 @@ class NormalPair:
         self.validate()
 
     def validate(self):
-        """Raise unless the labels are the observer cells of h_n: the
-        unobservable reach of the initial state, and of the targets of each
-        label's states on each observable event, is exactly the states
-        labelled like one of them (so all of them share that label).  By
-        induction on the observation each observer cell is one label's
-        states, and every state is reachable, so the cells partition the
-        states."""
+        """Raise unless the cells of the labels are the observer cells of
+        h_n: the unobservable reach of the initial state, and of the
+        targets of each cell's states on each observable event, is exactly
+        the states of one cell (so all of them share it).  By induction on
+        the observation each observer cell is one label cell, and every
+        state is reachable, so the observer cells partition the states."""
         h_n = self.h_n
+        labels = h_n.labels
+        if labels is None:
+            raise InvariantError("the normal automaton has no label table")
         observable = h_n.alphabet.observable
-        cells: Dict[State, Set[State]] = {}
-        steps: Dict[Tuple[State, str], Set[State]] = {}  # (label, observable event) -> targets
-        for x in h_n.states:
-            cells.setdefault(x[1], set()).add(x)
-            for e, (y, _) in h_n._out[x].items():
+        cells: Dict[State, Set[int]] = {}
+        steps: Dict[Tuple[State, str], Set[int]] = {}  # (cell, observable event) -> targets
+        for x, row in h_n._out.items():
+            o = labels[x][1]
+            cells.setdefault(o, set()).add(x)
+            for e, (y, _) in row.items():
                 if e in observable:
-                    steps.setdefault((x[1], e), set()).add(y)
+                    steps.setdefault((o, e), set()).add(y)
         reach = _unobservable_reach(h_n)
         for targets in [{h_n.initial}, *steps.values()]:
-            if reach(targets) != cells[next(iter(targets))[1]]:
+            if reach(targets) != cells[labels[next(iter(targets))][1]]:
                 raise InvariantError("refined spec is not normal")
 
 
@@ -107,20 +111,20 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     observable superlanguage of the spec's support within the plant's.
     Only the supports of the two automata are read.
 
-    A state is (plant state, spec state or None once the string has left
-    the spec, cell of `observer(spec)` or None once the observation has
-    left the spec's).  A plant edge is kept when the spec has it too, when
-    it is uncontrollable, or when some spec state of the cell enables it;
-    a spec edge the plant lacks raises `InvariantError`."""
+    States are numbered in breadth-first order; state i is labelled
+    (plant state, spec state or None once the string has left the spec,
+    cell of `observer(spec)` or None once the observation has left the
+    spec's).  A plant edge is kept when the spec has it too, when it is
+    uncontrollable, or when some spec state of the cell enables it; a
+    spec edge the plant lacks raises `InvariantError`."""
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
-    controllable = alphabet.controllable
+    controllable, observable = alphabet.controllable, alphabet.observable
     obs = observer(spec)
     enabled = [{e for q in cell for e in spec._out[q] if e in controllable} for cell in obs.cells]
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
-    def successors(state):
-        x, q, o = state
+    def successors(label):
+        x, q, o = label
         rx = plant._out[x]
         rq = spec._out[q] if q is not None else {}
         for e in alphabet.events:
@@ -131,24 +135,24 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
                 continue
             if eq is None and e in controllable and (o is None or e not in enabled[o]):
                 continue
-            dst = (ex[0], eq[0] if eq is not None else None, obs.step(o, e))
-            trans[(state, e)] = (dst, ONE)
-            yield dst
+            to = obs.trans.get((o, e)) if e in observable and o is not None else o
+            yield e, (ex[0], eq[0] if eq is not None else None, to), ONE
 
-    initial = (plant.initial, spec.initial, obs.initial)
-    explore([initial], successors)
-    return Pdes(alphabet, initial, trans, check_liveness=False)
+    labels, rows = numbered_walk((plant.initial, spec.initial, obs.initial), successors)
+    return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)
 
 
 def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> Dict[Tuple[int, str], EpsProb]:
     """The factor of each (cell of ``obs = observer(support)``, controllable
     event) that some state of the cell enables, for the closure ``support
     = infimal_co_support(plant, spec)``: the largest spec/plant ratio over
-    the cell's states.  A state (x, q, o) reads the plant at x and the spec
-    at q.  An edge off the spec, with plant probability p, has the ratio
-    ``EpsProb(1 / p.magnitude, 1)``: infinitesimal whatever p is, so it
-    ranks below every ordinary ratio, and ``EPS / p`` when p is ordinary."""
+    the cell's states.  A state labelled (x, q, o) reads the plant at x
+    and the spec at q.  An edge off the spec, with plant probability p,
+    has the ratio ``EpsProb(1 / p.magnitude, 1)``: infinitesimal whatever
+    p is, so it ranks below every ordinary ratio, and ``EPS / p`` when p
+    is ordinary."""
     controllable = plant.alphabet.controllable
+    labels = support.labels
 
     def ratio(key):
         x, q, e = key
@@ -160,7 +164,7 @@ def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> D
     best: Dict[Tuple[int, str], EpsProb] = {}
     for i, cell in enumerate(obs.cells):
         for state in cell:
-            x, q, _ = state
+            x, q, _ = labels[state]
             for e in support._out[state]:
                 if e in controllable:
                     r = ratios[(x, q, e)]
@@ -175,17 +179,16 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     infimal_co_support(plant, spec)``: an uncontrollable edge keeps the
     plant's probability, and a controllable one exists where its (cell,
     event) has a `reweight_infimal` factor, with the plant's probability
-    times that factor.  Successors are scanned in event order, so the
-    states are numbered as a breadth-first walk of the result finds them.
-    Returns the plant beside it."""
+    times that factor.  States are numbered as a breadth-first walk of the
+    result finds them, successors in event order, and state i is
+    labelled (plant state, cell).  Returns the plant beside it."""
     obs = observer(support)
     factors = reweight_infimal(plant, spec, support, obs)
     alphabet = plant.alphabet
     controllable, observable = alphabet.controllable, alphabet.observable
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
 
-    def successors(state):
-        x, o = state
+    def successors(label):
+        x, o = label
         rx = plant._out[x]
         for e in alphabet.events:
             edge = rx.get(e)
@@ -197,13 +200,10 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
                 if factor is None:
                     continue
                 p = factor * p
-            dst = (edge[0], obs.trans[(o, e)] if e in observable else o)
-            trans[(state, e)] = (dst, p)
-            yield dst
+            yield e, (edge[0], obs.trans[(o, e)] if e in observable else o), p
 
-    initial = (plant.initial, obs.initial)
-    explore([initial], successors)
-    return NormalPair(plant, Pdes(alphabet, initial, trans))
+    labels, rows = numbered_walk((plant.initial, obs.initial), successors)
+    return NormalPair(plant, Pdes._from_rows(alphabet, 0, rows, labels))
 
 
 @dataclass(frozen=True)
@@ -227,14 +227,13 @@ def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
 
 def strip_eps_edges(a: Pdes) -> Pdes:
     """Drop infinitesimal-probability transitions, and the states only
-    they reach (display helper)."""
-    trans: Dict[Tuple[State, str], Tuple[State, EpsProb]] = {}
+    they reach (display helper), on the states 0..n-1 in breadth-first
+    order."""
 
     def successors(s):
-        for e, edge in a._out[s].items():
-            if edge[1].is_ordinary:
-                trans[(s, e)] = edge
-                yield edge[0]
+        for e, (dst, p) in a._out[s].items():
+            if p.is_ordinary:
+                yield e, dst, p
 
-    explore([a.initial], successors)
-    return Pdes(a.alphabet, a.initial, trans, check_liveness=False)
+    _, rows = numbered_walk(a.initial, successors)
+    return Pdes._from_rows(a.alphabet, 0, rows, check_liveness=False)

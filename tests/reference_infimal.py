@@ -124,7 +124,28 @@ SINK = _Sink()
 _OFF_SPEC = (SINK, EPS)
 
 
-def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
+def labelled(a: Pdes) -> Pdes:
+    """``a`` on the states 0..n-1 of its state order, state i labelled
+    with a's i-th state."""
+    index = {s: i for i, s in enumerate(a.states)}
+    rows = [{e: (index[dst], p) for e, (dst, p) in a._out[s].items()} for s in a.states]
+    return Pdes._from_rows(a.alphabet, 0, rows, list(a.states))
+
+
+@dataclass(frozen=True)
+class ReferencePair:
+    """The plant and a normal automaton whose states are their own
+    labels, ((plant, support, spec-or-`SINK`), cell); building one runs
+    `NormalPair`'s check on the labelled copy."""
+
+    g_n: Pdes
+    h_n: Pdes
+
+    def __post_init__(self):
+        NormalPair(self.g_n, labelled(self.h_n))
+
+
+def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> ReferencePair:
     """The closed support as a normal automaton with the spec's
     probabilities on the spec's support and `EPS` off it; its states are
     ((plant, support, spec-or-`SINK`), cell), the cells being those of the
@@ -160,7 +181,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
     explore([(joint.initial, obs.initial)], successors)
     h_n = Pdes(plant.alphabet, (triples[joint.initial], obs.initial), trans)
 
-    pair = NormalPair(plant, h_n)
+    pair = ReferencePair(plant, h_n)
     check_refinement(h_n, support, spec)
     return pair
 
@@ -187,7 +208,7 @@ def check_refinement(h_n: Pdes, support: Pdes, spec: Pdes):
     explore([(h_n.initial, support.initial, spec.initial)], successors)
 
 
-def reweight_infimal(pair: NormalPair) -> Pdes:
+def reweight_infimal(pair: ReferencePair) -> Pdes:
     """Minimal probability lift of the refined spec, on its own edges: a
     state `x` reads the plant at `x[0][0]`, uncontrollable transitions take
     the plant's probabilities, and each controllable event is scaled on

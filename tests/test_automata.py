@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -172,6 +173,96 @@ class TestConstructionChecks:
             for _, prob in trans.values():
                 total = total + prob
             assert p.liveness("x") == total
+
+
+# malformed automata as rows {state: {event: (target, probability)}}, the
+# first state initial, with the message that rejects them
+MALFORMED_ROWS = {
+    "unknown event": ({"x": {"c": ("x", E(1, 2)), "z": ("x", E(1, 2))}}, "transition uses unknown event 'z'"),
+    "not an EpsProb": ({"x": {"c": ("x", F(1, 2))}}, "transition probabilities must be EpsProb values"),
+    "zero magnitude": ({"x": {"c": ("y", E(1, 2))}, "y": {"u": ("x", ZERO)}},
+                       "stored transition ('y','u') must have positive probability"),
+    "unreachable": ({"x": {"c": ("x", E(1, 2))}, "y": {"c": ("z", E(1, 2))}, "z": {}},
+                    "unreachable states: ['y', 'z']"),
+    # the edge checks cover unreachable rows, and come first
+    "unreachable zero magnitude": ({"x": {}, "y": {"c": ("y", ZERO)}},
+                                   "stored transition ('y','c') must have positive probability"),
+    "liveness": ({"x": {"c": ("y", E(1))}, "y": {"c": ("y", E(2, 3)), "u": ("x", E(2, 5))}},
+                 "liveness exceeds 1 at state 'y'"),
+    # reachability is checked before liveness
+    "unreachable and liveness": ({"x": {"c": ("x", E(3, 2))}, "y": {}}, "unreachable states: ['y']"),
+}
+
+
+class TestCheckedConstructor:
+    """`Pdes(...)` turns its transitions into rows and checks them on the
+    one path that `Pdes._from_rows` takes: each rejection comes from that
+    path, with the same message either way."""
+
+    A = Alphabet.make(["c"], ["u"], ["c", "u"])
+
+    @staticmethod
+    def as_transitions(rows):
+        return {(s, e): edge for s, row in rows.items() for e, edge in row.items()}
+
+    def constructions(self, rows, **flags):
+        """Each way to build the automaton of ``rows``: from transitions,
+        from the rows, and from the rows renumbered 0..n-1 as a list."""
+        initial = next(iter(rows))
+        number = {s: i for i, s in enumerate(rows)}
+        numbered = [{e: (number[dst], p) for e, (dst, p) in row.items()} for row in rows.values()]
+        return {
+            "transitions": lambda: Pdes(self.A, initial, self.as_transitions(rows), states=list(rows), **flags),
+            "rows": lambda: Pdes._from_rows(self.A, initial, rows, **flags),
+            "list": lambda: Pdes._from_rows(self.A, 0, numbered, **flags),
+        }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_rejections_come_from_the_checked_path(self, case, monkeypatch):
+        rows, message = MALFORMED_ROWS[case]
+        take = Pdes._take_rows
+        raised = []
+
+        def spy(self, *args):
+            try:
+                take(self, *args)
+            except InvariantError as err:
+                raised.append(err)
+                raise
+
+        monkeypatch.setattr(Pdes, "_take_rows", spy)
+        messages = {}
+        for how, construct in self.constructions(rows).items():
+            with pytest.raises(InvariantError) as err:
+                construct()
+            assert raised[-1] is err.value
+            messages[how] = str(err.value)
+        assert messages["transitions"] == messages["rows"] == message
+        # the list form names states by number
+        number = {s: str(i) for i, s in enumerate(rows)}
+        assert messages["list"] == re.sub(r"'(\w+)'", lambda m: number.get(m.group(1), m.group(0)), message)
+
+    def test_trim_drops_with_one_warning(self):
+        # the unreachable y would fail the liveness check, but is dropped first
+        rows = {"x": {"c": ("w", E(1, 2))}, "y": {"c": ("x", E(1)), "u": ("x", E(1))}, "w": {}}
+        built = []
+        for how, construct in self.constructions(rows, on_unreachable="trim").items():
+            with pytest.warns(UserWarning, match=r"dropping 1 unreachable state\(s\)"):
+                built.append(construct())
+        assert built[0].states == built[1].states == ("x", "w") and built[2].states == (0, 2)
+        assert built[0].transition_map() == built[1].transition_map() == {("x", "c"): ("w", E(1, 2))}
+
+    def test_liveness_check_can_be_skipped(self):
+        rows, _ = MALFORMED_ROWS["liveness"]
+        for construct in self.constructions(rows, check_liveness=False).values():
+            assert construct().liveness(construct().states[1]) == E(16, 15)
+
+    def test_rows_and_labels_are_kept(self):
+        rows = [{"c": (1, E(1, 2))}, {"u": (0, E(1))}]
+        a = Pdes._from_rows(self.A, 0, rows, ["p", "q"])
+        assert a.states == (0, 1) and a.labels == ["p", "q"]
+        assert a.transition_map() == {(0, "c"): (1, E(1, 2)), (1, "u"): (0, E(1))}
+        assert Pdes(self.A, 0, a.transition_map()).labels is None
 
 
 class TestExplore:
@@ -804,6 +895,21 @@ class TestTextFormat:
         with pytest.warns(UserWarning):
             parsed = loads_automaton(text)
         assert "zz" not in parsed.states
+
+    def test_empty_states_line_declares_no_states(self):
+        from pdesctl import FormatError
+
+        header = "controllable: c\nuncontrollable:\nobservable: c\n"
+        with pytest.raises(FormatError, match="^initial state 'a' not declared$"):
+            loads_automaton("states:\ninitial: a\n" + header)
+        # a transition's undeclared state is reported first, as with any
+        # states line
+        for states in ("states:", "states: a"):
+            with pytest.raises(FormatError) as err:
+                loads_automaton(f"{states}\ninitial: a\n{header}trans: a c b 1/2\n")
+            assert str(err.value) == "line 6: transition references undeclared state"
+        # without a states line, the states are the ones the file names
+        assert loads_automaton("initial: a\n" + header + "trans: a c b 1/2\n").states == ("a", "b")
 
     def test_parses_each_distinct_probability_once_per_call(self, monkeypatch):
         import pdesctl.automata as automata

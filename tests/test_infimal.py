@@ -38,6 +38,7 @@ from pdesctl import (
     strip_eps_edges,
 )
 import pdesctl.automata as automata
+import pdesctl.cli as cli
 import pdesctl.infimal as infimal
 import reference_infimal as reference
 from pdesctl.automata import JointSupport, require_same_alphabet
@@ -81,11 +82,23 @@ def ratio(a, word, e):
 
 
 def label_cells(a):
-    """The states of `a` grouped by their label `x[1]`, as a set of sets."""
+    """The states of `a` grouped by the cell of their label, as a set of
+    sets."""
     cells = {}
     for x in a.states:
-        cells.setdefault(x[1], set()).add(x)
+        cells.setdefault(a.labels[x][1], set()).add(x)
     return {frozenset(cell) for cell in cells.values()}
+
+
+def relabel(a, labels):
+    """`a` with the label table ``labels``."""
+    return Pdes._from_rows(a.alphabet, a.initial, a._out, labels)
+
+
+def is_breadth_first(a):
+    """Whether `a`'s states are 0..n-1 in the order a breadth-first walk
+    in event order finds them."""
+    return explore([a.initial], a._targets) == list(range(len(a.states))) == list(a.states)
 
 
 def inf_pco_text(result, strip=False):
@@ -96,20 +109,21 @@ def inf_pco_text(result, strip=False):
 
 
 def count_builds(monkeypatch):
-    """From here on, record each `Pdes` built and the argument of each
+    """From here on, record each `Pdes` built, from transitions or from
+    rows (both go through its one checking path), and the argument of each
     `observer` call, from either module."""
     built, observed = [], []
-    init, real = Pdes.__init__, automata.observer
+    take, real = Pdes._take_rows, automata.observer
 
-    def counting_init(self, *args, **kwargs):
+    def counting_take(self, *args, **kwargs):
         built.append(None)
-        init(self, *args, **kwargs)
+        take(self, *args, **kwargs)
 
     def counting_observer(a, *args, **kwargs):
         observed.append(a)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(Pdes, "__init__", counting_init)
+    monkeypatch.setattr(Pdes, "_take_rows", counting_take)
     for module in (automata, infimal):
         monkeypatch.setattr(module, "observer", counting_observer)
     return built, observed
@@ -285,20 +299,24 @@ class TestCoSupport:
             infimal_co_support(spec.logic(), plant.logic())
 
     def test_states_track_plant_spec_and_spec_cell(self, branches):
-        # each state (x, q, o) is where the plant, the spec and the spec's
-        # observer are after any string reaching it, None once off the spec
+        # each state is numbered in breadth-first order and labelled
+        # (x, q, o): where the plant, the spec and the spec's observer are
+        # after any string reaching it, None once off the spec
         plant, spec = branches
         support = infimal_co_support(plant, spec)
+        assert is_breadth_first(support)
         obs = observer(spec)
         words = {support.initial: ()}
         for s in explore([support.initial], support._targets):
             for e, (t, _) in support._out[s].items():
                 words.setdefault(t, words[s] + (e,))
-        for (x, q, o), word in words.items():
+        assert len(words) == len(support.labels) == len(set(support.labels))
+        for s, word in words.items():
+            x, q, o = support.labels[s]
             assert x == plant.delta(plant.initial, word)
             assert q == spec.delta(spec.initial, word)
             assert o == obs.locate(word)
-        assert any(q is None for _, q, _ in support.states)
+        assert any(q is None for _, q, _ in support.labels)
 
     def test_builds_one_automaton_and_the_spec_observer(self, branches, monkeypatch):
         plant, spec = branches
@@ -350,11 +368,14 @@ class TestRefineToNormal:
         assert language_equivalent(pair.h_n.logic(), support)
         assert is_partition(observer(pair.h_n).cells, pair.h_n.states)
         assert label_cells(pair.h_n) == set(observer(pair.h_n).cells)
+        assert is_breadth_first(pair.h_n)
+        labels = pair.h_n.labels
+        assert len(set(labels)) == len(labels) == len(pair.h_n.states)
         # every edge follows the plant edge of the tracked plant state
         for x, e, y, p in pair.h_n.transitions():
-            assert plant.target(x[0], e) == y[0], (x, e)
+            assert plant.target(labels[x][0], e) == labels[y][0], (x, e)
             if e not in plant.alphabet.controllable:
-                assert p == plant.rho(x[0], e), (x, e)
+                assert p == plant.rho(labels[x][0], e), (x, e)
         assert language_equivalent(pair.h_n, reference_infimal_pipeline(plant, spec).result)
 
     def test_trivial_when_spec_equals_plant(self, robot):
@@ -378,9 +399,9 @@ class TestRefineToNormal:
         # the label check against the subset construction: it accepts
         # every result, whose labels are its observer cells, and a
         # relabelled mutant is rejected exactly when its labels are not
-        # its observer cells.  Moving one state to another label only
-        # renames a state, so the mutant's observer still partitions its
-        # states; renaming the labels keeps them the cells.
+        # its observer cells.  Moving one state's label to another cell
+        # leaves the rows alone, so the mutant's observer still partitions
+        # its states; renaming the cells keeps them the cells.
         rng = random.Random(257)
         seen = {"moved": 0, "renamed": 0}
         for plant, spec in seeded_pairs():
@@ -388,15 +409,18 @@ class TestRefineToNormal:
             h_n = refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n
             assert label_cells(h_n) == set(observer(h_n).cells)
             assert is_partition(observer(h_n).cells, h_n.states)
-            labels = sorted({x[1] for x in h_n.states})
-            if len(labels) < 2:
+            cells = sorted({o for _, o in h_n.labels})
+            if len(cells) < 2:
                 continue
             x = rng.choice(h_n.states)
-            moved = (x[0], rng.choice([o for o in labels if o != x[1]]))
-            shift = {o: labels[(k + 1) % len(labels)] for k, o in enumerate(labels)}
-            mutants = {"renamed": h_n.rename({y: (y[0], shift[y[1]]) for y in h_n.states})}
-            if moved not in h_n.states:
-                mutants["moved"] = h_n.rename({y: moved if y == x else y for y in h_n.states})
+            y, o = h_n.labels[x]
+            moved = list(h_n.labels)
+            moved[x] = (y, rng.choice([c for c in cells if c != o]))
+            shift = {c: cells[(k + 1) % len(cells)] for k, c in enumerate(cells)}
+            mutants = {
+                "renamed": relabel(h_n, [(y, shift[c]) for y, c in h_n.labels]),
+                "moved": relabel(h_n, moved),
+            }
             for kind, mutant in mutants.items():
                 obs = observer(mutant)
                 assert is_partition(obs.cells, mutant.states)
@@ -415,12 +439,18 @@ class TestRefineToNormal:
         # the unobservable u puts b in the initial cell and in the cell
         # after o, so no labelling of b makes the labels the cells
         alphabet = Alphabet.make(["c"], ["o", "u"], ["c", "o"])
-        a, b = ("a", 0), ("b", label_b)
-        h = Pdes(alphabet, a, {(a, "u"): (b, E(1, 2)), (a, "o"): (b, E(1, 2)),
-                               (b, "c"): (b, E(1, 2))})
+        h = Pdes._from_rows(alphabet, 0, [{"u": (1, E(1, 2)), "o": (1, E(1, 2))}, {"c": (1, E(1, 2))}],
+                            [("a", 0), ("b", label_b)])
         assert not is_partition(observer(h).cells, h.states)
         with pytest.raises(InvariantError, match="not normal"):
             NormalPair(h, h)
+
+    def test_rejects_automaton_without_labels(self, branches):
+        plant, spec = branches
+        h_n = refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n
+        NormalPair(plant, h_n)
+        with pytest.raises(InvariantError, match="no label table"):
+            NormalPair(plant, relabel(h_n, None))
 
 
 BRANCH_RESULT_RATIOS = [
@@ -503,7 +533,7 @@ class TestReweight:
                 for state in obs.cells[i]:
                     if e not in support._out[state]:
                         continue
-                    x, q, _ = state
+                    x, q, _ = support.labels[state]
                     p = plant.rho(x, e)
                     on_spec = q is not None and not spec.rho(q, e).is_zero
                     if (spec.rho(q, e) / p if on_spec else EPS / p) == factor:
@@ -523,7 +553,7 @@ class TestReweight:
             best = {}
             for i, cell in enumerate(obs.cells):
                 for state in cell:
-                    x, q, _ = state
+                    x, q, _ = support.labels[state]
                     for e in support._out[state]:
                         if e not in plant.alphabet.controllable:
                             continue
@@ -688,6 +718,35 @@ class TestAgainstReference:
             seen["unachievable"] += not language_equivalent(res.result, spec)
             seen["fewer_states"] += len(res.result.states) < len(ref.result.states)
         assert min(seen.values()) >= 100, seen
+
+    def test_cli_text_is_the_named_reference_quotient(self, tmp_path, capsys):
+        # what inf-pco writes, plain and stripped, is the reference result
+        # minimized and named in breadth-first order
+        for i, (plant, spec) in enumerate(seeded_pairs(seed=269, count=150)):
+            g, h = tmp_path / f"g{i}.pda", tmp_path / f"h{i}.pda"
+            g.write_text(dumps_automaton(plant))
+            h.write_text(dumps_automaton(spec))
+            ref = reference_infimal_pipeline(plant, spec).result
+            for flags, strip in (([], False), (["--strip-eps"], True)):
+                assert cli.main(["inf-pco", str(g), str(h), *flags]) == 0
+                assert capsys.readouterr().out == inf_pco_text(ref, strip)
+
+    def test_quotient_of_a_breadth_first_result_is_breadth_first(self):
+        # the walks number the result breadth first, and so does the
+        # stripper; the blocks of the quotient then come in breadth-first
+        # order, so naming them by number is the canonical naming
+        seen = {"merged": 0, "stripped": 0}
+        for plant, spec in [*seeded_pairs(), *eps_plant_pairs(271, 300)]:
+            result = infimal_pipeline(plant, spec).result
+            stripped = strip_eps_edges(result)
+            for a in (result, stripped):
+                assert is_breadth_first(a)
+                quotient = minimize(a)
+                assert is_breadth_first(quotient)
+                assert dumps_automaton(minimize(a, prefix="x")) == dumps_automaton(quotient.canonical_names())
+                seen["merged"] += len(quotient.states) < len(a.states)
+            seen["stripped"] += len(stripped.states) < len(result.states)
+        assert min(seen.values()) >= 40, seen
 
     @pytest.mark.parametrize("k", [4, 10, 20, 40])
     def test_inf_pco_text_matches_on_benchmark_plants(self, k):
@@ -948,7 +1007,7 @@ class TestReferenceChecks:
         x = (("p", "k", "q"), "o")
         h_n = Pdes(self.alphabet, x, {(x, "c"): (x, E(1, 4))})
         with pytest.raises(InvariantError, match="forces 'u'"):
-            reference.reweight_infimal(NormalPair(plant, h_n))
+            reference.reweight_infimal(reference.ReferencePair(plant, h_n))
 
     def test_spec_edge_missing_from_plant_is_typed_error(self):
         # h_n is normal, but has u where the plant has none
@@ -956,7 +1015,7 @@ class TestReferenceChecks:
         x = (("p", "k", "q"), "o")
         h_n = Pdes(self.alphabet, x, {(x, "c"): (x, E(1, 4)), (x, "u"): (x, E(1, 4))})
         with pytest.raises(InvariantError, match="leaves the plant"):
-            reference.reweight_infimal(NormalPair(plant, h_n))
+            reference.reweight_infimal(reference.ReferencePair(plant, h_n))
 
     # `check_refinement` holds h_n to the spec on the spec's support and
     # to EPS off it, and to the closed support's structure
