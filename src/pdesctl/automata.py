@@ -501,9 +501,7 @@ class ObservationClasses:
     def step(self, cls: Optional[int], event: str) -> Optional[int]:
         """Advance one event: unobservable events keep the class, observable
         ones follow the class DFA (None once outside the mapped classes)."""
-        if cls is None:
-            return None
-        if event not in self.alphabet.observable:
+        if cls is None or event not in self.alphabet.observable:
             return cls
         return self.trans.get((cls, event))
 
@@ -570,14 +568,13 @@ def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] =
 
 
 def observer_automaton(a: Pdes) -> Pdes:
-    """The observer as a logic automaton over the observable sub-alphabet,
-    with the subset cells themselves as states."""
+    """The observer as a logic automaton over the observable sub-alphabet:
+    state i is class i of `observer(a)`, labelled with its cell."""
     obs = observer(a)
-    alph = a.alphabet.restrict_to_observable()
-    trans = {
-        (obs.cells[i], e): (obs.cells[j], ONE) for (i, e), j in obs.trans.items()
-    }
-    return Pdes(alph, obs.cells[obs.initial], trans, states=obs.cells, check_liveness=False)
+    rows: List[Dict[str, Tuple[int, EpsProb]]] = [{} for _ in obs.cells]
+    for (i, e), j in obs.trans.items():
+        rows[i][e] = (j, ONE)
+    return Pdes._from_rows(a.alphabet.restrict_to_observable(), obs.initial, rows, obs.cells, check_liveness=False)
 
 
 def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:

@@ -54,16 +54,23 @@ def _verdict_word(holds: bool) -> str:
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8; a byte that is not UTF-8 is a
+    FormatError on its line, as the parsers number lines."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(f"{path} is not UTF-8: byte 0x{data[e.start]:02x}: {e.reason}", line) from None
 
 
 def _write(path: str, text: str) -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise FormatError(f"cannot write {path}: {e.strerror}")

@@ -34,11 +34,13 @@ one walk builds it:
    edge the closure added off the spec carries an infinitesimal ratio,
    below every ordinary one, so added strings are present logically but
    weightless.
-3. `refine_to_normal` controls the plant with those factors over (plant
-   state, closure cell): uncontrollable edges keep the plant's
-   probability, and a controllable edge exists where its (cell, event)
-   has a factor, with the plant's probability times that factor.  Each
-   state is labelled with its cell, so the result is normal, which
+3. `refine_to_normal` puts the plant under those factors, one row per
+   closure cell, through the closed loop that `controlled_automaton`
+   builds for a scaling map, with the closure's observer as the
+   observation classes: uncontrollable edges keep the plant's
+   probability, and a controllable edge exists where its cell's row has
+   a factor, with the plant's probability times that factor.  Each state
+   is labelled (plant state, cell), so the result is normal, which
    `NormalPair` checks on the labels.
 
 `InfimalResult.result` has one state per (plant state, closure cell);
@@ -49,7 +51,7 @@ same language, which is what `inf-pco` writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .automata import (
     InvariantError,
@@ -62,7 +64,7 @@ from .automata import (
     observer,
     require_same_alphabet,
 )
-from .supervisor import _require_sublanguage
+from .supervisor import _closed_loop, _require_sublanguage
 from .values import ONE, ZERO, EpsProb, _Table
 
 
@@ -142,15 +144,15 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)
 
 
-def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> Dict[Tuple[int, str], EpsProb]:
-    """The factor of each (cell of ``obs = observer(support)``, controllable
-    event) that some state of the cell enables, for the closure ``support
-    = infimal_co_support(plant, spec)``: the largest spec/plant ratio over
-    the cell's states.  A state labelled (x, q, o) reads the plant at x
-    and the spec at q.  An edge off the spec, with plant probability p,
-    has the ratio ``EpsProb(1 / p.magnitude, 1)``: infinitesimal whatever
-    p is, so it ranks below every ordinary ratio, and ``EPS / p`` when p
-    is ordinary."""
+def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> List[Dict[str, EpsProb]]:
+    """One factor row per cell of ``obs = observer(support)``, for the
+    closure ``support = infimal_co_support(plant, spec)``: each controllable
+    event that some state of the cell enables maps to the largest
+    spec/plant ratio over the cell's states.  A state labelled (x, q, o)
+    reads the plant at x and the spec at q.  An edge off the spec, with
+    plant probability p, has the ratio ``EpsProb(1 / p.magnitude, 1)``:
+    infinitesimal whatever p is, so it ranks below every ordinary ratio,
+    and ``EPS / p`` when p is ordinary."""
     controllable = plant.alphabet.controllable
     labels = support.labels
 
@@ -161,49 +163,26 @@ def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> D
         return eq[1] / p if eq is not None else EpsProb(1 / p.magnitude, 1)
 
     ratios = _Table(ratio)  # per (x, q, e): a state can lie in several cells
-    best: Dict[Tuple[int, str], EpsProb] = {}
-    for i, cell in enumerate(obs.cells):
+    rows: List[Dict[str, EpsProb]] = [{} for _ in obs.cells]
+    for best, cell in zip(rows, obs.cells):
         for state in cell:
             x, q, _ = labels[state]
             for e in support._out[state]:
                 if e in controllable:
                     r = ratios[(x, q, e)]
-                    if r > best.get((i, e), ZERO):
-                        best[(i, e)] = r
-    return best
+                    if r > best.get(e, ZERO):
+                        best[e] = r
+    return rows
 
 
 def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
-    """The plant controlled over (plant state, cell of
-    ``observer(support)``), for the closure ``support =
-    infimal_co_support(plant, spec)``: an uncontrollable edge keeps the
-    plant's probability, and a controllable one exists where its (cell,
-    event) has a `reweight_infimal` factor, with the plant's probability
-    times that factor.  States are numbered as a breadth-first walk of the
-    result finds them, successors in event order, and state i is
-    labelled (plant state, cell).  Returns the plant beside it."""
+    """The plant under the `reweight_infimal` factors of the cells of
+    ``observer(support)``, for the closure ``support =
+    infimal_co_support(plant, spec)``, built by the closed loop that
+    `controlled_automaton` builds: state i is labelled (plant state,
+    cell).  Returns the plant beside it."""
     obs = observer(support)
-    factors = reweight_infimal(plant, spec, support, obs)
-    alphabet = plant.alphabet
-    controllable, observable = alphabet.controllable, alphabet.observable
-
-    def successors(label):
-        x, o = label
-        rx = plant._out[x]
-        for e in alphabet.events:
-            edge = rx.get(e)
-            if edge is None:
-                continue
-            p = edge[1]
-            if e in controllable:
-                factor = factors.get((o, e))
-                if factor is None:
-                    continue
-                p = factor * p
-            yield e, (edge[0], obs.trans[(o, e)] if e in observable else o), p
-
-    labels, rows = numbered_walk((plant.initial, obs.initial), successors)
-    return NormalPair(plant, Pdes._from_rows(alphabet, 0, rows, labels))
+    return NormalPair(plant, _closed_loop(plant, obs, reweight_infimal(plant, spec, support, obs)))
 
 
 @dataclass(frozen=True)

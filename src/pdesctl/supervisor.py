@@ -34,7 +34,7 @@ from .automata import (
     Pdes,
     PdesError,
     Witness,
-    explore,
+    numbered_walk,
     observer,
 )
 from .patterns import (
@@ -265,33 +265,47 @@ def scaling_from_supervisor(sup: SupervisorMap) -> ScalingMap:
     return _validated(sup.classes, vectors, default)
 
 
-def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
-    """The controlled plant as an automaton over (plant state, class)
-    pairs: each transition probability is the plant's scaled by the class
-    factor, and zero-probability transitions are dropped."""
-    if scaling.alphabet != plant.alphabet:
-        raise InvariantError("scaling map alphabet does not match the plant")
-    events = plant.alphabet.events
-    classes = scaling.classes
-    trans = {}
+def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
+    """The plant under per-class factors: ``factors[c]`` is class c's row
+    {controllable event: positive `EpsProb` factor}.  An uncontrollable
+    edge keeps the plant's probability; a controllable edge exists where
+    the row of its class has its event, with the plant's probability times
+    that factor.  The class advances by `ObservationClasses.step`.  States
+    are numbered as a breadth-first walk finds them, successors in event
+    order, and state i is labelled (plant state, class)."""
+    events, controllable, step = plant.alphabet.events, plant.alphabet.controllable, classes.step
 
-    def successors(state):
-        x, cls = state
-        rx, vector = plant._out[x], scaling.vector(cls)
-        for i, e in enumerate(events):
+    def successors(label):
+        x, c = label
+        rx, row = plant._out[x], factors[c]
+        for e in events:
             edge = rx.get(e)
             if edge is None:
                 continue
-            p = edge[1] * vector[i]
-            if p.is_zero:
-                continue
-            dst = (edge[0], classes.step(cls, e))
-            trans[(state, e)] = (dst, p)
-            yield dst
+            p = edge[1]
+            if e in controllable:
+                factor = row.get(e)
+                if factor is None:
+                    continue
+                p = factor * p
+            yield e, (edge[0], step(c, e)), p
 
-    initial = (plant.initial, classes.initial)
-    explore([initial], successors)
-    return Pdes(plant.alphabet, initial, trans)
+    labels, rows = numbered_walk((plant.initial, classes.initial), successors)
+    return Pdes._from_rows(plant.alphabet, 0, rows, labels)
+
+
+def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
+    """The controlled plant: each transition probability is the plant's
+    scaled by the factor of its observation class, and zero-probability
+    transitions are dropped.  States are 0..n-1 in breadth-first order;
+    state i is labelled (plant state, class), the class None once the
+    observation leaves the map's classes."""
+    if scaling.alphabet != plant.alphabet:
+        raise InvariantError("scaling map alphabet does not match the plant")
+    controllable = plant.alphabet.controllable_events()
+    # one row per class the walk reaches, however many classes the map has
+    rows = _Table(lambda c: {e: EpsProb(f) for e, f in zip(controllable, scaling.vector(c)) if f})
+    return _closed_loop(plant, scaling.classes, rows)
 
 
 def _enable_vector(sup: SupervisorMap, cls: Optional[int]) -> Tuple[Fraction, ...]:

@@ -6,12 +6,15 @@ language values rather than stored transition probabilities, and so
 serve as independent oracles for the testing automata of
 `pdesctl.verification`.  `brute_minimal_count` counts the states of a
 minimal automaton by comparing the languages of every state, for
-`pdesctl.automata.minimize`.
+`pdesctl.automata.minimize`.  `reference_controlled_automaton` builds the
+controlled plant over (plant state, class) pairs as states, for
+`pdesctl.supervisor.controlled_automaton`.
 """
 
 from typing import Dict, List, Tuple
 
 from pdesctl.automata import (
+    InvariantError,
     Pdes,
     State,
     Verdict,
@@ -21,6 +24,7 @@ from pdesctl.automata import (
     language_equivalent,
     require_same_alphabet,
 )
+from pdesctl.supervisor import ScalingMap
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
@@ -151,3 +155,32 @@ def brute_minimal_count(a: Pdes) -> int:
         if not any(language_equivalent(sub, other) for other in classes):
             classes.append(sub)
     return len(classes)
+
+
+def reference_controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
+    """The controlled plant with the (plant state, class) pairs themselves
+    as states: each transition probability is the plant's scaled by the
+    class factor, and zero-probability transitions are dropped."""
+    if scaling.alphabet != plant.alphabet:
+        raise InvariantError("scaling map alphabet does not match the plant")
+    events = plant.alphabet.events
+    classes = scaling.classes
+    trans = {}
+
+    def successors(state):
+        x, cls = state
+        rx, vector = plant._out[x], scaling.vector(cls)
+        for i, e in enumerate(events):
+            edge = rx.get(e)
+            if edge is None:
+                continue
+            p = edge[1] * vector[i]
+            if p.is_zero:
+                continue
+            dst = (edge[0], classes.step(cls, e))
+            trans[(state, e)] = (dst, p)
+            yield dst
+
+    initial = (plant.initial, classes.initial)
+    explore([initial], successors)
+    return Pdes(plant.alphabet, initial, trans)

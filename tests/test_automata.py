@@ -24,6 +24,7 @@ from pdesctl import (
     minimize,
     minimize_logic,
     observer,
+    observer_automaton,
     product,
 )
 from pdesctl.automata import JointSupport, require_same_alphabet
@@ -682,6 +683,16 @@ class TestObserver:
             assert set(reads) <= cells[0]
             multi += len(cells) > 1
         assert multi >= 25
+
+    def test_automaton_is_the_observer_on_its_classes(self):
+        # state i is class i, labelled with its cell
+        rng = random.Random(43)
+        for _ in range(100):
+            plant = random_plant(rng, random_alphabet(rng), max_states=6)
+            obs, a = observer(plant), observer_automaton(plant)
+            assert a.alphabet == plant.alphabet.restrict_to_observable()
+            assert (a.initial, a.states, a.labels) == (obs.initial, tuple(range(obs.count)), obs.cells)
+            assert a.transition_map() == {(i, e): (j, ONE) for (i, e), j in obs.trans.items()}
 
 
 def reference_observer(a):

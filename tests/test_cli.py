@@ -456,8 +456,12 @@ class TestUtilityCommands:
     def test_observer(self, robot_files, capsys):
         g, _ = robot_files
         assert main(["observer", g]) == 0
-        out = capsys.readouterr().out
-        assert "initial: t0" in out
+        assert capsys.readouterr().out == (
+            "states: t0 t1\ninitial: t0\ncontrollable: s1 s2\nuncontrollable: s3\n"
+            "observable: s1 s2 s3\nunobservable: \n"
+            "trans: t0 s1 t0 1\ntrans: t0 s2 t0 1\ntrans: t0 s3 t1 1\n"
+            "trans: t1 s1 t0 1\ntrans: t1 s2 t0 1\n"
+        )
 
     def test_eval(self, robot_files, capsys):
         g, _ = robot_files
@@ -517,6 +521,24 @@ class TestExitCodes:
         assert out[-1] == "s1\t0"
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 exits 2 naming its line, as the parsers
+    number lines (a CR LF is one line break)."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "{bad}", "s1"],
+        ["simulate", "--plant", "{g}", "--supervisor", "{bad}", "--trials", "1", "--depth", "1"],
+    ])
+    def test_exit_2_with_line(self, robot_files, tmp_path, capsys, command):
+        g, _ = robot_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# first\r\n\n# caf\xc3\xa9\n# \xff\n")
+        assert main([a.format(g=g, bad=bad) for a in command]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 4: {bad} is not UTF-8: byte 0xff: invalid start byte\n"
+
+
 class TestModuleEntryPoint:
     def run(self, *args):
         env = dict(os.environ, PYTHONPATH=str(SRC), PDES_COLOR="0")
@@ -532,6 +554,10 @@ class TestModuleEntryPoint:
     def test_exit_codes(self, tmp_path):
         assert self.run().returncode == 2
         assert self.run("eval", str(tmp_path / "nope.pda"), "s1").returncode == 2
+        (tmp_path / "bad.pda").write_bytes(b"states: a\n\xff\n")
+        done = self.run("eval", str(tmp_path / "bad.pda"), "a")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: line 2: ") and "Traceback" not in done.stderr
 
 
 # -- reference: the check-first `synthesize` ------------------------------

@@ -473,7 +473,8 @@ BRANCH_RESULT_RATIOS = [
 def factor_table(plant, spec):
     support = infimal_co_support(plant, spec)
     obs = observer(support)
-    return support, obs, reweight_infimal(plant, spec, support, obs)
+    rows = reweight_infimal(plant, spec, support, obs)
+    return support, obs, {(i, e): factor for i, row in enumerate(rows) for e, factor in row.items()}
 
 
 class TestReweight:

@@ -1,3 +1,4 @@
+import collections
 import random
 import re
 from fractions import Fraction
@@ -42,13 +43,15 @@ from conftest import (
     drop_transitions,
     observation_scaled_spec,
     random_alphabet,
+    random_fraction,
     random_plant,
     random_scaling_map,
     random_subspec,
     synthesis_pair,
     walk_pairs,
+    with_eps,
 )
-from oracles import brute_observable
+from oracles import brute_observable, reference_controlled_automaton
 
 F = Fraction
 
@@ -220,7 +223,42 @@ class TestControlledAutomaton:
             scaling = random_scaling_map(rng, plant)
             controlled = controlled_automaton(plant, scaling)
             for state in controlled.states:
-                assert controlled.liveness(state) <= plant.liveness(state[0])
+                assert controlled.liveness(state) <= plant.liveness(controlled.labels[state][0])
+
+    def test_matches_tuple_state_reference(self):
+        # the walk renamed by its labels is the pair-state reference, on
+        # maps with zero factors, a random default, unmapped classes and
+        # classes of a subspec that the plant leaves (the None class)
+        rng = random.Random(19)
+        seen = collections.Counter()
+        for i in range(300):
+            plant = random_plant(rng, random_alphabet(rng), max_states=6)
+            if i % 4 == 0:
+                plant = with_eps(rng, plant, 0.3)
+            classes = observation_classes(plant, random_subspec(rng, plant))
+            m, n = plant.alphabet.m, plant.alphabet.n
+
+            def vector():
+                return tuple(random_fraction(rng) for _ in range(m)) + (F(1),) * (n - m)
+
+            vectors = {c: vector() for c in range(classes.count) if rng.random() < 0.7}
+            scaling = ScalingMap(classes, vectors, vector())
+            controlled = controlled_automaton(plant, scaling)
+            expect = reference_controlled_automaton(plant, scaling)
+            renamed = controlled.rename(dict(enumerate(controlled.labels)))
+            assert renamed.initial == expect.initial
+            assert renamed.transition_map() == expect.transition_map()
+            reached = {c for _, c in controlled.labels}
+            by_default = {c for c in reached if c is None or c not in vectors}
+            seen["none"] += None in reached
+            seen["unmapped"] += bool(by_default - {None})
+            seen["default"] += bool(by_default) and scaling.default != (F(1),) * n
+            seen["zero"] += any(
+                e in plant._out[x] and not scaling.vector(c)[k]
+                for x, c in controlled.labels
+                for k, e in enumerate(plant.alphabet.controllable_events())
+            )
+        assert min(seen.values()) >= 50, seen
 
 
 class TestControlledXi:
