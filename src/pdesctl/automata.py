@@ -411,18 +411,6 @@ class JointSupport:
                     words[j] = word + (e,)
         return words
 
-    def _first_escape(self, rows: Dict[State, dict]) -> Optional[Tuple[int, str]]:
-        """The first state i, and its first event in event order, that the
-        row table ``rows`` of the second states defines where the joint row
-        lacks it; None if there is none."""
-        events = self.alphabet.events
-        for i, ((_, q), row) in enumerate(zip(self.pairs, self._out)):
-            rq = rows[q]
-            for e in events:
-                if e in rq and e not in row:
-                    return i, e
-        return None
-
 
 def product(a: Pdes, b: Pdes) -> Pdes:
     """Synchronous product; each transition carries the minimum of the two

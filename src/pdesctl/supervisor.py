@@ -45,6 +45,7 @@ from .patterns import (
     validate_scaling_vector,
 )
 from .values import EpsProb, ONE, ZERO, _Table, format_rat, parse_rat
+from .verification import _uncontrollable_mismatches
 
 
 class SynthesisError(PdesError):
@@ -183,10 +184,16 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     joint = JointSupport(plant, spec)
     _require_sublanguage(joint, plant, spec)
     access = joint.access()
+    # the strict reading: a supervisor cannot disable an uncontrollable
+    # event, so a mismatch the spec omits fails too
+    for i, e, rp, rs in _uncontrollable_mismatches(joint, plant, spec):
+        raise NotControllableError(
+            f"uncontrollable event {e!r} after {access[i]!r}: plant probability {rp} != spec probability {rs}",
+            Witness((access[i],), e, rp, rs),
+        )
     alphabet = plant.alphabet
-    mismatch = None
     ratios: List[list] = []  # per pair and controllable event: None, _EPS or the ratio
-    for (x, q), word in zip(joint.pairs, access):
+    for x, q in joint.pairs:
         rx, rq = plant._out[x], spec._out[q]
         row = []
         for e in alphabet.controllable_events():
@@ -198,16 +205,6 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
             else:
                 row.append(_EPS)
         ratios.append(row)
-        for e in alphabet.uncontrollable_events():
-            rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
-            if rp != rs and mismatch is None:
-                mismatch = NotControllableError(
-                    f"uncontrollable event {e!r} after {word!r}: "
-                    f"plant probability {rp} != spec probability {rs}",
-                    Witness((word,), e, rp, rs),
-                )
-    if mismatch is not None:
-        raise mismatch
     vectors: Dict[int, Tuple[Fraction, ...]] = {}
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 

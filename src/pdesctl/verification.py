@@ -4,20 +4,22 @@ Each check builds a testing automaton whose dump state is reachable
 exactly when the property fails; breadth-first construction makes the
 extracted witness shortest (ties broken by event order).
 
-Both procedures compare probabilities at spec-defined transitions: a
+Controllability is written once, `_uncontrollable_mismatches`: one pass
+over the joint support of plant and spec yielding every uncontrollable
+event whose two probabilities differ.  Its two readings are one filter
+at the call site.  `build_tc` keeps the mismatches the spec defines: a
 transition the specification never asks for does not, by itself, make
-the specification uncontrollable.  Synthesis is stricter: it also
-requires a sublanguage, the plant's probability on every uncontrollable
-event and ordinary controllable probabilities.  So `scaling_from_spec`
-succeeding implies both checks hold, and `synthesize` runs them only to
-explain a failed synthesis.
+it uncontrollable.  `scaling_from_spec` is stricter and rejects any
+mismatch; it also requires a sublanguage and ordinary controllable
+probabilities.  So `scaling_from_spec` succeeding implies both checks
+hold, and `synthesize` runs them only to explain a failed synthesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .automata import (
     _ABSENT,
@@ -28,36 +30,41 @@ from .automata import (
     Witness,
     Word,
     explore,
-    require_same_alphabet,
 )
 from .values import EpsProb
 
 Pair = Tuple[State, State]
 Quad = Tuple[State, State, State, State]
 Label = Tuple[Optional[str], Optional[str]]
+Mismatch = Tuple[int, str, EpsProb, EpsProb]
 
 
-def _path(parent: Dict, node) -> list:
-    """Labels along the first-discovery path from the root to the node;
-    ``parent`` maps each node to (previous node, label), the root to None."""
-    labels = []
-    step = parent[node]
-    while step is not None:
-        node, label = step
-        labels.append(label)
-        step = parent[node]
-    labels.reverse()
-    return labels
+def _uncontrollable_mismatches(joint: JointSupport, plant: Pdes, spec: Pdes) -> Iterator[Mismatch]:
+    """Per pair of ``joint = JointSupport(plant, spec)`` in pair order, then
+    per uncontrollable event in event order, each (pair index, event,
+    plant probability, spec probability) where the two differ; an edge a
+    row lacks reads zero."""
+    uncontrollable = plant.alphabet.uncontrollable_events()
+    for i, (x, q) in enumerate(joint.pairs):
+        rx, rq = plant._out[x], spec._out[q]
+        for e in uncontrollable:
+            rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
+            if rp != rs:
+                yield i, e, rp, rs
 
 
 @dataclass
 class TestingAutomatonTC:
-    """Pair-graph testing automaton for probabilistic controllability."""
+    """Testing automaton for probabilistic controllability: the pairs of
+    the joint support, and a dump state entered by every spec-defined
+    uncontrollable mismatch."""
 
-    pairs: List[Pair]
-    initial: Pair
+    joint: JointSupport
     dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]]
-    parent: Dict[Pair, Optional[Tuple[Pair, str]]]
+
+    @property
+    def pairs(self) -> List[Pair]:
+        return self.joint.pairs
 
     @property
     def state_count(self) -> int:
@@ -65,7 +72,7 @@ class TestingAutomatonTC:
 
     def access(self, pair: Pair) -> Word:
         """The shortest string reaching the pair (ties broken by event order)."""
-        return tuple(_path(self.parent, pair))
+        return self.joint.access()[self.joint.index[pair]]
 
 
 @dataclass
@@ -94,42 +101,23 @@ class TestingAutomatonTO:
         """The first-discovered string pair reaching the quadruple."""
         index = self.pair_index
         key = index[quad[:2]] * len(index) + index[quad[2:]]
-        labels = _path(self.parent, key)
+        labels = []
+        while self.parent[key] is not None:
+            key, label = self.parent[key]
+            labels.append(label)
         return (
-            tuple(l1 for l1, _ in labels if l1 is not None),
-            tuple(l2 for _, l2 in labels if l2 is not None),
+            tuple(l1 for l1, _ in reversed(labels) if l1 is not None),
+            tuple(l2 for _, l2 in reversed(labels) if l2 is not None),
         )
 
 
 def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
-    require_same_alphabet(plant, spec)
-    alphabet = plant.alphabet
-    initial = (plant.initial, spec.initial)
-    parent: Dict[Pair, Optional[Tuple[Pair, str]]] = {initial: None}
-    dump_edges: List[Tuple[Pair, str, EpsProb, EpsProb]] = []
-
-    def successors(pair):
-        rx, rq = plant._out[pair[0]], spec._out[pair[1]]
-        for e in alphabet.uncontrollable_events():
-            eq = rq.get(e)
-            if eq is None:
-                continue
-            rp = rx.get(e, _ABSENT)[1]
-            if rp != eq[1]:
-                dump_edges.append((pair, e, rp, eq[1]))
-        for e in alphabet.events:
-            ex, eq = rx.get(e), rq.get(e)
-            if ex is None or eq is None:
-                continue
-            if e not in alphabet.controllable and ex[1] != eq[1]:
-                continue  # this move dumps instead of advancing
-            dst = (ex[0], eq[0])
-            if dst not in parent:
-                parent[dst] = (pair, e)
-            yield dst
-
-    pairs = explore([initial], successors)
-    return TestingAutomatonTC(pairs, initial, dump_edges, parent)
+    joint = JointSupport(plant, spec)
+    # the paper's reading: only a transition the spec defines dumps, and a
+    # defined transition has a positive probability
+    mismatches = _uncontrollable_mismatches(joint, plant, spec)
+    dump_edges = [(joint.pairs[i], e, rp, rs) for i, e, rp, rs in mismatches if rs]
+    return TestingAutomatonTC(joint, dump_edges)
 
 
 def check_controllable(plant: Pdes, spec: Pdes) -> Verdict:

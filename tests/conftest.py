@@ -374,3 +374,16 @@ def walk_pairs(seed, count):
             yield spec, spec.rename({s: ("r", s) for s in spec.states})
         else:
             yield spec, random_plant(rng, alphabet, max_states=2 + i % 5)
+
+
+def eps_plant_pairs(seed, count):
+    """Seeded pairs on plants with some infinitesimal controllable
+    probabilities, every third spec with infinitesimal values too."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = random_alphabet(rng, max_events=3)
+        plant = with_eps(rng, random_plant(rng, alphabet, max_states=2 + i % 4), 0.4)
+        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
+        if i % 3 == 0:
+            spec = eps_scaled(rng, spec)
+        yield plant, spec

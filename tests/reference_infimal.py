@@ -38,10 +38,23 @@ from pdesctl.supervisor import _require_sublanguage
 MAX_ROUNDS = 64
 
 
+def first_escape(joint: JointSupport, rows: Dict[State, dict]) -> Optional[Tuple[int, str]]:
+    """The first state i of ``joint``, and its first event in event order,
+    that the row table ``rows`` of the second states defines where the
+    joint row lacks it; None if there is none."""
+    events = joint.alphabet.events
+    for i, ((_, q), row) in enumerate(zip(joint.pairs, joint._out)):
+        rq = rows[q]
+        for e in events:
+            if e in rq and e not in row:
+                return i, e
+    return None
+
+
 def pair_support(joint: JointSupport, spec: Pdes) -> Pdes:
     """Logic automaton for the spec's support, on the integer states of
     ``joint = JointSupport(plant, spec)``."""
-    escape = joint._first_escape(spec._out)
+    escape = first_escape(joint, spec._out)
     if escape is not None:
         raise NotSublanguageError(f"specification support leaves the plant support on {escape[1]!r}")
     trans = {(i, e): edge for i, row in enumerate(joint._out) for e, edge in row.items()}
@@ -152,7 +165,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> ReferencePair:
     triples' joint support."""
     require_same_alphabet(plant, spec)
     inner = JointSupport(plant, support)
-    if inner._first_escape(support._out) is not None:
+    if first_escape(inner, support._out) is not None:
         raise InvariantError("the support automaton is not contained in the plant's support")
     # the spec completed to SINK, as rows: an event a spec row lacks leads
     # to SINK at EPS, and SINK leads to itself on every event
@@ -163,7 +176,7 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> ReferencePair:
     joint = JointSupport(inner, completion)
     # with the support inside the plant, a spec event the joint row lacks
     # is one the support lacks
-    if joint._first_escape({**spec._out, SINK: {}}) is not None:
+    if first_escape(joint, {**spec._out, SINK: {}}) is not None:
         raise InvariantError("the support automaton does not contain the spec's support")
     triples = [inner.pairs[i] + (h,) for i, h in joint.pairs]
     obs = observer(joint)

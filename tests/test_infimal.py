@@ -47,6 +47,7 @@ from conftest import (
     E,
     branch_plant,
     branch_spec,
+    eps_plant_pairs,
     eps_scaled,
     is_partition,
     observation_scaled_spec,
@@ -56,7 +57,6 @@ from conftest import (
     robot_plant,
     robot_spec,
     walk_pairs,
-    with_eps,
 )
 
 F = Fraction
@@ -143,19 +143,6 @@ def seeded_pairs(seed=251, count=600):
             spec = eps_scaled(rng, spec)
         pairs.append((plant, spec))
     return pairs
-
-
-def eps_plant_pairs(seed, count):
-    """Seeded pairs on plants with some infinitesimal controllable
-    probabilities, every third spec with infinitesimal values too."""
-    rng = random.Random(seed)
-    for i in range(count):
-        alphabet = random_alphabet(rng, max_events=3)
-        plant = with_eps(rng, random_plant(rng, alphabet, max_states=2 + i % 4), 0.4)
-        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
-        if i % 3 == 0:
-            spec = eps_scaled(rng, spec)
-        yield plant, spec
 
 
 # -- support-level (non-probabilistic) oracles ---------------------------

@@ -5,7 +5,11 @@ from fractions import Fraction
 from pdesctl import (
     ZERO,
     EpsProb,
+    InvariantError,
+    NotControllableError,
+    NotSublanguageError,
     Pdes,
+    SynthesisError,
     Witness,
     build_tc,
     build_to,
@@ -15,16 +19,20 @@ from pdesctl import (
     is_sublanguage,
     language_equivalent,
     product,
+    scaling_from_spec,
 )
+from pdesctl.automata import JointSupport
 from pdesctl.verification import _ANY, _ratio_class
 from conftest import (
     E,
     drop_transitions,
+    eps_plant_pairs,
     project,
     random_alphabet,
     random_plant,
     random_subspec,
     robot_spec,
+    synthesis_pair,
 )
 from oracles import brute_controllable, brute_observable
 
@@ -217,8 +225,10 @@ class TestSizeBounds:
 #
 # The testing-automaton loops as they were before ratio classes and
 # parent pointers: per-quadruple EpsProb cross-products and eagerly
-# stored access strings.  The kernel must reproduce their state order,
-# dump edges and witnesses exactly.
+# stored access strings, and a pair walk that stops at dumping moves.
+# `build_to` must reproduce their state order, dump edges and witnesses
+# exactly; `build_tc`, which is the whole joint support, the verdict and
+# witness, and the pairs and dump edges where nothing dumps.
 
 _ABSENT = (None, ZERO)
 
@@ -347,20 +357,27 @@ class TestKernelReference:
 
     def test_matches_reference_loops(self):
         rng = random.Random(131)
-        seen = {"eps_dump": 0, "spec_only": 0, "ctrl_fails": 0, "obs_fails": 0}
+        seen = {"eps_dump": 0, "spec_only": 0, "ctrl_fails": 0, "obs_fails": 0, "tc_grows": 0}
         for _ in range(300):
             plant, spec = wild_pair(rng)
             pairs, tc_dumps, tc_access = reference_build_tc(plant, spec)
             tc = build_tc(plant, spec)
-            assert tc.pairs == pairs
-            assert tc.dump_edges == tc_dumps
-            assert tc.state_count == len(pairs) + bool(tc_dumps)
+            assert tc.state_count == len(tc.pairs) + bool(tc.dump_edges)
             verdict = check_controllable(plant, spec)
             if tc_dumps:
+                # the joint support also advances over dumping moves, so it
+                # may hold more pairs and dump edges, but up to the first
+                # dumping pair both walks agree
+                assert set(pairs) <= set(tc.pairs)
+                assert set(tc_dumps) <= set(tc.dump_edges)
+                assert tc.dump_edges[0] == tc_dumps[0]
                 pair, e, rp, rs = tc_dumps[0]
                 assert verdict.witness == Witness((tc_access[pair],), e, rp, rs)
                 seen["ctrl_fails"] += 1
+                seen["tc_grows"] += tc.pairs != pairs
             else:
+                assert tc.pairs == pairs
+                assert tc.dump_edges == tc_dumps
                 assert verdict.holds
 
             quads, to_dumps, to_access = reference_build_to(plant, spec)
@@ -379,3 +396,35 @@ class TestKernelReference:
             seen["eps_dump"] += any(not p.is_ordinary for d in to_dumps for p in d[2:])
             seen["spec_only"] += not is_sublanguage(spec, plant).holds
         assert min(seen.values()) >= 20, seen
+
+
+class TestOneDefinition:
+    """Controllability has one definition, read two ways: the testing
+    automaton keeps the mismatches the spec defines, synthesis rejects
+    every mismatch, so a failing check is a failing synthesis."""
+
+    def test_check_and_synthesis_read_the_same_mismatches(self):
+        rng = random.Random(137)
+        cases = [synthesis_pair(rng, i) for i in range(400)]
+        cases += [wild_pair(rng) for _ in range(400)]
+        cases += list(eps_plant_pairs(139, 400))
+        seen = {"ctrl_fails": 0, "same_witness": 0, "dump_advances": 0}
+        for plant, spec in cases:
+            tc = build_tc(plant, spec)
+            assert tc.pairs == JointSupport(plant, spec).pairs
+            verdict = check_controllable(plant, spec)
+            try:
+                scaling_from_spec(plant, spec)
+                error = None
+            except (SynthesisError, InvariantError) as e:
+                error = e
+            if not verdict:
+                assert isinstance(error, (NotSublanguageError, NotControllableError))
+                seen["ctrl_fails"] += 1
+            if isinstance(error, NotControllableError) and error.witness.rhs:
+                assert error.witness == verdict.witness
+                seen["same_witness"] += 1
+            # a mismatch on an event both rows define: the joint support
+            # advances over the dumping move
+            seen["dump_advances"] += any(rp for _, _, rp, _ in tc.dump_edges)
+        assert min(seen.values()) >= 50, seen
