@@ -61,7 +61,6 @@ from .verification import (
 )
 from .infimal import (
     InfimalResult,
-    NormalPair,
     infimal_co_support,
     infimal_pipeline,
     refine_to_normal,

@@ -34,16 +34,20 @@ one walk builds it:
    edge the closure added off the spec carries an infinitesimal ratio,
    below every ordinary one, so added strings are present logically but
    weightless.
-3. `refine_to_normal` puts the plant under those factors, one row per
-   closure cell, through the closed loop that `controlled_automaton`
-   builds for a scaling map, with the closure's observer as the
-   observation classes: uncontrollable edges keep the plant's
-   probability, and a controllable edge exists where its cell's row has
-   a factor, with the plant's probability times that factor.  Each state
-   is labelled (plant state, cell), so the result is normal, which
-   `NormalPair` checks on the labels.
+3. `refine_to_normal` merges the closure cells that have equal factor
+   rows now and after every observation (`quotient_classes`, a Moore
+   refinement of the observer's cells), and puts the plant under those
+   factors, one row per block, through the closed loop that
+   `controlled_automaton` builds for a scaling map: uncontrollable edges
+   keep the plant's probability, and a controllable edge exists where its
+   block's row has a factor, with the plant's probability times that
+   factor.  Merged cells paired with one plant state generate the same
+   language, so the blocks give the closed loop that the cells give, on
+   fewer states; each state is labelled (plant state, block).  A block's
+   states are a union of observer cells of the result, all with one
+   factor row.
 
-`InfimalResult.result` has one state per (plant state, closure cell);
+`InfimalResult.result` has one state per (plant state, block) it reaches;
 `automata.minimize` quotients it to the fewest states that generate the
 same language, which is what `inf-pco` writes.
 """
@@ -51,61 +55,19 @@ same language, which is what `inf-pco` writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
 from .automata import (
     InvariantError,
     JointSupport,
     Observer,
     Pdes,
-    State,
-    _unobservable_reach,
     numbered_walk,
     observer,
     require_same_alphabet,
 )
-from .supervisor import _closed_loop, _require_sublanguage
+from .supervisor import _closed_loop, _require_sublanguage, quotient_classes
 from .values import ONE, ZERO, EpsProb, _Table
-
-
-@dataclass(frozen=True)
-class NormalPair:
-    """The plant `g_n` as given, and a normal automaton `h_n` whose label
-    table gives state i the label ``(x, o)``: the plant state x it is
-    reached with, and its observer cell o.  The states sharing a cell are
-    one cell of `observer(h_n)`.  Building a pair checks this
-    (`validate`), so the cells are read from the labels."""
-
-    g_n: Pdes
-    h_n: Pdes
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise unless the cells of the labels are the observer cells of
-        h_n: the unobservable reach of the initial state, and of the
-        targets of each cell's states on each observable event, is exactly
-        the states of one cell (so all of them share it).  By induction on
-        the observation each observer cell is one label cell, and every
-        state is reachable, so the observer cells partition the states."""
-        h_n = self.h_n
-        labels = h_n.labels
-        if labels is None:
-            raise InvariantError("the normal automaton has no label table")
-        observable = h_n.alphabet.observable
-        cells: Dict[State, Set[int]] = {}
-        steps: Dict[Tuple[State, str], Set[int]] = {}  # (cell, observable event) -> targets
-        for x, row in h_n._out.items():
-            o = labels[x][1]
-            cells.setdefault(o, set()).add(x)
-            for e, (y, _) in row.items():
-                if e in observable:
-                    steps.setdefault((o, e), set()).add(y)
-        reach = _unobservable_reach(h_n)
-        for targets in [{h_n.initial}, *steps.values()]:
-            if reach(targets) != cells[labels[next(iter(targets))][1]]:
-                raise InvariantError("refined spec is not normal")
 
 
 def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
@@ -175,14 +137,25 @@ def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> L
     return rows
 
 
-def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> NormalPair:
+@dataclass(frozen=True)
+class RefinedLoop:
+    """The plant `g_n` as given, and `h_n`, the plant under the quotiented
+    supervisor: state i is labelled (plant state, block of closure
+    cells)."""
+
+    g_n: Pdes
+    h_n: Pdes
+
+
+def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> RefinedLoop:
     """The plant under the `reweight_infimal` factors of the cells of
     ``observer(support)``, for the closure ``support =
-    infimal_co_support(plant, spec)``, built by the closed loop that
-    `controlled_automaton` builds: state i is labelled (plant state,
-    cell).  Returns the plant beside it."""
+    infimal_co_support(plant, spec)``, with the cells merged by
+    `quotient_classes`, built by the closed loop that
+    `controlled_automaton` builds.  Returns the plant beside it."""
     obs = observer(support)
-    return NormalPair(plant, _closed_loop(plant, obs, reweight_infimal(plant, spec, support, obs)))
+    classes, rows = quotient_classes(obs, reweight_infimal(plant, spec, support, obs))
+    return RefinedLoop(plant, _closed_loop(plant, classes, rows))
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,57 @@ def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
     return Pdes._from_rows(plant.alphabet, 0, rows, labels)
 
 
+def quotient_classes(classes: ObservationClasses, factors) -> Tuple[ObservationClasses, List[Dict[str, EpsProb]]]:
+    """Merge the classes that `_closed_loop` cannot tell apart under the
+    per-class factor rows ``factors[c]``: Moore refinement from one block
+    per row, each round splitting a block by its members' target blocks on
+    the observable events, a missing move being its own target, until the
+    count stops changing.  Two merged classes have equal rows now and after
+    every observation, so paired with one plant state they generate the
+    same language, and `_closed_loop` over the quotient generates the
+    language it generates over the classes.  This is exact supervisor
+    reduction (Vaz and Wonham, 1986; Su and Wonham, 2004): only equivalent
+    classes merge.  Returns the block DFA and one row per block, through
+    the stability check of `_merge_classes`."""
+    alphabet, trans = classes.alphabet, classes.trans
+    observable = [e for e in alphabet.events if e in alphabet.observable]
+    keys: Dict[tuple, int] = {}
+    block = [keys.setdefault(tuple(sorted(factors[c].items())), len(keys)) for c in range(classes.count)]
+    moves = [[trans.get((c, e), -1) for e in observable] for c in range(classes.count)]
+    count = len(keys)
+    while True:
+        sigs: Dict[tuple, int] = {}
+        of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
+        block = [sigs.setdefault((b, *map(of, targets)), len(sigs)) for b, targets in zip(block, moves)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    return _merge_classes(classes, factors, block)
+
+
+def _merge_classes(classes: ObservationClasses, factors, block: List[int]):
+    """The classes merged into blocks 0..k-1, class c into ``block[c]``:
+    each block takes the row and the moves of its first member.  Raises
+    `InvariantError` unless the partition is stable: every class has its
+    block's row and, on each observable event, moves into its block's
+    successor, or nowhere where the block has none."""
+    alphabet, trans = classes.alphabet, classes.trans
+    observable = [e for e in alphabet.events if e in alphabet.observable]
+
+    def signature(c):
+        return factors[c], [block[trans[(c, e)]] if (c, e) in trans else -1 for e in observable]
+
+    first: Dict[int, int] = {}
+    for c, b in enumerate(block):
+        first.setdefault(b, c)
+    expected = {b: signature(c) for b, c in first.items()}
+    if any(signature(c) != expected[b] for c, b in enumerate(block)):
+        raise InvariantError("the merged classes are not a stable partition")
+    rows = [factors[first[b]] for b in range(len(first))]
+    merged = {(b, e): block[trans[(c, e)]] for b, c in first.items() for e in observable if (c, e) in trans}
+    return ObservationClasses(alphabet, block[classes.initial], len(rows), merged), rows
+
+
 def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
     """The controlled plant: each transition probability is the plant's
     scaled by the factor of its observation class, and zero-probability

@@ -1,14 +1,28 @@
 """Shared fixtures: the worked examples and random model generators."""
 
+import importlib.util
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pdesctl import EPS, Alphabet, EpsProb, Pdes, explore, product
 
 F = Fraction
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def load_gen():
+    """perfbench/gen.py as a module, loaded from its source."""
+    if "perfbench_gen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+        module = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look their module up
+    return sys.modules["perfbench_gen"]
 
 
 def drop_transitions(pdes, keys):

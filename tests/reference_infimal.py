@@ -17,16 +17,23 @@ It computes the same language in three stages:
 An off-spec edge's ratio is ``EPS / p`` for plant probability p, which is
 ordinary or undefined when p is infinitesimal; compare with the package
 only on plants with ordinary probabilities.
+
+`NormalPair` checks that an automaton labelled (plant state, cell) is
+normal: its label cells are its observer cells.  The reference's
+automaton is, and so is the package's closed loop over the closure's
+observer cells before `quotient_classes` merges them; the merged loop
+is not, since a block's states are a union of observer cells.
 """
 
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
-from pdesctl import EPS, ONE, ZERO, EpsProb, InvariantError, NormalPair, NotSublanguageError, Pdes
+from pdesctl import EPS, ONE, ZERO, EpsProb, InvariantError, NotSublanguageError, Pdes
 from pdesctl.automata import (
     JointSupport,
     State,
+    _unobservable_reach,
     explore,
     minimize_logic,
     observer,
@@ -143,6 +150,46 @@ def labelled(a: Pdes) -> Pdes:
     index = {s: i for i, s in enumerate(a.states)}
     rows = [{e: (index[dst], p) for e, (dst, p) in a._out[s].items()} for s in a.states]
     return Pdes._from_rows(a.alphabet, 0, rows, list(a.states))
+
+
+@dataclass(frozen=True)
+class NormalPair:
+    """The plant `g_n` as given, and a normal automaton `h_n` whose label
+    table gives state i the label ``(x, o)``: the plant state x it is
+    reached with, and its observer cell o.  The states sharing a cell are
+    one cell of `observer(h_n)`.  Building a pair checks this
+    (`validate`), so the cells are read from the labels."""
+
+    g_n: Pdes
+    h_n: Pdes
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise unless the cells of the labels are the observer cells of
+        h_n: the unobservable reach of the initial state, and of the
+        targets of each cell's states on each observable event, is exactly
+        the states of one cell (so all of them share it).  By induction on
+        the observation each observer cell is one label cell, and every
+        state is reachable, so the observer cells partition the states."""
+        h_n = self.h_n
+        labels = h_n.labels
+        if labels is None:
+            raise InvariantError("the normal automaton has no label table")
+        observable = h_n.alphabet.observable
+        cells: Dict[State, Set[int]] = {}
+        steps: Dict[Tuple[State, str], Set[int]] = {}  # (cell, observable event) -> targets
+        for x, row in h_n._out.items():
+            o = labels[x][1]
+            cells.setdefault(o, set()).add(x)
+            for e, (y, _) in row.items():
+                if e in observable:
+                    steps.setdefault((o, e), set()).add(y)
+        reach = _unobservable_reach(h_n)
+        for targets in [{h_n.initial}, *steps.values()]:
+            if reach(targets) != cells[labels[next(iter(targets))][1]]:
+                raise InvariantError("refined spec is not normal")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import os
 import random
 import subprocess
@@ -48,6 +49,7 @@ from conftest import (
     build,
     drop_transitions,
     eps_scaled,
+    load_gen,
     loop_plant,
     loop_spec,
     random_alphabet,
@@ -262,6 +264,27 @@ class TestInfPco:
         plant, spec = str(DATA / "infimal_plant.pda"), str(DATA / "infimal_spec.pda")
         assert main(["inf-pco", plant, spec]) == 0
         assert capsys.readouterr().out == (DATA / "infimal_golden.pda").read_text()
+
+    # sha256 of the output on the benchmark generator's pair for k states:
+    # `random_plant(Random(k), k)`, then `random_subspec` on the same
+    # generator
+    BENCHMARK_DIGESTS = {
+        4: "32b17c40b4ce88c425d79d5980314e7d0a82e5e77d781f2dc7fbc0e5376d05ff",
+        10: "a70de7a3695c7596ea0d1faa8e4cd0192afb9f73e7e5a29cedde8f5e7d15d3af",
+        20: "d77da110f60a4d3dddd617e0059c043c7cced172b1e65aef583fa52bccb0fa42",
+        40: "4c181763d7a8f1b22fe742c712c11661c99c4766d6e922155f8ba17c744bdbf2",
+    }
+
+    @pytest.mark.parametrize("k", sorted(BENCHMARK_DIGESTS))
+    def test_golden_digests_on_benchmark_plants(self, tmp_path, k):
+        gen = load_gen()
+        rng = random.Random(k)
+        plant = gen.random_plant(rng, k)
+        g = write(tmp_path, "g.pda", plant)
+        h = write(tmp_path, "h.pda", gen.random_subspec(rng, plant))
+        out = tmp_path / "tilde.pda"
+        assert main(["inf-pco", g, h, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.BENCHMARK_DIGESTS[k]
 
     def test_golden_is_the_minimal_result(self):
         """The golden output generates the pipeline's result and has no

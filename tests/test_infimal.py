@@ -1,10 +1,7 @@
 import copy
-import importlib.util
 import pickle
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +10,6 @@ from pdesctl import (
     EPS,
     EpsProb,
     InvariantError,
-    NormalPair,
     NotSublanguageError,
     ONE,
     Pdes,
@@ -42,7 +38,8 @@ import pdesctl.cli as cli
 import pdesctl.infimal as infimal
 import reference_infimal as reference
 from pdesctl.automata import JointSupport, require_same_alphabet
-from reference_infimal import SINK, reference_infimal_pipeline
+from pdesctl.supervisor import _closed_loop, _merge_classes, quotient_classes
+from reference_infimal import SINK, NormalPair, reference_infimal_pipeline
 from conftest import (
     E,
     branch_plant,
@@ -50,6 +47,7 @@ from conftest import (
     eps_plant_pairs,
     eps_scaled,
     is_partition,
+    load_gen,
     observation_scaled_spec,
     random_alphabet,
     random_plant,
@@ -60,18 +58,6 @@ from conftest import (
 )
 
 F = Fraction
-
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
-def load_gen():
-    """perfbench/gen.py as a module, loaded from its source."""
-    if "perfbench_gen" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-        module = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # its dataclasses look their module up
-    return sys.modules["perfbench_gen"]
-
 
 def ratio(a, word, e):
     lw = a.eval_language(word)
@@ -346,6 +332,63 @@ class TestCoSupport:
         assert grown >= 200, grown
 
 
+def block_rows(plant, h_n):
+    """The factor row of each block of h_n's labels (plant state, block),
+    read off its edges: a controllable plant edge at y carries the plant's
+    probability times the block's factor at a state labelled (y, b), and
+    a missing one the factor zero.  Asserts that every state lies in an
+    observer cell of h_n, that each cell lies in one block (so a block's
+    states are a union of cells), and that a block's states agree on its
+    row."""
+    controllable = plant.alphabet.controllable
+    cells = observer(h_n).cells
+    assert set().union(*cells) == set(h_n.states)
+    for cell in cells:
+        assert len({h_n.labels[x][1] for x in cell}) == 1, cell
+    rows = {}
+    for x in h_n.states:
+        y, b = h_n.labels[x]
+        row = rows.setdefault(b, {})
+        for e, (_, p) in plant._out[y].items():
+            if e in controllable:
+                edge = h_n._out[x].get(e)
+                factor = edge[1] / p if edge else ZERO
+                assert row.setdefault(e, factor) == factor, (x, e)
+    return rows
+
+
+def unquotiented_loop(plant, spec):
+    """The plant under one factor row per cell of the closure's observer,
+    with no cells merged: the closed loop over the cells themselves,
+    labelled (plant state, cell)."""
+    support = infimal_co_support(plant, spec)
+    obs = observer(support)
+    return _closed_loop(plant, obs, reweight_infimal(plant, spec, support, obs))
+
+
+def equivalent_classes(classes, factors):
+    """Pairs of classes with equal rows and the same moves after every
+    observation, by a walk over the pairs each pair reaches (brute force,
+    independent of the refinement rounds)."""
+    observable = [e for e in classes.alphabet.events if e in classes.alphabet.observable]
+
+    def agree(c, d):
+        pairs, seen = [(c, d)], {(c, d)}
+        for a, b in pairs:  # grows as the walk finds pairs
+            if factors[a] != factors[b]:
+                return False
+            for e in observable:
+                ta, tb = classes.trans.get((a, e)), classes.trans.get((b, e))
+                if (ta is None) != (tb is None):
+                    return False
+                if ta is not None and (ta, tb) not in seen:
+                    seen.add((ta, tb))
+                    pairs.append((ta, tb))
+        return True
+
+    return {(c, d) for c in range(classes.count) for d in range(c + 1, classes.count) if agree(c, d)}
+
+
 class TestRefineToNormal:
     def test_branch_shapes(self, branches):
         plant, spec = branches
@@ -353,11 +396,15 @@ class TestRefineToNormal:
         pair = refine_to_normal(plant, spec, support)
         assert pair.g_n is plant
         assert language_equivalent(pair.h_n.logic(), support)
-        assert is_partition(observer(pair.h_n).cells, pair.h_n.states)
-        assert label_cells(pair.h_n) == set(observer(pair.h_n).cells)
+        rows = block_rows(plant, pair.h_n)
         assert is_breadth_first(pair.h_n)
         labels = pair.h_n.labels
         assert len(set(labels)) == len(labels) == len(pair.h_n.states)
+        # each block's row is the row of the closure cells merged into it
+        obs = observer(support)
+        factors = reweight_infimal(plant, spec, support, obs)
+        for row in rows.values():
+            assert any(all(f.get(e, ZERO) == factor for e, factor in row.items()) for f in factors)
         # every edge follows the plant edge of the tracked plant state
         for x, e, y, p in pair.h_n.transitions():
             assert plant.target(labels[x][0], e) == labels[y][0], (x, e)
@@ -383,17 +430,20 @@ class TestRefineToNormal:
         assert len(built) == 1 and observed == [support]
 
     def test_labels_are_the_observer_cells(self):
-        # the label check against the subset construction: it accepts
-        # every result, whose labels are its observer cells, and a
-        # relabelled mutant is rejected exactly when its labels are not
-        # its observer cells.  Moving one state's label to another cell
-        # leaves the rows alone, so the mutant's observer still partitions
-        # its states; renaming the cells keeps them the cells.
+        # the quotiented loop: each block is a union of its observer cells,
+        # all with one factor row.  The unquotiented loop against the label
+        # check and the subset construction: the check accepts it, whose
+        # labels are its observer cells, and a relabelled mutant is
+        # rejected exactly when its labels are not its observer cells.
+        # Moving one state's label to another cell leaves the rows alone,
+        # so the mutant's observer still partitions its states; renaming
+        # the cells keeps them the cells.
         rng = random.Random(257)
         seen = {"moved": 0, "renamed": 0}
         for plant, spec in seeded_pairs():
-            # refine_to_normal builds its NormalPair, which runs the check
-            h_n = refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n
+            block_rows(plant, refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n)
+            h_n = unquotiented_loop(plant, spec)
+            NormalPair(plant, h_n)
             assert label_cells(h_n) == set(observer(h_n).cells)
             assert is_partition(observer(h_n).cells, h_n.states)
             cells = sorted({o for _, o in h_n.labels})
@@ -421,23 +471,76 @@ class TestRefineToNormal:
                 seen[kind] += 1
         assert min(seen.values()) >= 200, seen
 
-    @pytest.mark.parametrize("label_b", [0, 1])
-    def test_rejects_non_normal_automaton(self, label_b):
-        # the unobservable u puts b in the initial cell and in the cell
-        # after o, so no labelling of b makes the labels the cells
-        alphabet = Alphabet.make(["c"], ["o", "u"], ["c", "o"])
-        h = Pdes._from_rows(alphabet, 0, [{"u": (1, E(1, 2)), "o": (1, E(1, 2))}, {"c": (1, E(1, 2))}],
-                            [("a", 0), ("b", label_b)])
-        assert not is_partition(observer(h).cells, h.states)
-        with pytest.raises(InvariantError, match="not normal"):
-            NormalPair(h, h)
 
-    def test_rejects_automaton_without_labels(self, branches):
-        plant, spec = branches
-        h_n = refine_to_normal(plant, spec, infimal_co_support(plant, spec)).h_n
-        NormalPair(plant, h_n)
-        with pytest.raises(InvariantError, match="no label table"):
-            NormalPair(plant, relabel(h_n, None))
+class TestQuotient:
+    """`quotient_classes` on the closure's observer cells and their factor
+    rows, against the closed loop over the cells themselves."""
+
+    def test_inf_pco_text_matches_the_unquotiented_loop(self):
+        pairs = [*seeded_pairs(seed=7, count=1500), *eps_plant_pairs(11, 300)]
+        merged = 0
+        for plant, spec in pairs:
+            result = infimal_pipeline(plant, spec).result
+            full = unquotiented_loop(plant, spec)
+            assert language_equivalent(result, full)
+            assert inf_pco_text(result) == inf_pco_text(full)
+            assert len(result.states) <= len(full.states)
+            merged += len(result.states) < len(full.states)
+        assert merged >= 450, merged
+
+    def test_merges_exactly_the_equivalent_cells(self):
+        seen = {"merged": 0, "kept_apart": 0}
+        for plant, spec in seeded_pairs(count=300):
+            support = infimal_co_support(plant, spec)
+            obs = observer(support)
+            factors = reweight_infimal(plant, spec, support, obs)
+            classes, rows = quotient_classes(obs, factors)
+            # the block of each cell, found by walking the two DFAs side by
+            # side; every cell move is a block move
+            order, blocks = [obs.initial], {obs.initial: classes.initial}
+            for c in order:  # grows as the walk finds cells
+                for e in plant.alphabet.events:
+                    t = obs.trans.get((c, e))
+                    if t is not None and t not in blocks:
+                        blocks[t] = classes.trans[(blocks[c], e)]
+                        order.append(t)
+            assert all(classes.trans.get((blocks[c], e)) == blocks[t] for (c, e), t in obs.trans.items())
+            assert len(blocks) == obs.count and len(rows) == classes.count == len(set(blocks.values()))
+            equivalent = equivalent_classes(obs, factors)
+            for c in range(obs.count):
+                assert factors[c] == rows[blocks[c]]
+                for d in range(c + 1, obs.count):
+                    same = blocks[c] == blocks[d]
+                    assert same == ((c, d) in equivalent), (c, d)
+                    seen["merged" if same else "kept_apart"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_unstable_partitions_raise(self):
+        # merging two cells with different rows, or two cells with equal
+        # rows that are not equivalent, breaks the stability check; the
+        # partition into single cells passes it
+        seen = {"rows": 0, "moves": 0}
+        for plant, spec in seeded_pairs():
+            support = infimal_co_support(plant, spec)
+            obs = observer(support)
+            factors = reweight_infimal(plant, spec, support, obs)
+            classes, rows = _merge_classes(obs, factors, list(range(obs.count)))
+            assert rows == factors and (classes.initial, classes.trans) == (obs.initial, obs.trans)
+            equivalent = equivalent_classes(obs, factors)
+            for c in range(obs.count):
+                # the first cell of each kind that c is not equivalent to
+                apart = {}
+                for d in range(c + 1, obs.count):
+                    if (c, d) not in equivalent:
+                        apart.setdefault("rows" if factors[c] != factors[d] else "moves", d)
+                for kind, d in apart.items():
+                    block = list(range(obs.count))
+                    block[d] = c
+                    dense = {}
+                    with pytest.raises(InvariantError, match="not a stable partition"):
+                        _merge_classes(obs, factors, [dense.setdefault(b, len(dense)) for b in block])
+                    seen[kind] += 1
+        assert min(seen.values()) >= 200, seen
 
 
 BRANCH_RESULT_RATIOS = [
@@ -646,10 +749,12 @@ class TestPipeline:
 
     def test_no_lowered_factor_keeps_the_spec(self):
         # local minimality: lowering any one nonzero controllable factor of
-        # the supervisor that realizes the result loses some of the spec
+        # the supervisor that realizes the result loses some of the spec.
+        # The result merges equivalent observer cells, so it has few vectors
+        # per pair: 450 pairs keep the count above the floor
         rng = random.Random(5)
         lowered = 0
-        for _ in range(400):
+        for _ in range(450):
             alphabet = random_alphabet(rng)
             plant = random_plant(rng, alphabet)
             spec = random_subspec(rng, plant)
@@ -947,6 +1052,28 @@ class TestNormalReference:
             seen["unobservable"] += bool(plant.alphabet.unobservable)
             seen["sink"] += any(x[0][2] is SINK for x in h_n.states)
         assert min(seen.values()) >= 100, seen
+
+
+class TestNormalPair:
+    """The test-side normality check on labels (plant state, cell)."""
+
+    @pytest.mark.parametrize("label_b", [0, 1])
+    def test_rejects_non_normal_automaton(self, label_b):
+        # the unobservable u puts b in the initial cell and in the cell
+        # after o, so no labelling of b makes the labels the cells
+        alphabet = Alphabet.make(["c"], ["o", "u"], ["c", "o"])
+        h = Pdes._from_rows(alphabet, 0, [{"u": (1, E(1, 2)), "o": (1, E(1, 2))}, {"c": (1, E(1, 2))}],
+                            [("a", 0), ("b", label_b)])
+        assert not is_partition(observer(h).cells, h.states)
+        with pytest.raises(InvariantError, match="not normal"):
+            NormalPair(h, h)
+
+    def test_rejects_automaton_without_labels(self, branches):
+        plant, spec = branches
+        h_n = unquotiented_loop(plant, spec)
+        NormalPair(plant, h_n)
+        with pytest.raises(InvariantError, match="no label table"):
+            NormalPair(plant, relabel(h_n, None))
 
 
 class TestReferenceChecks:
