@@ -154,8 +154,9 @@ def refine_to_normal(plant: Pdes, spec: Pdes, support: Pdes) -> RefinedLoop:
     `quotient_classes`, built by the closed loop that
     `controlled_automaton` builds.  Returns the plant beside it."""
     obs = observer(support)
-    classes, rows = quotient_classes(obs, reweight_infimal(plant, spec, support, obs))
-    return RefinedLoop(plant, _closed_loop(plant, classes, rows))
+    rows = reweight_infimal(plant, spec, support, obs)
+    classes, first = quotient_classes(obs, [tuple(sorted(row.items())) for row in rows])
+    return RefinedLoop(plant, _closed_loop(plant, classes, [rows[c] for c in first]))
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,10 @@ def distribution_from_marginals(factors: Sequence[Fraction], m: int, n: int) -> 
 
 def _nested(factors: Tuple[Fraction, ...], m: int) -> PatternDistribution:
     """The nested construction of `distribution_from_marginals` on a
-    vector that `validate_scaling_vector` has already returned."""
-    order = sorted(range(m), key=lambda i: (-factors[i], i))
+    vector that `validate_scaling_vector` has already returned; it reads
+    only the m controllable entries."""
+    # decreasing factors, ties in event order (the sort is stable)
+    order = sorted(range(m), key=factors.__getitem__, reverse=True)
     sorted_vals = [factors[i] for i in order] + [Fraction(0)]
     probs = {0: 1 - sorted_vals[0]}
     code = 0

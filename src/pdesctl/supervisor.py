@@ -8,9 +8,10 @@ observation class a probability distribution over control patterns
 whose per-event marginals reproduce the scaling vector.
 
 Observation classes are represented finitely by the observer of the
-synchronized plant/specification pair graph; observations that fall
-outside the mapped classes use a configurable default vector (all-ones
-unless stated otherwise).
+synchronized plant/specification pair graph; a synthesized map merges
+the observer's cells that no observation tells apart, so its classes are
+blocks of cells.  Observations that fall outside the mapped classes use a
+configurable default vector (all-ones unless stated otherwise).
 """
 
 from __future__ import annotations
@@ -171,15 +172,17 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     """Synthesize the scaling-factor map realizing the specification.
 
     Requires the spec to be a probabilistic sublanguage of the plant.
-    Per observation class and controllable event, the factor is the
-    spec/plant probability ratio at any representative pair with the
-    plant transition defined (zero when no representative defines it);
-    conflicting ratios mean the spec is not probabilistic observable,
-    and any uncontrollable-probability mismatch means it is not
-    probabilistic controllable.  A sublanguage failure is reported
-    before a mismatch, a mismatch before a conflict, each at the first
-    pair in breadth-first order (members of a class in order of their
-    shortest strings).
+    Per cell of the joint support's observer and controllable event, the
+    factor is the spec/plant probability ratio at any member pair with the
+    plant transition defined (zero when no member defines it); the map's
+    classes are the cells merged by `quotient_classes`, one per block of
+    cells with equal vectors now and after every observation, numbered in
+    the order of their first cells.  Conflicting ratios mean the spec is
+    not probabilistic observable, and any uncontrollable-probability
+    mismatch means it is not probabilistic controllable.  A sublanguage
+    failure is reported before a mismatch, a mismatch before a conflict,
+    each at the first pair in breadth-first order (members of a cell in
+    order of their shortest strings).
     """
     joint = JointSupport(plant, spec)
     _require_sublanguage(joint, plant, spec)
@@ -205,7 +208,8 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
             else:
                 row.append(_EPS)
         ratios.append(row)
-    vectors: Dict[int, Tuple[Fraction, ...]] = {}
+    vectors: List[Tuple[Fraction, ...]] = []  # per class, in index order
+    keys: List[tuple] = []  # per class: its factors as (numerator, denominator)
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 
     def class_vector(cls: int, cell) -> None:
@@ -235,21 +239,26 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                         ),
                     )
             factors.append(ratio if ratio is not None else Fraction(0))
-        vectors[cls] = tuple(factors) + uncontrollable_factors
+        vectors.append(tuple(factors) + uncontrollable_factors)
+        keys.append(tuple([(f.numerator, f.denominator) for f in factors]))
 
     # each class is checked as the subset construction reaches it, so a
-    # conflict stops the construction there
-    obs = observer(joint, class_vector)
-    return ScalingMap(_classes(obs), vectors)
+    # conflict stops the construction there; classes with equal vectors
+    # now and after every observation then share a block
+    classes, first = quotient_classes(observer(joint, class_vector), keys)
+    return ScalingMap(classes, {b: vectors[c] for b, c in enumerate(first)})
 
 
 def supervisor_from_scaling(scaling: ScalingMap) -> SupervisorMap:
-    """Roulette form of a scaling map: one pattern distribution per class,
-    constructed so its marginals equal the class vector exactly."""
-    alphabet = scaling.alphabet
-    # the vectors were validated when the scaling map was built
-    dists = {cls: _nested(vec, alphabet.m) for cls, vec in scaling.vectors.items()}
-    return SupervisorMap(scaling.classes, dists, _nested(scaling.default, alphabet.m))
+    """Roulette form of a scaling map: one pattern distribution per distinct
+    vector, shared by the classes that have it, constructed so its
+    marginals equal the vector exactly."""
+    m = scaling.alphabet.m
+    # the vectors were validated when the scaling map was built, so their
+    # uncontrollable entries are all 1 and the first m entries tell them apart
+    roulette = _Table(lambda head: _nested(head, m))
+    dists = {cls: roulette[vec[:m]] for cls, vec in scaling.vectors.items()}
+    return SupervisorMap(scaling.classes, dists, roulette[scaling.default[:m]])
 
 
 def scaling_from_supervisor(sup: SupervisorMap) -> ScalingMap:
@@ -291,55 +300,62 @@ def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
     return Pdes._from_rows(plant.alphabet, 0, rows, labels)
 
 
-def quotient_classes(classes: ObservationClasses, factors) -> Tuple[ObservationClasses, List[Dict[str, EpsProb]]]:
-    """Merge the classes that `_closed_loop` cannot tell apart under the
-    per-class factor rows ``factors[c]``: Moore refinement from one block
-    per row, each round splitting a block by its members' target blocks on
-    the observable events, a missing move being its own target, until the
-    count stops changing.  Two merged classes have equal rows now and after
-    every observation, so paired with one plant state they generate the
-    same language, and `_closed_loop` over the quotient generates the
-    language it generates over the classes.  This is exact supervisor
-    reduction (Vaz and Wonham, 1986; Su and Wonham, 2004): only equivalent
-    classes merge.  Returns the block DFA and one row per block, through
-    the stability check of `_merge_classes`."""
-    alphabet, trans = classes.alphabet, classes.trans
-    observable = [e for e in alphabet.events if e in alphabet.observable]
-    keys: Dict[tuple, int] = {}
-    block = [keys.setdefault(tuple(sorted(factors[c].items())), len(keys)) for c in range(classes.count)]
-    moves = [[trans.get((c, e), -1) for e in observable] for c in range(classes.count)]
-    count = len(keys)
-    while True:
-        sigs: Dict[tuple, int] = {}
-        of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
-        block = [sigs.setdefault((b, *map(of, targets)), len(sigs)) for b, targets in zip(block, moves)]
-        if len(sigs) == count:
-            break
-        count = len(sigs)
-    return _merge_classes(classes, factors, block)
+def quotient_classes(classes: ObservationClasses, keys) -> Tuple[ObservationClasses, List[int]]:
+    """Merge the classes that a supervisor cannot tell apart, where
+    ``keys[c]`` is a hashable key of class c's row (its scaling vector or
+    factor row), equal exactly where the rows are equal: Moore refinement
+    from one block per key, each round splitting a block by its members'
+    target blocks on the observable events, a missing move being its own
+    target, until the count stops changing.  Two merged classes have equal
+    rows now and after every observation, so paired with one plant state
+    they generate the same language, and `_closed_loop` over the quotient
+    generates the language it generates over the classes.  A missing move
+    never merges with a class, so no class merges into a map's default.
+    This is exact supervisor reduction (Vaz and Wonham, 1986; Su and
+    Wonham, 2004): only equivalent classes merge.  Returns the block DFA
+    and the first member of each block, through the stability check of
+    `_merge_classes`."""
+    alphabet, trans, count = classes.alphabet, classes.trans, classes.count
+    first: Dict[object, int] = {}
+    block = [first.setdefault(key, len(first)) for key in keys]
+    if len(first) < count:  # distinct keys leave nothing to split
+        # per observable event, each class's target, -1 where it has none
+        columns = [[trans.get((c, e), -1) for c in range(count)] for e in alphabet.events if e in alphabet.observable]
+        count = len(first)
+        while True:
+            sigs: Dict[tuple, int] = {}
+            of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
+            block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[map(of, col) for col in columns])]
+            if len(sigs) == count:
+                break
+            count = len(sigs)
+    return _merge_classes(classes, keys, block)
 
 
-def _merge_classes(classes: ObservationClasses, factors, block: List[int]):
+def _merge_classes(classes: ObservationClasses, keys, block: List[int]) -> Tuple[ObservationClasses, List[int]]:
     """The classes merged into blocks 0..k-1, class c into ``block[c]``:
-    each block takes the row and the moves of its first member.  Raises
-    `InvariantError` unless the partition is stable: every class has its
-    block's row and, on each observable event, moves into its block's
-    successor, or nowhere where the block has none."""
+    each block takes the moves of its first member, which is returned per
+    block.  Raises `InvariantError` unless the partition is stable: every
+    class has its block's key, and each of its moves is a move of its
+    block into the target's block, and the classes have as many moves in
+    all as their blocks give them, so none lacks one of its block's."""
     alphabet, trans = classes.alphabet, classes.trans
     observable = [e for e in alphabet.events if e in alphabet.observable]
-
-    def signature(c):
-        return factors[c], [block[trans[(c, e)]] if (c, e) in trans else -1 for e in observable]
-
     first: Dict[int, int] = {}
     for c, b in enumerate(block):
         first.setdefault(b, c)
-    expected = {b: signature(c) for b, c in first.items()}
-    if any(signature(c) != expected[b] for c, b in enumerate(block)):
+    members = [first[b] for b in range(len(first))]
+    merged = {(b, e): block[trans[(c, e)]] for b, c in enumerate(members) for e in observable if (c, e) in trans}
+    moves = [0] * len(members)
+    for b, _ in merged:
+        moves[b] += 1
+    if not (
+        all(keys[c] == keys[members[b]] for c, b in enumerate(block))
+        and all(merged.get((block[c], e)) == block[t] for (c, e), t in trans.items())
+        and sum(moves[b] for b in block) == len(trans)
+    ):
         raise InvariantError("the merged classes are not a stable partition")
-    rows = [factors[first[b]] for b in range(len(first))]
-    merged = {(b, e): block[trans[(c, e)]] for b, c in first.items() for e in observable if (c, e) in trans}
-    return ObservationClasses(alphabet, block[classes.initial], len(rows), merged), rows
+    return ObservationClasses(alphabet, block[classes.initial], len(members), merged), members
 
 
 def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:

@@ -8,13 +8,16 @@ serve as independent oracles for the testing automata of
 minimal automaton by comparing the languages of every state, for
 `pdesctl.automata.minimize`.  `reference_controlled_automaton` builds the
 controlled plant over (plant state, class) pairs as states, for
-`pdesctl.supervisor.controlled_automaton`.
+`pdesctl.supervisor.controlled_automaton`.  `equivalent_classes` finds
+the classes a supervisor cannot tell apart by walking class pairs, and
+`reference_quotient` merges them, for `pdesctl.supervisor.quotient_classes`.
 """
 
 from typing import Dict, List, Tuple
 
 from pdesctl.automata import (
     InvariantError,
+    ObservationClasses,
     Pdes,
     State,
     Verdict,
@@ -184,3 +187,47 @@ def reference_controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:
     initial = (plant.initial, classes.initial)
     explore([initial], successors)
     return Pdes(plant.alphabet, initial, trans)
+
+
+def equivalent_classes(classes, rows):
+    """Pairs of classes with equal rows and the same moves after every
+    observation, by a walk over the pairs each pair reaches (brute force,
+    independent of the refinement rounds)."""
+    observable = [e for e in classes.alphabet.events if e in classes.alphabet.observable]
+
+    def agree(c, d):
+        pairs, seen = [(c, d)], {(c, d)}
+        for a, b in pairs:  # grows as the walk finds pairs
+            if rows[a] != rows[b]:
+                return False
+            for e in observable:
+                ta, tb = classes.trans.get((a, e)), classes.trans.get((b, e))
+                if (ta is None) != (tb is None):
+                    return False
+                if ta is not None and (ta, tb) not in seen:
+                    seen.add((ta, tb))
+                    pairs.append((ta, tb))
+        return True
+
+    return {(c, d) for c in range(classes.count) for d in range(c + 1, classes.count) if agree(c, d)}
+
+
+def reference_quotient(scaling: ScalingMap) -> ScalingMap:
+    """The map with its `equivalent_classes` merged: a block per class of
+    equivalent classes, numbered in the order of their first members, with
+    those members' vectors and moves and the map's default."""
+    classes = scaling.classes
+    vectors = [scaling.vector(c) for c in range(classes.count)]
+    equivalent = equivalent_classes(classes, vectors)
+    number: Dict[int, int] = {}
+    block = []
+    for c in range(classes.count):
+        first = next(a for a in range(c + 1) if a == c or (a, c) in equivalent)
+        block.append(number.setdefault(first, len(number)))
+    merged = ObservationClasses(
+        classes.alphabet,
+        block[classes.initial],
+        len(number),
+        {(block[c], e): block[t] for (c, e), t in classes.trans.items()},
+    )
+    return ScalingMap(merged, {block[c]: vectors[c] for c in number}, scaling.default)

@@ -18,6 +18,7 @@ from pdesctl import (
     Pdes,
     ScalingMap,
     SynthesisError,
+    TrialConfig,
     check_controllable,
     check_observable,
     controlled_automaton,
@@ -33,14 +34,18 @@ from pdesctl import (
     loads_supervisor_map,
     marginals_of,
     observation_classes,
+    observer,
+    run_trials,
     scaling_from_spec,
     scaling_from_supervisor,
     supervisor_from_scaling,
 )
+from pdesctl.automata import JointSupport
 from conftest import (
     E,
     build,
     drop_transitions,
+    load_gen,
     observation_scaled_spec,
     random_alphabet,
     random_fraction,
@@ -51,7 +56,7 @@ from conftest import (
     walk_pairs,
     with_eps,
 )
-from oracles import brute_observable, reference_controlled_automaton
+from oracles import brute_observable, equivalent_classes, reference_controlled_automaton
 
 F = Fraction
 
@@ -636,3 +641,79 @@ class TestAchievability:
             assert brute_observable(plant, spec, depth).holds == cells_agree
             seen[cells_agree] += 1
         assert min(seen.values()) >= 40, seen
+
+
+def cell_map(plant, spec):
+    """The map with one class per cell of ``observer(JointSupport(plant,
+    spec))``: per controllable event, the one spec/plant ratio of the
+    cell's pairs where the plant has the event, or 0 where none has it."""
+    joint = JointSupport(plant, spec)
+    obs = observer(joint)
+    alphabet = plant.alphabet
+    vectors = {}
+    for c, cell in enumerate(obs.cells):
+        factors = []
+        for e in alphabet.controllable_events():
+            ratios = {
+                spec.rho(q, e).magnitude / plant.rho(x, e).magnitude
+                for x, q in (joint.pairs[i] for i in cell)
+                if plant.step(x, e) is not None
+            }
+            assert len(ratios) <= 1, (c, e, ratios)
+            factors.append(ratios.pop() if ratios else F(0))
+        vectors[c] = tuple(factors) + (F(1),) * (alphabet.n - alphabet.m)
+    return ScalingMap(ObservationClasses(alphabet, obs.initial, obs.count, obs.trans), vectors)
+
+
+def achievable_pairs():
+    """Seeded pairs that `scaling_from_spec` synthesizes: `synthesis_pair`s,
+    then benchmark-sized `gen.achievable_pair`s at k = 6..13."""
+    rng = random.Random(331)
+    for i in range(600):
+        plant, spec = synthesis_pair(rng, i)
+        try:
+            scaling_from_spec(plant, spec)
+        except (SynthesisError, InvariantError):
+            continue
+        yield plant, spec
+    gen = load_gen()
+    for k in range(6, 14):
+        rng = random.Random(k)
+        for _ in range(3):
+            yield gen.achievable_pair(rng, k, (2, 6))
+
+
+class TestMinimalMaps:
+    """`scaling_from_spec` writes one class per block of equivalent cells of
+    the joint support's observer: the closed loop and every simulation
+    are those of the map with one class per cell, and no two of its
+    classes are equivalent."""
+
+    def test_quotient_is_minimal_and_controls_as_the_cells_do(self):
+        seen = collections.Counter()
+        for plant, spec in achievable_pairs():
+            written, cells = scaling_from_spec(plant, spec), cell_map(plant, spec)
+            assert written.default == cells.default
+            controlled = controlled_automaton(plant, written)
+            assert language_equivalent(controlled, controlled_automaton(plant, cells))
+            assert language_equivalent(controlled, spec)
+            vectors = [written.vector(c) for c in range(written.classes.count)]
+            assert equivalent_classes(written.classes, vectors) == set()
+            assert written.classes.count <= cells.classes.count
+            seen["merged" if written.classes.count < cells.classes.count else "kept"] += 1
+            seen["classes"] += written.classes.count
+            seen["cells"] += cells.classes.count
+        assert seen["merged"] >= 50 and seen["kept"] >= 100, seen
+        assert seen["classes"] < 0.9 * seen["cells"], seen
+
+    def test_simulation_reports_equal_those_of_the_cell_map(self):
+        cfg = TrialConfig(trials=200, max_depth=8, seed=3)
+        merged = 0
+        for plant, spec in achievable_pairs():
+            if plant.has_eps_probabilities():
+                continue  # simulation needs ordinary probabilities
+            written, cells = scaling_from_spec(plant, spec), cell_map(plant, spec)
+            report = run_trials(plant, supervisor_from_scaling(written), cfg).to_tsv()
+            assert report == run_trials(plant, supervisor_from_scaling(cells), cfg).to_tsv()
+            merged += written.classes.count < cells.classes.count
+        assert merged >= 50, merged
