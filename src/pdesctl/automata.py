@@ -565,23 +565,38 @@ def observer_automaton(a: Pdes) -> Pdes:
     return Pdes._from_rows(a.alphabet.restrict_to_observable(), obs.initial, rows, obs.cells, check_liveness=False)
 
 
+def _refine(block: List[int], rows: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+    """Moore refinement of the blocks ``block[s]`` (0..k-1) of states s with
+    equally long target rows ``rows[s]``, -1 for a missing move, until the
+    count stops changing: each state's block, numbered by first members,
+    and the count."""
+    count = max(block, default=-1) + 1
+    columns = list(zip(*rows))  # one per move; a round zips them, with no iterator per state
+    while True:
+        sigs: Dict[tuple, int] = {}
+        of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
+        block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[map(of, col) for col in columns])]
+        if len(sigs) == count:
+            return block, count
+        count = len(sigs)
+
+
 def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
     """Quotient by equal futures: two states merge when they define the
     same events with the same probabilities into states that merge.  The
     result generates the same language with the fewest states.
 
     Moore refinement on integer rows: each row is kept as its targets'
-    numbers in event order (the states themselves when they are 0..n-1).
-    The first partition groups the rows by (event, probability), read as
-    the integers (numerator, denominator, degree); each round splits a
-    block by its members' target blocks, until the count stops changing.
-    Blocks are numbered in the order of their first members, whose rows
-    they take, and named ``f"{prefix}{b}"`` when a prefix is given.  On an
-    automaton numbered breadth first in event order (as `numbered_walk`
-    numbers a walk in event order) the walk of the quotient meets each
-    block first at its first member, so the blocks are in breadth-first
-    order too and ``minimize(a, prefix)`` is
-    ``minimize(a).canonical_names(prefix)``."""
+    numbers in event order (the states themselves when they are 0..n-1,
+    -1 for a missing event).  The first partition groups the rows by
+    (event, probability), read as the integers (numerator, denominator,
+    degree), and `_refine` splits it.  Blocks are numbered in the order of
+    their first members, whose rows they take, and named
+    ``f"{prefix}{b}"`` when a prefix is given.  On an automaton numbered
+    breadth first in event order (as `numbered_walk` numbers a walk in
+    event order) the walk of the quotient meets each block first at its
+    first member, so the blocks are in breadth-first order too and
+    ``minimize(a, prefix)`` is ``minimize(a).canonical_names(prefix)``."""
     states, out = a._states, a._out
     n = len(states)
     index = range(n) if states == tuple(range(n)) else {s: i for i, s in enumerate(states)}
@@ -599,17 +614,10 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
                 p = edge[1]
                 m = p.magnitude
                 key.append((e, m.numerator, m.denominator, p.eps_degree))
-                targets.append(index[edge[0]])
+            targets.append(-1 if edge is None else index[edge[0]])
         block.append(keys.setdefault(tuple(key), len(keys)))
         rows.append(targets)
-    count = len(keys)
-    while True:
-        sigs: Dict[tuple, int] = {}
-        of = block.__getitem__
-        block = [sigs.setdefault((b, *map(of, targets)), len(sigs)) for b, targets in zip(block, rows)]
-        if len(sigs) == count:
-            break
-        count = len(sigs)
+    block, count = _refine(block, rows)
     names = range(count) if prefix is None else [f"{prefix}{b}" for b in range(count)]
     quotient: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {}
     for s, b in zip(states, block):

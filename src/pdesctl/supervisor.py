@@ -25,6 +25,7 @@ from .automata import (
     _ALPHABET_DIRECTIVES,
     _alphabet_lines,
     _header_alphabet,
+    _refine,
     _sublanguage,
     Alphabet,
     FormatError,
@@ -46,7 +47,7 @@ from .patterns import (
     validate_scaling_vector,
 )
 from .values import EpsProb, ONE, ZERO, _Table, format_rat, parse_rat
-from .verification import _uncontrollable_mismatches
+from .verification import _ANY, _PLANT_ONLY, _RATIO, _cross_products, _ratio_classes, _uncontrollable_mismatches
 
 
 class SynthesisError(PdesError):
@@ -151,10 +152,6 @@ class SupervisorMap:
         return self.dists.get(cls, self.default)
 
 
-# a controllable ratio that synthesis cannot write as a factor
-_EPS = object()
-
-
 def _require_sublanguage(joint: JointSupport, plant: Pdes, spec: Pdes) -> None:
     """Raise `NotSublanguageError`, with the witness of
     `is_sublanguage(spec, plant)`, unless it holds; ``joint`` is
@@ -173,16 +170,17 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
 
     Requires the spec to be a probabilistic sublanguage of the plant.
     Per cell of the joint support's observer and controllable event, the
-    factor is the spec/plant probability ratio at any member pair with the
-    plant transition defined (zero when no member defines it); the map's
-    classes are the cells merged by `quotient_classes`, one per block of
-    cells with equal vectors now and after every observation, numbered in
-    the order of their first cells.  Conflicting ratios mean the spec is
-    not probabilistic observable, and any uncontrollable-probability
-    mismatch means it is not probabilistic controllable.  A sublanguage
-    failure is reported before a mismatch, a mismatch before a conflict,
-    each at the first pair in breadth-first order (members of a cell in
-    order of their shortest strings).
+    factor is the spec/plant ratio of the members' one ratio class, the
+    class `verification._ratio_classes` gives each pair for `build_to`
+    too (zero when no member has the plant transition).  The map's
+    classes are the cells merged by `quotient_classes` on their ratio
+    classes, one per block of cells with equal vectors now and after every
+    observation, numbered in the order of their first cells.  Two ratio
+    classes in a cell mean the spec is not probabilistic observable, and
+    any uncontrollable-probability mismatch means it is not probabilistic
+    controllable.  A sublanguage failure is reported before a mismatch, a
+    mismatch before a conflict, each at the first pair in breadth-first
+    order (members of a cell in order of their shortest strings).
     """
     joint = JointSupport(plant, spec)
     _require_sublanguage(joint, plant, spec)
@@ -195,52 +193,39 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
             Witness((access[i],), e, rp, rs),
         )
     alphabet = plant.alphabet
-    ratios: List[list] = []  # per pair and controllable event: None, _EPS or the ratio
-    for x, q in joint.pairs:
-        rx, rq = plant._out[x], spec._out[q]
-        row = []
-        for e in alphabet.controllable_events():
-            rp, rs = rx.get(e, _ABSENT)[1], rq.get(e, _ABSENT)[1]
-            if rp is ZERO:
-                row.append(None)
-            elif rp.is_ordinary and rs.is_ordinary:
-                row.append(rs.magnitude / rp.magnitude)
-            else:
-                row.append(_EPS)
-        ratios.append(row)
+    controllable = alphabet.controllable_events()
+    # a sublanguage has no _SPEC_ONLY pair; a plant-only event's factor is 0
+    ratios, quotients = _ratio_classes(plant, spec, joint)
+    factor = [Fraction(0)] * _RATIO + [quotient for quotient, _ in quotients]
     vectors: List[Tuple[Fraction, ...]] = []  # per class, in index order
-    keys: List[tuple] = []  # per class: its factors as (numerator, denominator)
+    keys: List[Tuple[int, ...]] = []  # per class: its factors' ratio classes
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 
     def class_vector(cls: int, cell) -> None:
         members = sorted(cell, key=access.__getitem__)
-        factors: List[Fraction] = []
-        for k, e in enumerate(alphabet.controllable_events()):
-            ratio: Optional[Fraction] = None
-            first = 0
+        key = []
+        for k, e in enumerate(controllable):
+            c = first = None
             for i in members:
-                r = ratios[i][k]
-                if r is None:
+                ci = ratios[i][k]
+                if ci == _ANY:
                     continue
-                if r is _EPS:
+                x, q = joint.pairs[i]
+                # a class keeps only the degree difference, so read the edges
+                if plant._out[x][e][1].eps_degree or spec._out[q].get(e, _ABSENT)[1].eps_degree:
                     raise InvariantError("synthesis requires ordinary probabilities")
-                if ratio is None:
-                    ratio, first = r, i
-                elif r != ratio:
-                    (x1, q1), (x2, q2) = joint.pairs[first], joint.pairs[i]
+                if c is None:
+                    c, first = ci, i
+                elif ci != c:
+                    products = _cross_products(plant, spec, joint.pairs[first], joint.pairs[i], e)
                     raise NotObservableError(
-                        f"event {e!r} demands factor {ratio} after {access[first]!r} "
-                        f"but {r} after {access[i]!r}",
-                        Witness(
-                            (access[first], access[i]),
-                            e,
-                            plant.rho(x1, e) * spec.rho(q2, e),
-                            plant.rho(x2, e) * spec.rho(q1, e),
-                        ),
+                        f"event {e!r} demands factor {factor[c]} after {access[first]!r} "
+                        f"but {factor[ci]} after {access[i]!r}",
+                        Witness((access[first], access[i]), e, *products),
                     )
-            factors.append(ratio if ratio is not None else Fraction(0))
-        vectors.append(tuple(factors) + uncontrollable_factors)
-        keys.append(tuple([(f.numerator, f.denominator) for f in factors]))
+            key.append(_PLANT_ONLY if c is None else c)
+        vectors.append(tuple([factor[c] for c in key]) + uncontrollable_factors)
+        keys.append(tuple(key))
 
     # each class is checked as the subset construction reaches it, so a
     # conflict stops the construction there; classes with equal vectors
@@ -303,10 +288,9 @@ def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
 def quotient_classes(classes: ObservationClasses, keys) -> Tuple[ObservationClasses, List[int]]:
     """Merge the classes that a supervisor cannot tell apart, where
     ``keys[c]`` is a hashable key of class c's row (its scaling vector or
-    factor row), equal exactly where the rows are equal: Moore refinement
-    from one block per key, each round splitting a block by its members'
-    target blocks on the observable events, a missing move being its own
-    target, until the count stops changing.  Two merged classes have equal
+    its factors' ratio classes), equal exactly where the rows are equal:
+    `_refine` from one block per key, over the observable events, a
+    missing move being its own target.  Two merged classes have equal
     rows now and after every observation, so paired with one plant state
     they generate the same language, and `_closed_loop` over the quotient
     generates the language it generates over the classes.  A missing move
@@ -315,21 +299,12 @@ def quotient_classes(classes: ObservationClasses, keys) -> Tuple[ObservationClas
     Wonham, 2004): only equivalent classes merge.  Returns the block DFA
     and the first member of each block, through the stability check of
     `_merge_classes`."""
-    alphabet, trans, count = classes.alphabet, classes.trans, classes.count
+    alphabet, trans = classes.alphabet, classes.trans
+    observable = [e for e in alphabet.events if e in alphabet.observable]
     first: Dict[object, int] = {}
     block = [first.setdefault(key, len(first)) for key in keys]
-    if len(first) < count:  # distinct keys leave nothing to split
-        # per observable event, each class's target, -1 where it has none
-        columns = [[trans.get((c, e), -1) for c in range(count)] for e in alphabet.events if e in alphabet.observable]
-        count = len(first)
-        while True:
-            sigs: Dict[tuple, int] = {}
-            of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
-            block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[map(of, col) for col in columns])]
-            if len(sigs) == count:
-                break
-            count = len(sigs)
-    return _merge_classes(classes, keys, block)
+    rows = [[trans.get((c, e), -1) for e in observable] for c in range(classes.count)]
+    return _merge_classes(classes, keys, _refine(block, rows)[0])
 
 
 def _merge_classes(classes: ObservationClasses, keys, block: List[int]) -> Tuple[ObservationClasses, List[int]]:

@@ -13,6 +13,10 @@ it uncontrollable.  `scaling_from_spec` is stricter and rejects any
 mismatch; it also requires a sublanguage and ordinary controllable
 probabilities.  So `scaling_from_spec` succeeding implies both checks
 hold, and `synthesize` runs them only to explain a failed synthesis.
+
+Observability's ratio is written once too, `_ratio_classes`: equal
+classes mean equal cross-products.  `build_to` dumps where two classes
+differ, and `scaling_from_spec` reads the same classes as its factors.
 """
 
 from __future__ import annotations
@@ -155,9 +159,13 @@ def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
     return ratios.setdefault(key, _RATIO + len(ratios))
 
 
-def _ratio_classes(plant: Pdes, spec: Pdes, joint: JointSupport) -> List[Tuple[int, ...]]:
+def _ratio_classes(
+    plant: Pdes, spec: Pdes, joint: JointSupport
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[Fraction, int]]]:
     """Per pair of the joint support, its ratio classes over the
-    controllable events (equal class tuples are one object)."""
+    controllable events (equal class tuples are one object), and the
+    (magnitude quotient, degree difference) of each both-sided class in
+    number order, class _RATIO first."""
     controllable = plant.alphabet.controllable_events()
     ratios: Dict[Tuple[Fraction, int], int] = {}
     interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -166,13 +174,21 @@ def _ratio_classes(plant: Pdes, spec: Pdes, joint: JointSupport) -> List[Tuple[i
         rx, rq = plant._out[x], spec._out[q]
         cls = tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable)
         classes.append(interned.setdefault(cls, cls))
-    return classes
+    return classes, list(ratios)
+
+
+def _cross_products(plant: Pdes, spec: Pdes, pair1: Pair, pair2: Pair, e: str) -> Tuple[EpsProb, EpsProb]:
+    """rho_G(s1,e)·rho_K(s2,e) and rho_G(s2,e)·rho_K(s1,e) for strings s1
+    and s2 reaching the pairs (plant state, spec state) ``pair1`` and
+    ``pair2``: the two sides of observability's condition."""
+    (x1, q1), (x2, q2) = pair1, pair2
+    return plant.rho(x1, e) * spec.rho(q2, e), plant.rho(x2, e) * spec.rho(q1, e)
 
 
 def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     joint = JointSupport(plant, spec)
     alphabet = plant.alphabet
-    pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(plant, spec, joint)
+    pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(plant, spec, joint)[0]
     controllable = alphabet.controllable_events()
     unobservable = [e for e in alphabet.events if e not in alphabet.observable]
     n = len(pairs)
@@ -209,9 +225,8 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     quads = [pairs[k // n] + pairs[k % n] for k in keys]
     dump_edges = []
     for key, e in dumps:
-        x1, q1, x2, q2 = quad = pairs[key // n] + pairs[key % n]
-        lhs, rhs = plant.rho(x1, e) * spec.rho(q2, e), plant.rho(x2, e) * spec.rho(q1, e)
-        dump_edges.append((quad, e, lhs, rhs))
+        pair1, pair2 = pairs[key // n], pairs[key % n]
+        dump_edges.append((pair1 + pair2, e, *_cross_products(plant, spec, pair1, pair2, e)))
     return TestingAutomatonTO(quads, quads[0], dump_edges, parent, joint.index)
 
 

@@ -58,6 +58,7 @@ from conftest import (
     robot_plant,
     robot_spec,
     synthesis_pair,
+    wild_pair,
 )
 from oracles import brute_minimal_count, reference_quotient
 
@@ -732,7 +733,9 @@ class TestSynthesizeReference:
 
     def test_scaling_matches_reference(self):
         """The same map, or the same error with the same witness, also
-        where the CLI prints the checks' verdicts instead."""
+        where the CLI prints the checks' verdicts instead.  Besides the
+        `synthesis_pair`s, `wild_pair`s bring infinitesimal plant edges
+        (also at the spec's degree) and spec edges the plant lacks."""
 
         def result(synthesize, plant, spec):
             try:
@@ -741,14 +744,18 @@ class TestSynthesizeReference:
                 return type(e), str(e), getattr(e, "witness", None)
 
         rng = random.Random(317)
-        seen = collections.Counter()
-        merged = 0  # maps with fewer classes than the observer has cells
-        for i in range(1000):
-            plant, spec = synthesis_pair(rng, i)
-            expected = result(reference_scaling_from_spec, plant, spec)
-            assert result(scaling_from_spec, plant, spec) == expected, i
-            seen[expected[0] if isinstance(expected, tuple) else "map"] += 1
-            if not isinstance(expected, tuple):
-                merged += loads_scaling_map(expected).classes.count < observer(product(plant, spec)).count
-        assert len(seen) == 5 and min(seen.values()) >= 20, seen
-        assert merged >= 80, merged
+        sources = {
+            "synthesis": (synthesis_pair(rng, i) for i in range(1000)),
+            "wild": (wild_pair(rng) for _ in range(3000)),
+        }
+        merged = collections.Counter()  # maps with fewer classes than the observer has cells
+        for source, pairs in sources.items():
+            seen = collections.Counter()
+            for i, (plant, spec) in enumerate(pairs):
+                expected = result(reference_scaling_from_spec, plant, spec)
+                assert result(scaling_from_spec, plant, spec) == expected, (source, i)
+                seen[expected[0] if isinstance(expected, tuple) else "map"] += 1
+                if not isinstance(expected, tuple):
+                    merged[source] += loads_scaling_map(expected).classes.count < observer(product(plant, spec)).count
+            assert len(seen) == 5 and min(seen.values()) >= 20, (source, seen)
+        assert merged["synthesis"] >= 80, merged

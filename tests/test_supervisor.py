@@ -27,6 +27,7 @@ from pdesctl import (
     dumps_automaton,
     dumps_scaling_map,
     dumps_supervisor_map,
+    infimal_pipeline,
     is_sublanguage,
     language_equivalent,
     loads_automaton,
@@ -621,6 +622,16 @@ class TestAchievability:
             assert check_observable(plant, spec).holds
             synthesized += 1
         assert synthesized >= 200
+
+    def test_synthesis_implies_the_spec_is_its_own_infimum(self):
+        """A spec that `scaling_from_spec` achieves is its own infimal
+        controllable and observable superlanguage, so `inf-pco` is an
+        oracle for `synthesize` on it."""
+        checked = 0
+        for plant, spec in achievable_pairs():
+            assert language_equivalent(infimal_pipeline(plant, spec).result, spec), checked
+            checked += 1
+        assert checked >= 380, checked
 
     def test_class_check_is_observability(self):
         rng = random.Random(313)

@@ -8,7 +8,6 @@ from pdesctl import (
     InvariantError,
     NotControllableError,
     NotSublanguageError,
-    Pdes,
     SynthesisError,
     Witness,
     build_tc,
@@ -33,6 +32,7 @@ from conftest import (
     random_subspec,
     robot_spec,
     synthesis_pair,
+    wild_pair,
 )
 from oracles import brute_controllable, brute_observable
 
@@ -306,42 +306,6 @@ RATIO_VALUES = [
     None, E(1, 2), E(1, 4), E(1), EpsProb(F(1, 2), 1), EpsProb(F(1), 1),
     EpsProb(F(1, 4), 2), EpsProb(F(1, 2), 2),
 ]
-
-
-def wild_pair(rng):
-    """A random plant with some infinitesimal probabilities, and a spec
-    that deletes, lowers (also by infinitesimal factors) and sometimes
-    adds transitions the plant lacks, optionally unfolded."""
-    alphabet = random_alphabet(rng, max_events=5)
-    plant = random_plant(rng, alphabet, max_states=5)
-    trans = {}
-    for src, e, dst, p in plant.transitions():
-        if rng.random() < 0.2:
-            p = EpsProb(F(rng.randint(1, 3), 4), rng.randint(1, 2))
-        trans[(src, e)] = (dst, p)
-    plant = Pdes(alphabet, plant.initial, trans, states=plant.states)
-    spec = {}
-    for src, e, dst, p in plant.transitions():
-        roll = rng.random()
-        if roll < 0.25:
-            continue
-        if roll < 0.45:
-            p = p * E(rng.randint(1, 4), rng.randint(4, 8))
-        elif roll < 0.55:
-            p = p * EpsProb(F(1, rng.randint(1, 3)), rng.randint(1, 2))
-        spec[(src, e)] = (dst, p)
-    if rng.random() < 0.4:
-        for s in plant.states:
-            for e in alphabet.events:
-                if (s, e) not in spec and plant.step(s, e) is None and rng.random() < 0.15:
-                    p = EpsProb(F(1, rng.randint(2, 6)), rng.choice([0, 0, 1]))
-                    spec[(s, e)] = (rng.choice(plant.states), p)
-    keep = set(explore([plant.initial], lambda s: [d for (x, _), (d, _) in spec.items() if x == s]))
-    spec = {k: v for k, v in spec.items() if k[0] in keep}
-    spec = Pdes(alphabet, plant.initial, spec, check_liveness=False)
-    if rng.random() < 0.15:
-        spec = product(spec, plant)
-    return plant, spec
 
 
 class TestKernelReference:
