@@ -53,6 +53,39 @@ class TestDeterminism:
         assert a != b
 
 
+class TestTrialKeying:
+    """Each trial is drawn from its own key (seed, trial index), so a run
+    of N trials is the first N trials of any longer run."""
+
+    def test_fewer_trials_count_no_more(self, robot):
+        plant, spec = robot
+        sup = supervisor_from_scaling(scaling_from_spec(plant, spec))
+        reports = {n: run_trials(plant, sup, TrialConfig(trials=n, max_depth=4, seed=31)) for n in (50, 120, 400)}
+        for n, m in [(50, 120), (50, 400), (120, 400)]:
+            short, long = reports[n].rows, reports[m].rows
+            assert set(short) <= set(long)
+            for word, row in short.items():
+                assert row.count <= long[word].count, (n, m, word)
+
+    def test_one_more_trial_adds_one_path(self):
+        plant = loop_plant()
+        classes = observation_classes(plant, loop_spec())
+        sup = supervisor_from_scaling(ScalingMap(classes, {0: (F(3, 4), F(1, 3), F(1))}, (F(1, 2), F(2, 3), F(1))))
+        before = run_trials(plant, sup, TrialConfig(trials=30, max_depth=6, seed=8)).rows
+        for n in range(30, 60):
+            after = run_trials(plant, sup, TrialConfig(trials=n + 1, max_depth=6, seed=8)).rows
+            risen = []
+            for word, row in after.items():
+                old = before[word].count if word in before else 0
+                assert row.count - old in (0, 1), (n, word)
+                if row.count > old:
+                    risen.append(word)
+            assert set(before) <= set(after)
+            path = max(risen, key=len)
+            assert sorted(risen, key=len) == [path[:i] for i in range(len(path) + 1)], n
+            before = after
+
+
 class TestCounts:
     def test_prefix_counts_monotone(self, robot):
         plant, _ = robot
