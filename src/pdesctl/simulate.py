@@ -3,9 +3,12 @@
 Each trial replays the roulette semantics: at every step the supervisor
 samples a control pattern for the current observation class, then the
 plant fires one of the enabled transitions (or terminates with the
-residual probability mass).  Each trial reseeds one generator from a
-key of (seed, trial index), so reports are reproducible and aggregation
-order does not matter.
+residual probability mass).  Both draws are exact: a roulette and a
+plant row are integer weights over their common denominator, and each
+draw is a uniform integer below that denominator.  A trial takes its
+bits from one pool keyed by (seed, trial index), the BLAKE2b hash of
+the key, so reports are reproducible and aggregation order does not
+matter.
 
 Sampling walks per-state transition rows built once before the trials.
 The exact target of each reported string is computed once, along the
@@ -16,10 +19,10 @@ its enable probability under the roulette of the class of ``w``.
 
 from __future__ import annotations
 
-import hashlib
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
 
 from .automata import InvariantError, Pdes, State, Word
@@ -64,6 +67,37 @@ class FrequencyReport:
         return "\n".join(lines) + "\n"
 
 
+class _BitPool:
+    """The bits of the 512-bit BLAKE2b blocks of one key, used low bits
+    first.  Block b hashes the key with salt b, so block 0 is the plain
+    hash; the next block is appended only when a draw needs more bits
+    than are left."""
+
+    __slots__ = ("key", "blocks", "bits", "left")
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.blocks = 1
+        self.bits = int.from_bytes(blake2b(key, digest_size=64).digest(), "little")
+        self.left = 512
+
+    def below(self, n: int) -> int:
+        """A uniform integer in [0, n): k = (n - 1).bit_length() bits at a
+        time, a value of n or more rejected; n = 1 takes no bits."""
+        k = (n - 1).bit_length()
+        while True:
+            while self.left < k:
+                block = blake2b(self.key, digest_size=64, salt=self.blocks.to_bytes(16, "little")).digest()
+                self.bits |= int.from_bytes(block, "little") << self.left
+                self.blocks += 1
+                self.left += 512
+            value = self.bits & ((1 << k) - 1)
+            self.bits >>= k
+            self.left -= k
+            if value < n:
+                return value
+
+
 def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyReport:
     if sup.alphabet != plant.alphabet:
         raise InvariantError("supervisor alphabet does not match the plant")
@@ -73,59 +107,58 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
     m = alphabet.m
     classes = sup.classes
 
-    # per plant state, its transitions in event order as
-    # (controllable index or -1, event, target state, probability)
-    moves: Dict[State, List[Tuple[int, str, State, float]]] = {}
+    # per plant state, the common denominator of its row and its
+    # transitions in event order as (controllable index or -1, event,
+    # target state, integer weight over that denominator)
+    rows: Dict[State, Tuple[int, List[Tuple[int, str, State, int]]]] = {}
     for x in plant.states:
-        row = []
+        edges = []
         for i, e in enumerate(alphabet.events):
             edge = plant.step(x, e)
             if edge is not None:
-                row.append((i if i < m else -1, e, edge[0], float(edge[1].magnitude)))
-        moves[x] = row
+                edges.append((i if i < m else -1, e, edge[0], edge[1].magnitude))
+        den = math.lcm(*[p.denominator for *_, p in edges])
+        rows[x] = (den, [(i, e, dst, p.numerator * (den // p.denominator)) for i, e, dst, p in edges])
 
-    def pattern_cdf(cls: Optional[int]) -> List[Tuple[float, int]]:
-        """The cumulative pattern table of the class's roulette."""
-        acc = 0.0
+    def roulette(cls: Optional[int]) -> Tuple[int, List[Tuple[int, int]]]:
+        """The common denominator of the class's roulette and its
+        cumulative integer weights in pattern order, as (weight, pattern);
+        the last weight is the denominator, since the roulette sums to 1."""
+        support = sup.distribution(cls).support()
+        den = math.lcm(*[p.denominator for _, p in support])
+        acc = 0
         table = []
-        for j, p in sup.distribution(cls).support():
-            acc += float(p)
+        for j, p in support:
+            acc += p.numerator * (den // p.denominator)
             table.append((acc, j))
-        return table
+        return den, table
 
-    cdfs = _Table(pattern_cdf)  # per class, built on first use
+    roulettes = _Table(roulette)  # per class, built on first use
 
     counts: Dict[Word, int] = {(): cfg.trials}
-    rng = random.Random()  # reseeded per trial, keyed by (seed, trial index)
     for trial in range(cfg.trials):
-        digest = hashlib.blake2b(f"{cfg.seed}:{trial}".encode(), digest_size=8).digest()
-        rng.seed(int.from_bytes(digest, "big"))
+        below = _BitPool(f"{cfg.seed}:{trial}".encode()).below
         state = plant.initial
         cls = classes.initial
         word: Word = ()
         for _ in range(cfg.max_depth):
-            cdf = cdfs[cls]
-            u = rng.random()
-            pattern = None
-            for acc, j in cdf:
-                if u <= acc:
-                    pattern = j
+            den, table = roulettes[cls]
+            u = below(den)
+            for acc, pattern in table:
+                if u < acc:
                     break
-            if pattern is None:  # numeric slack on the last bucket
-                pattern = cdf[-1][1]
-            u = rng.random()
-            acc = 0.0
-            fired = None
-            for i, e, dst, p in moves[state]:
+            den, edges = rows[state]
+            u = below(den)
+            acc = 0
+            for i, e, dst, weight in edges:
                 if i >= 0 and not (pattern >> i) & 1:  # disabled by the pattern
                     continue
-                acc += p
+                acc += weight
                 if u < acc:
-                    fired = (e, dst)
                     break
-            if fired is None:
+            else:
                 break  # terminated with the residual mass
-            e, state = fired
+            state = dst
             cls = classes.step(cls, e)
             word += (e,)
             counts[word] = counts.get(word, 0) + 1

@@ -7,7 +7,9 @@ import pytest
 from pdesctl import (
     Alphabet,
     InvariantError,
+    PatternDistribution,
     ScalingMap,
+    SupervisorMap,
     TrialConfig,
     controlled_automaton,
     controlled_language_value,
@@ -17,7 +19,8 @@ from pdesctl import (
     scaling_from_supervisor,
     supervisor_from_scaling,
 )
-from conftest import loop_plant, loop_spec, random_fraction, random_plant, random_subspec
+from pdesctl import simulate
+from conftest import E, build, loop_alphabet, loop_plant, loop_spec, random_fraction, random_plant, random_subspec
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -193,6 +196,69 @@ class TestExactTargets:
                 outside += classes.locate(word) is None
             zero_factor += any(0 in v[:m] for v in [default, *vectors.values()])
         assert outside and zero_factor
+
+
+class TestExactDraws:
+    """Every draw is a uniform integer below a common denominator, taken
+    from the hash blocks of the trial's key."""
+
+    def test_draws_lie_below_n_and_repeat_for_one_key(self):
+        ns = [1, 2, 3, 5, 8, 1000, 2**64 + 1, 1, 3**400, 6, 7**300]
+        pool = simulate._BitPool(b"5:12")
+        draws = [pool.below(n) for n in ns]
+        assert all(0 <= d < n for d, n in zip(draws, ns))
+        assert pool.blocks > 1  # 3**400 and 7**300 need more than one block
+        again = simulate._BitPool(b"5:12")
+        assert [again.below(n) for n in ns] == draws
+        other = simulate._BitPool(b"5:13")
+        assert [other.below(n) for n in ns] != draws
+
+    def test_one_choice_takes_no_bits(self):
+        pool = simulate._BitPool(b"0:0")
+        pool.below(6)
+        before = (pool.bits, pool.left, pool.blocks)
+        assert pool.below(1) == 0
+        assert (pool.bits, pool.left, pool.blocks) == before
+
+    def test_draws_are_uniform(self):
+        """Three values from two bits each: taking the value mod 3 instead
+        of rejecting 3 would give 0 half the time."""
+        keys = 3000
+        counts = [0, 0, 0]
+        for key in range(keys):
+            counts[simulate._BitPool(b"7:%d" % key).below(3)] += 1
+        stderr = (keys * (1 / 3) * (2 / 3)) ** 0.5
+        assert all(abs(c - keys / 3) <= 4 * stderr for c in counts), counts
+
+    def test_denominators_longer_than_one_block(self, monkeypatch):
+        big = 2**600 + 1  # every draw below a multiple of it takes over 600 bits
+        plant = build(loop_alphabet(), "x0", [
+            ("x0", "s1", "x1", E(2**599, big)),
+            ("x0", "s3", "x0", E(1, 3)),
+            ("x1", "s2", "x0", E(big - 1, big)),
+            ("x1", "s3", "x1", E(1, big)),
+        ])
+        classes = observation_classes(plant)
+        roulette = PatternDistribution(2, {0: F(1, big), 1: F(2**599, big), 3: F(2**599, big)})
+        sup = SupervisorMap(classes, {}, roulette)
+        salted = []
+        real = simulate.blake2b
+
+        def blake2b(key, **kwargs):
+            salted.append("salt" in kwargs)  # a block past the first
+            return real(key, **kwargs)
+
+        monkeypatch.setattr(simulate, "blake2b", blake2b)
+        trials = 2000
+        report = run_trials(plant, sup, TrialConfig(trials=trials, max_depth=4, seed=3))
+        assert salted.count(False) == trials and salted.count(True) > trials
+        controlled = controlled_automaton(plant, scaling_from_supervisor(sup))
+        assert len(report.rows) > 10
+        for word, row in report.rows.items():
+            target = controlled.eval_language(word).magnitude
+            assert row.target == target, word
+            stderr = (trials * float(target) * (1 - float(target))) ** 0.5
+            assert abs(row.count - trials * float(target)) <= 4 * stderr, word
 
 
 class TestGolden:
