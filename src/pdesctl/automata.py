@@ -6,7 +6,9 @@ Transition probabilities are exact `EpsProb` values and are strictly
 positive wherever a transition is stored; per-state liveness (the
 dominant-term sum of outgoing probabilities) never exceeds one for
 probabilistic automata.  Logic automata (all probabilities one) skip the
-liveness bound.  Every automaton is checked on one path, `Pdes._take_rows`.
+liveness bound.  Every automaton is checked on one path, `Pdes._take_rows`,
+which also keeps each state's row in event order, so walks read a row's
+edges in that order without scanning the alphabet.
 """
 
 from __future__ import annotations
@@ -196,24 +198,34 @@ class Pdes:
 
     def _take_rows(self, alphabet, initial, rows, labels, check_liveness, on_unreachable):
         """The one checking path of every automaton: each edge's event and
-        probability, reachability (or trimming, with a warning), liveness."""
+        probability, reachability (or trimming, with a warning), liveness.
+        It is also the one place rows are put in event order: a row given
+        out of order is replaced by a sorted copy, an ordered one is kept."""
         rows = dict(enumerate(rows)) if isinstance(rows, list) else rows
         events = alphabet._position
 
         def check(src):
-            for event, (_, prob) in rows[src].items():
-                if event not in events:
+            row = rows[src]
+            last = -1
+            for event, (_, prob) in row.items():
+                i = events.get(event)
+                if i is None:
                     raise InvariantError(f"transition uses unknown event {event!r}")
                 if not isinstance(prob, EpsProb):
                     raise InvariantError("transition probabilities must be EpsProb values")
                 if not prob.magnitude:
                     raise InvariantError(f"stored transition ({src!r},{event!r}) must have positive probability")
+                last = i if last < i else len(events)  # len(events) marks a row out of order
+            if last == len(events):
+                rows[src] = dict(sorted(row.items(), key=lambda edge: events[edge[0]]))
+            return row
 
-        reached, stack = {initial}, [initial]  # depth first, checking each row it reaches
+        # depth first, checking each row it reaches; the walk follows each
+        # row as given, so sorting it does not change which check fails first
+        reached, stack = {initial}, [initial]
         while stack:
             src = stack.pop()
-            check(src)
-            for dst, _ in rows[src].values():
+            for dst, _ in check(src).values():
                 if dst not in reached:
                     reached.add(dst)
                     stack.append(dst)
@@ -239,8 +251,7 @@ class Pdes:
 
     def _targets(self, state: State) -> List[State]:
         """Targets of the state's transitions, in event order."""
-        row = self._out[state]
-        return [row[e][0] for e in self.alphabet.events if e in row]
+        return [dst for dst, _ in self._out[state].values()]
 
     # -- basic structure ------------------------------------------------
 
@@ -261,20 +272,16 @@ class Pdes:
         return edge[1] if edge else ZERO
 
     def enabled(self, state: State) -> Tuple[str, ...]:
-        row = self._out[state]
-        return tuple(e for e in self.alphabet.events if e in row)
+        return tuple(self._out[state])
 
     def transitions(self) -> Iterator[Tuple[State, str, State, EpsProb]]:
-        for src in self._states:
-            row = self._out[src]
-            for e in self.alphabet.events:
-                if e in row:
-                    dst, p = row[e]
-                    yield src, e, dst, p
+        for src, row in self._out.items():
+            for e, (dst, p) in row.items():
+                yield src, e, dst, p
 
     def transition_map(self) -> Dict[Tuple[State, str], Tuple[State, EpsProb]]:
         """{(source, event): (target, probability)}, row by row in state
-        order, each row in the order its transitions were given."""
+        order, each row in event order."""
         return {(s, e): edge for s, row in self._out.items() for e, edge in row.items()}
 
     def liveness(self, state: State) -> EpsProb:
@@ -390,11 +397,10 @@ class JointSupport:
 
     def __init__(self, a: Pdes, b: Pdes):
         require_same_alphabet(a, b)
-        events = a.alphabet.events
 
         def successors(pair):
             ra, rb = a._out[pair[0]], b._out[pair[1]]
-            return [(e, (ra[e][0], rb[e][0]), ONE) for e in events if e in ra and e in rb]
+            return [(e, (x, rb[e][0]), ONE) for e, (x, _) in ra.items() if e in rb]
 
         self.alphabet = a.alphabet
         self.initial = 0
@@ -437,14 +443,12 @@ def _sublanguage(joint: JointSupport, a: Pdes, b: Pdes, side: int = 0) -> Verdic
     at position ``side``: ``JointSupport(b, a)`` walks the pairs of
     ``JointSupport(a, b)`` swapped, in the same order, so ``side=1`` on it
     gives the same verdict and witness."""
-    events = a.alphabet.events
     for i, pair in enumerate(joint.pairs):
         ra, rb = a._out[pair[side]], b._out[pair[1 - side]]
-        for e in events:
-            if e in ra:
-                pa, pb = ra[e][1], rb.get(e, _ABSENT)[1]
-                if pa > pb:
-                    return Verdict(False, Witness((joint.access()[i],), e, pa, pb))
+        for e, (_, pa) in ra.items():
+            pb = rb.get(e, _ABSENT)[1]
+            if pa > pb:
+                return Verdict(False, Witness((joint.access()[i],), e, pa, pb))
     return Verdict(True)
 
 
@@ -600,21 +604,17 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
     states, out = a._states, a._out
     n = len(states)
     index = range(n) if states == tuple(range(n)) else {s: i for i, s in enumerate(states)}
-    events = a.alphabet.events
+    position, n_events = a.alphabet._position, a.alphabet.n
     keys: Dict[tuple, int] = {}
     block: List[int] = []
     rows: List[List[int]] = []
     for s in states:
-        row = out[s]
         key = []
-        targets = []
-        for e in events:
-            edge = row.get(e)
-            if edge is not None:
-                p = edge[1]
-                m = p.magnitude
-                key.append((e, m.numerator, m.denominator, p.eps_degree))
-            targets.append(-1 if edge is None else index[edge[0]])
+        targets = [-1] * n_events
+        for e, (dst, p) in out[s].items():
+            m = p.magnitude
+            key.append((e, m.numerator, m.denominator, p.eps_degree))
+            targets[position[e]] = index[dst]
         block.append(keys.setdefault(tuple(key), len(keys)))
         rows.append(targets)
     block, count = _refine(block, rows)

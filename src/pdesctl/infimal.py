@@ -91,16 +91,15 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
         x, q, o = label
         rx = plant._out[x]
         rq = spec._out[q] if q is not None else {}
-        for e in alphabet.events:
-            ex, eq = rx.get(e), rq.get(e)
-            if ex is None:
-                if eq is not None:
-                    raise InvariantError(f"the spec leaves the plant's support on {e!r}")
-                continue
+        for e in rq:
+            if e not in rx:
+                raise InvariantError(f"the spec leaves the plant's support on {e!r}")
+        for e, (dst, _) in rx.items():
+            eq = rq.get(e)
             if eq is None and e in controllable and (o is None or e not in enabled[o]):
                 continue
             to = obs.trans.get((o, e)) if e in observable and o is not None else o
-            yield e, (ex[0], eq[0] if eq is not None else None, to), ONE
+            yield e, (dst, eq[0] if eq is not None else None, to), ONE
 
     labels, rows = numbered_walk((plant.initial, spec.initial, obs.initial), successors)
     return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)

@@ -111,12 +111,11 @@ def run_trials(plant: Pdes, sup: SupervisorMap, cfg: TrialConfig) -> FrequencyRe
     # transitions in event order as (controllable index or -1, event,
     # target state, integer weight over that denominator)
     rows: Dict[State, Tuple[int, List[Tuple[int, str, State, int]]]] = {}
-    for x in plant.states:
+    for x, row in plant._out.items():
         edges = []
-        for i, e in enumerate(alphabet.events):
-            edge = plant.step(x, e)
-            if edge is not None:
-                edges.append((i if i < m else -1, e, edge[0], edge[1].magnitude))
+        for e, (dst, p) in row.items():
+            i = alphabet.index(e)
+            edges.append((i if i < m else -1, e, dst, p.magnitude))
         den = math.lcm(*[p.denominator for *_, p in edges])
         rows[x] = (den, [(i, e, dst, p.numerator * (den // p.denominator)) for i, e, dst, p in edges])
 

@@ -264,22 +264,18 @@ def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
     that factor.  The class advances by `ObservationClasses.step`.  States
     are numbered as a breadth-first walk finds them, successors in event
     order, and state i is labelled (plant state, class)."""
-    events, controllable, step = plant.alphabet.events, plant.alphabet.controllable, classes.step
+    controllable, step = plant.alphabet.controllable, classes.step
 
     def successors(label):
         x, c = label
-        rx, row = plant._out[x], factors[c]
-        for e in events:
-            edge = rx.get(e)
-            if edge is None:
-                continue
-            p = edge[1]
+        row = factors[c]
+        for e, (dst, p) in plant._out[x].items():
             if e in controllable:
                 factor = row.get(e)
                 if factor is None:
                     continue
                 p = factor * p
-            yield e, (edge[0], step(c, e)), p
+            yield e, (dst, step(c, e)), p
 
     labels, rows = numbered_walk((plant.initial, classes.initial), successors)
     return Pdes._from_rows(plant.alphabet, 0, rows, labels)
@@ -601,7 +597,4 @@ def loads_supervisor_map(text: str) -> SupervisorMap:
             raise FormatError(f"unknown directive {key!r}", lineno)
     close()
     default = dists.pop(None, None)
-    try:
-        return SupervisorMap(classes, dists, default)
-    except InvariantError as e:
-        raise FormatError(str(e)) from None
+    return SupervisorMap(classes, dists, default)

@@ -10,11 +10,14 @@ from pdesctl import (
     EpsProb,
     InvariantError,
     Pdes,
+    TrialConfig,
     Verdict,
     Witness,
     ZERO,
     ONE,
+    controlled_automaton,
     dumps_automaton,
+    dumps_scaling_map,
     explore,
     infimal_pipeline,
     is_subautomaton,
@@ -26,6 +29,9 @@ from pdesctl import (
     observer,
     observer_automaton,
     product,
+    run_trials,
+    scaling_from_spec,
+    supervisor_from_scaling,
 )
 from pdesctl.automata import JointSupport, require_same_alphabet
 from conftest import (
@@ -33,10 +39,13 @@ from conftest import (
     build,
     eps_scaled,
     is_partition,
+    load_gen,
     project,
     random_alphabet,
     random_plant,
     random_subspec,
+    robot_plant,
+    robot_spec,
     walk_pairs,
 )
 from oracles import brute_minimal_count
@@ -133,7 +142,7 @@ class TestConstructionChecks:
             p = Pdes(self.A, "x", trans, states=["a", "x"], on_unreachable="trim")
         assert p.states == ("x", "a", "b")
         assert ("dead", "c") not in p.transition_map()
-        # the map reads the rows: state order, then each row's given order
+        # the map reads the rows: state order, then each row in event order
         assert list(p.transition_map()) == [("x", "c"), ("a", "u"), ("b", "u")]
 
     def test_state_order_is_first_mention(self):
@@ -188,6 +197,11 @@ MALFORMED_ROWS = {
     # the edge checks cover unreachable rows, and come first
     "unreachable zero magnitude": ({"x": {}, "y": {"c": ("y", ZERO)}},
                                    "stored transition ('y','c') must have positive probability"),
+    # a row given out of event order is walked in its given order, so the
+    # first failing row does not depend on the sorting
+    "out-of-order zero magnitudes": ({"x": {"u": ("y", E(1, 2)), "c": ("z", E(1, 2))},
+                                      "y": {"c": ("y", ZERO)}, "z": {"c": ("z", ZERO)}},
+                                     "stored transition ('z','c') must have positive probability"),
     "liveness": ({"x": {"c": ("y", E(1))}, "y": {"c": ("y", E(2, 3)), "u": ("x", E(2, 5))}},
                  "liveness exceeds 1 at state 'y'"),
     # reachability is checked before liveness
@@ -264,6 +278,77 @@ class TestCheckedConstructor:
         assert a.states == (0, 1) and a.labels == ["p", "q"]
         assert a.transition_map() == {(0, "c"): (1, E(1, 2)), (1, "u"): (0, E(1))}
         assert Pdes(self.A, 0, a.transition_map()).labels is None
+
+
+def reversed_rows(a):
+    """``a`` rebuilt by `Pdes(...)` with every row given in reverse event order."""
+    return Pdes(a.alphabet, a.initial, dict(reversed(a.transition_map().items())), states=a.states)
+
+
+def reversed_text(a):
+    """``a``'s file with its trans lines in reverse order, so every row is
+    given in reverse event order."""
+    lines = dumps_automaton(a).splitlines()
+    trans = [line for line in lines if line.startswith("trans:")]
+    return "\n".join([line for line in lines if not line.startswith("trans:")] + trans[::-1]) + "\n"
+
+
+def edge_lists(a):
+    return [list(row.items()) for row in a._out.values()]
+
+
+class TestEventOrder:
+    """`Pdes._take_rows` puts every row in event order, whatever order its
+    edges are given in, so results do not depend on that order."""
+
+    @staticmethod
+    def pairs():
+        """(plant, spec) pairs in event order: the robot, a generated
+        plant and sub-spec, and a generated achievable pair."""
+        gen = load_gen()
+        rng = random.Random(10)
+        g = gen.random_plant(rng, 10)
+        return [(robot_plant(), robot_spec()), (g, gen.random_subspec(rng, g)),
+                gen.achievable_pair(random.Random(13), 13, (2, 6))]
+
+    @pytest.mark.parametrize("read", ["Pdes", "loads_automaton"])
+    def test_rows_come_back_in_event_order(self, read):
+        for plant, spec in self.pairs():
+            for a in (plant, spec):
+                order = a.alphabet.index
+                assert all(list(row) == sorted(row, key=order) for row in a._out.values())
+                given = reversed_rows(a) if read == "Pdes" else loads_automaton(reversed_text(a))
+                assert given.states == a.states
+                assert edge_lists(given) == edge_lists(a)
+                assert list(given.transition_map().items()) == list(a.transition_map().items())
+                assert list(given.transitions()) == list(a.transitions())
+                assert [given.enabled(s) for s in given.states] == [a.enabled(s) for s in a.states]
+        # the rows really were given out of order
+        assert list(reversed(robot_plant().transition_map()))[-3:] == [("x0", "s5"), ("x0", "s4"), ("x0", "s3")]
+        text = reversed_text(robot_plant())
+        assert text.index("trans: x0 s5") < text.index("trans: x0 s4") < text.index("trans: x0 s3")
+
+    def test_an_ordered_row_is_kept_and_a_reversed_one_sorted(self):
+        A = Alphabet.make(["c"], ["u"], ["c", "u"])
+        rows = [{"c": (1, E(1, 2)), "u": (0, E(1, 4))}, {"u": (0, E(1, 4)), "c": (1, E(1, 2))}]
+        a = Pdes._from_rows(A, 0, rows)
+        assert a._out[0] is rows[0]
+        assert a._out[1] is not rows[1] and list(a._out[1].items()) == [("c", (1, E(1, 2))), ("u", (0, E(1, 4)))]
+
+    def test_results_do_not_depend_on_the_given_order(self):
+        for plant, spec in self.pairs():
+            g, h = reversed_rows(plant), loads_automaton(reversed_text(spec))
+            assert list(product(g, h).transitions()) == list(product(plant, spec).transitions())
+            assert dumps_automaton(minimize(g, "x")) == dumps_automaton(minimize(plant, "x"))
+            got, want = infimal_pipeline(g, h).result, infimal_pipeline(plant, spec).result
+            assert got.labels == want.labels and list(got.transitions()) == list(want.transitions())
+        # the last pair is achievable: synthesis, its closed loop and simulation
+        scaling = scaling_from_spec(g, h)
+        assert dumps_scaling_map(scaling) == dumps_scaling_map(scaling_from_spec(plant, spec))
+        assert list(controlled_automaton(g, scaling).transitions()) == list(
+            controlled_automaton(plant, scaling).transitions())
+        sup, cfg = supervisor_from_scaling(scaling), TrialConfig(trials=200, max_depth=6, seed=3)
+        assert run_trials(g, sup, cfg).to_tsv() == run_trials(plant, sup, cfg).to_tsv()
 
 
 class TestExplore:

@@ -143,6 +143,7 @@ class TestCheckCommands:
         ("x2 0.375\ntrans: x0 s5 x3 0.375", "x2 1/0\ntrans: x0 s5 x3 1/0", "line 8: zero denominator"),
         ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3 x0", "line 1: duplicate state 'x0'"),
         ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3\nstates: x1", "line 2: duplicate state 'x1'"),
+        ("x1 s1 x0 0.5", "x1 s1 x0 0", "line 10: transitions must have positive probability"),
     ])
     def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):
         text = dumps_automaton(robot_plant())
@@ -156,6 +157,28 @@ class TestCheckCommands:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_unreachable_state_is_a_warning(self, robot_files, tmp_path, capsys):
+        text = dumps_automaton(robot_plant())
+        path = tmp_path / "g9.pda"
+        path.write_text(text.replace("states: x0 x1 x2 x3", "states: x0 x1 x2 x3 x9", 1))
+        assert main(["check-ctrl", str(path), robot_files[1]]) == 0
+        out, err = capsys.readouterr()
+        assert out == "probabilistic controllability: HOLDS\n"
+        assert err == f"warning: {path}: dropping 1 unreachable state(s)\n"
+
+    def test_verdicts_are_colored_on_a_tty(self, loop_files, tmp_path, monkeypatch, capsys):
+        # the loop pair's fixture writes g.pda and h.pda too
+        robot = write(tmp_path, "rg.pda", robot_plant()), write(tmp_path, "rh.pda", robot_spec())
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        monkeypatch.delenv("PDES_COLOR")
+        assert main(["check-ctrl", *robot]) == 0
+        assert capsys.readouterr().out == "probabilistic controllability: \x1b[32mHOLDS\x1b[0m\n"
+        assert main(["check-ctrl", *loop_files]) == 1
+        assert capsys.readouterr().out.startswith("probabilistic controllability: \x1b[31mFAILS\x1b[0m\n")
+        monkeypatch.setenv("PDES_COLOR", "0")
+        assert main(["check-ctrl", *robot]) == 0
+        assert capsys.readouterr().out == "probabilistic controllability: HOLDS\n"
 
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         text = dumps_automaton(robot_plant())
@@ -457,6 +480,19 @@ class TestMalformedSupervisorMap:
         good.write_text(ROBOT_MAP)
         assert main(["simulate", "--plant", g, "--supervisor", str(good),
                      "--trials", "10", "--depth", "2"]) == 0
+
+    def test_directive_glued_to_its_colon(self, robot_files, tmp_path, capsys):
+        g, _ = robot_files
+        reports = []
+        for text in (ROBOT_MAP, ROBOT_MAP.replace("obs-classes: 1", "obs-classes:1").replace(
+                "obs-initial: t0", "obs-initial:t0")):
+            path = tmp_path / "sp.map"
+            path.write_text(text)
+            assert main(["simulate", "--plant", g, "--supervisor", str(path),
+                         "--trials", "200", "--depth", "3", "--seed", "4"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "obs-classes:1\nobs-initial:t0\n" in text
+        assert reports[0] == reports[1] and reports[0].startswith("string\tcount")
 
     def test_missing_supervisor_file(self, robot_files, tmp_path, capsys):
         g, _ = robot_files
