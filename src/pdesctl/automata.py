@@ -569,20 +569,41 @@ def observer_automaton(a: Pdes) -> Pdes:
     return Pdes._from_rows(a.alphabet.restrict_to_observable(), obs.initial, rows, obs.cells, check_liveness=False)
 
 
-def _refine(block: List[int], rows: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
-    """Moore refinement of the blocks ``block[s]`` (0..k-1) of states s with
-    equally long target rows ``rows[s]``, -1 for a missing move, until the
-    count stops changing: each state's block, numbered by first members,
-    and the count."""
-    count = max(block, default=-1) + 1
+def _refine(keys: Sequence[Hashable], rows: Sequence[Sequence[int]]) -> List[int]:
+    """Moore refinement of states 0..n-1 with one key ``keys[s]`` and
+    equally long target rows ``rows[s]``, -1 for a missing move: the first
+    partition groups equal keys, and each round splits the blocks by their
+    members' target blocks until the count stops changing.  Returns each
+    state's block, numbered by first members."""
+    sigs: Dict[Hashable, int] = {}
+    block = [sigs.setdefault(key, len(sigs)) for key in keys]
+    count = len(sigs)
     columns = list(zip(*rows))  # one per move; a round zips them, with no iterator per state
     while True:
-        sigs: Dict[tuple, int] = {}
+        sigs = {}
         of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
         block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[map(of, col) for col in columns])]
         if len(sigs) == count:
-            return block, count
+            return block
         count = len(sigs)
+
+
+def _first_members(keys: Sequence, rows: Sequence[Sequence[int]], block: List[int]) -> List[int]:
+    """The first member of each block 0..k-1 of the partition ``block`` of
+    the states that `_refine` reads.  Raises `InvariantError` unless the
+    partition is stable: every state has its block's key and, move by move,
+    its block's target blocks (-1 for a missing move), so a quotient that
+    gives each block its first member's row loses nothing."""
+    first: Dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    members = [first[b] for b in range(len(first))]
+    heads = [members[b] for b in block]  # each state's block's first member
+    of = (block + [-1]).__getitem__
+    sigs = list(zip(keys, *[map(of, col) for col in zip(*rows)]))  # each state's key and target blocks
+    if list(map(sigs.__getitem__, heads)) != sigs:
+        raise InvariantError("the merged states are not a stable partition")
+    return members
 
 
 def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
@@ -592,10 +613,11 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
 
     Moore refinement on integer rows: each row is kept as its targets'
     numbers in event order (the states themselves when they are 0..n-1,
-    -1 for a missing event).  The first partition groups the rows by
-    (event, probability), read as the integers (numerator, denominator,
-    degree), and `_refine` splits it.  Blocks are numbered in the order of
-    their first members, whose rows they take, and named
+    -1 for a missing event), and each state's key numbers its (event,
+    probability) signature, read as the integers (numerator, denominator,
+    degree).  `_refine` splits the keys' partition and `_first_members`
+    checks it, as for `quotient_classes`.  Blocks are numbered in the order
+    of their first members, whose rows they take, and named
     ``f"{prefix}{b}"`` when a prefix is given.  On an automaton numbered
     breadth first in event order (as `numbered_walk` numbers a walk in
     event order) the walk of the quotient meets each block first at its
@@ -605,24 +627,25 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
     n = len(states)
     index = range(n) if states == tuple(range(n)) else {s: i for i, s in enumerate(states)}
     position, n_events = a.alphabet._position, a.alphabet.n
-    keys: Dict[tuple, int] = {}
-    block: List[int] = []
+    signatures: Dict[tuple, int] = {}
+    keys: List[int] = []
     rows: List[List[int]] = []
     for s in states:
-        key = []
+        sig = []
         targets = [-1] * n_events
         for e, (dst, p) in out[s].items():
             m = p.magnitude
-            key.append((e, m.numerator, m.denominator, p.eps_degree))
+            sig.append((e, m.numerator, m.denominator, p.eps_degree))
             targets[position[e]] = index[dst]
-        block.append(keys.setdefault(tuple(key), len(keys)))
+        keys.append(signatures.setdefault(tuple(sig), len(signatures)))
         rows.append(targets)
-    block, count = _refine(block, rows)
-    names = range(count) if prefix is None else [f"{prefix}{b}" for b in range(count)]
-    quotient: Dict[State, Dict[str, Tuple[State, EpsProb]]] = {}
-    for s, b in zip(states, block):
-        if names[b] not in quotient:
-            quotient[names[b]] = {e: (names[block[index[dst]]], p) for e, (dst, p) in out[s].items()}
+    block = _refine(keys, rows)
+    first = _first_members(keys, rows, block)
+    names = range(len(first)) if prefix is None else [f"{prefix}{b}" for b in range(len(first))]
+    quotient = {
+        names[b]: {e: (names[block[index[dst]]], p) for e, (dst, p) in out[states[s]].items()}
+        for b, s in enumerate(first)
+    }
     return Pdes._from_rows(a.alphabet, names[0], quotient, check_liveness=False)
 
 
@@ -684,7 +707,7 @@ def _alphabet_lines(alphabet: Alphabet) -> List[str]:
 def loads_automaton(text: str) -> Pdes:
     """Parse the line-oriented automaton format (see `dumps_automaton`)."""
     states: Optional[dict] = None  # the declared states, in order, once a states line is read
-    initial = None
+    initial = initial_line = None
     header: list = []  # (line, directive, events) of the alphabet lines
     raw_trans: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -707,7 +730,7 @@ def loads_automaton(text: str) -> Pdes:
                 raise FormatError("duplicate initial line", lineno)
             if len(fields) != 1:
                 raise FormatError("initial takes exactly one state", lineno)
-            initial = fields[0]
+            initial, initial_line = fields[0], lineno
         elif key in _ALPHABET_DIRECTIVES:
             header.append((lineno, key, fields))
         elif key == "trans":
@@ -746,7 +769,7 @@ def loads_automaton(text: str) -> Pdes:
             rows[dst] = {}
 
     if states is not None and initial not in states:
-        raise FormatError(f"initial state {initial!r} not declared")
+        raise FormatError(f"initial state {initial!r} not declared", initial_line)
     try:
         return Pdes._from_rows(alphabet, initial, rows, on_unreachable="trim")
     except InvariantError as e:

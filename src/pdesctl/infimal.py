@@ -83,7 +83,7 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     spec edge the plant lacks raises `InvariantError`."""
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
-    controllable, observable = alphabet.controllable, alphabet.observable
+    controllable = alphabet.controllable
     obs = observer(spec)
     enabled = [{e for q in cell for e in spec._out[q] if e in controllable} for cell in obs.cells]
 
@@ -98,8 +98,7 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
             eq = rq.get(e)
             if eq is None and e in controllable and (o is None or e not in enabled[o]):
                 continue
-            to = obs.trans.get((o, e)) if e in observable and o is not None else o
-            yield e, (dst, eq[0] if eq is not None else None, to), ONE
+            yield e, (dst, eq[0] if eq is not None else None, obs.step(o, e)), ONE
 
     labels, rows = numbered_walk((plant.initial, spec.initial, obs.initial), successors)
     return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)

@@ -24,6 +24,7 @@ from .automata import (
     _ABSENT,
     _ALPHABET_DIRECTIVES,
     _alphabet_lines,
+    _first_members,
     _header_alphabet,
     _refine,
     _sublanguage,
@@ -197,11 +198,10 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     # a sublanguage has no _SPEC_ONLY pair; a plant-only event's factor is 0
     ratios, quotients = _ratio_classes(plant, spec, joint)
     factor = [Fraction(0)] * _RATIO + [quotient for quotient, _ in quotients]
-    vectors: List[Tuple[Fraction, ...]] = []  # per class, in index order
     keys: List[Tuple[int, ...]] = []  # per class: its factors' ratio classes
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 
-    def class_vector(cls: int, cell) -> None:
+    def class_key(cls: int, cell) -> None:
         members = sorted(cell, key=access.__getitem__)
         key = []
         for k, e in enumerate(controllable):
@@ -224,14 +224,14 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                         Witness((access[first], access[i]), e, *products),
                     )
             key.append(_PLANT_ONLY if c is None else c)
-        vectors.append(tuple([factor[c] for c in key]) + uncontrollable_factors)
         keys.append(tuple(key))
 
     # each class is checked as the subset construction reaches it, so a
     # conflict stops the construction there; classes with equal vectors
     # now and after every observation then share a block
-    classes, first = quotient_classes(observer(joint, class_vector), keys)
-    return ScalingMap(classes, {b: vectors[c] for b, c in enumerate(first)})
+    classes, first = quotient_classes(observer(joint, class_key), keys)
+    vectors = {b: tuple([factor[r] for r in keys[c]]) + uncontrollable_factors for b, c in enumerate(first)}
+    return ScalingMap(classes, vectors)
 
 
 def supervisor_from_scaling(scaling: ScalingMap) -> SupervisorMap:
@@ -292,41 +292,16 @@ def quotient_classes(classes: ObservationClasses, keys) -> Tuple[ObservationClas
     generates the language it generates over the classes.  A missing move
     never merges with a class, so no class merges into a map's default.
     This is exact supervisor reduction (Vaz and Wonham, 1986; Su and
-    Wonham, 2004): only equivalent classes merge.  Returns the block DFA
-    and the first member of each block, through the stability check of
-    `_merge_classes`."""
+    Wonham, 2004): only equivalent classes merge.  Returns the block DFA,
+    each block taking the moves of its first member, and the first member
+    of each block, through the stability check of `_first_members`."""
     alphabet, trans = classes.alphabet, classes.trans
     observable = [e for e in alphabet.events if e in alphabet.observable]
-    first: Dict[object, int] = {}
-    block = [first.setdefault(key, len(first)) for key in keys]
     rows = [[trans.get((c, e), -1) for e in observable] for c in range(classes.count)]
-    return _merge_classes(classes, keys, _refine(block, rows)[0])
-
-
-def _merge_classes(classes: ObservationClasses, keys, block: List[int]) -> Tuple[ObservationClasses, List[int]]:
-    """The classes merged into blocks 0..k-1, class c into ``block[c]``:
-    each block takes the moves of its first member, which is returned per
-    block.  Raises `InvariantError` unless the partition is stable: every
-    class has its block's key, and each of its moves is a move of its
-    block into the target's block, and the classes have as many moves in
-    all as their blocks give them, so none lacks one of its block's."""
-    alphabet, trans = classes.alphabet, classes.trans
-    observable = [e for e in alphabet.events if e in alphabet.observable]
-    first: Dict[int, int] = {}
-    for c, b in enumerate(block):
-        first.setdefault(b, c)
-    members = [first[b] for b in range(len(first))]
-    merged = {(b, e): block[trans[(c, e)]] for b, c in enumerate(members) for e in observable if (c, e) in trans}
-    moves = [0] * len(members)
-    for b, _ in merged:
-        moves[b] += 1
-    if not (
-        all(keys[c] == keys[members[b]] for c, b in enumerate(block))
-        and all(merged.get((block[c], e)) == block[t] for (c, e), t in trans.items())
-        and sum(moves[b] for b in block) == len(trans)
-    ):
-        raise InvariantError("the merged classes are not a stable partition")
-    return ObservationClasses(alphabet, block[classes.initial], len(members), merged), members
+    block = _refine(keys, rows)
+    first = _first_members(keys, rows, block)
+    merged = {(b, e): block[t] for b, c in enumerate(first) for e, t in zip(observable, rows[c]) if t >= 0}
+    return ObservationClasses(alphabet, block[classes.initial], len(first), merged), first
 
 
 def controlled_automaton(plant: Pdes, scaling: ScalingMap) -> Pdes:

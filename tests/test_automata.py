@@ -996,7 +996,7 @@ class TestTextFormat:
         from pdesctl import FormatError
 
         header = "controllable: c\nuncontrollable:\nobservable: c\n"
-        with pytest.raises(FormatError, match="^initial state 'a' not declared$"):
+        with pytest.raises(FormatError, match="^line 2: initial state 'a' not declared$"):
             loads_automaton("states:\ninitial: a\n" + header)
         # a transition's undeclared state is reported first, as with any
         # states line
@@ -1006,6 +1006,11 @@ class TestTextFormat:
             assert str(err.value) == "line 6: transition references undeclared state"
         # without a states line, the states are the ones the file names
         assert loads_automaton("initial: a\n" + header + "trans: a c b 1/2\n").states == ("a", "b")
+        # a transition may name its source first: states come in order of
+        # first mention, a source before its target
+        loop = loads_automaton("initial: a\n" + header + "trans: b c a 1/2\ntrans: a c b 1/2\n")
+        assert loop.states == ("a", "b")
+        assert loads_automaton(dumps_automaton(loop)).transition_map() == loop.transition_map()
 
     def test_parses_each_distinct_probability_once_per_call(self, monkeypatch):
         import pdesctl.automata as automata

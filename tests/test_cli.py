@@ -81,12 +81,12 @@ def write(tmp_path, name, pdes):
 
 @pytest.fixture
 def robot_files(tmp_path):
-    return write(tmp_path, "g.pda", robot_plant()), write(tmp_path, "h.pda", robot_spec())
+    return write(tmp_path, "robot_g.pda", robot_plant()), write(tmp_path, "robot_h.pda", robot_spec())
 
 
 @pytest.fixture
 def loop_files(tmp_path):
-    return write(tmp_path, "g.pda", loop_plant()), write(tmp_path, "h.pda", loop_spec())
+    return write(tmp_path, "loop_g.pda", loop_plant()), write(tmp_path, "loop_h.pda", loop_spec())
 
 
 class TestCheckCommands:
@@ -167,17 +167,17 @@ class TestCheckCommands:
         assert out == "probabilistic controllability: HOLDS\n"
         assert err == f"warning: {path}: dropping 1 unreachable state(s)\n"
 
-    def test_verdicts_are_colored_on_a_tty(self, loop_files, tmp_path, monkeypatch, capsys):
-        # the loop pair's fixture writes g.pda and h.pda too
-        robot = write(tmp_path, "rg.pda", robot_plant()), write(tmp_path, "rh.pda", robot_spec())
+    def test_verdicts_are_colored_on_a_tty(self, robot_files, loop_files, monkeypatch, capsys):
+        # both fixtures write into one tmp_path: the robot pair still holds
+        # and the loop pair still fails, so neither overwrote the other
         monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
         monkeypatch.delenv("PDES_COLOR")
-        assert main(["check-ctrl", *robot]) == 0
+        assert main(["check-ctrl", *robot_files]) == 0
         assert capsys.readouterr().out == "probabilistic controllability: \x1b[32mHOLDS\x1b[0m\n"
         assert main(["check-ctrl", *loop_files]) == 1
         assert capsys.readouterr().out.startswith("probabilistic controllability: \x1b[31mFAILS\x1b[0m\n")
         monkeypatch.setenv("PDES_COLOR", "0")
-        assert main(["check-ctrl", *robot]) == 0
+        assert main(["check-ctrl", *robot_files]) == 0
         assert capsys.readouterr().out == "probabilistic controllability: HOLDS\n"
 
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):

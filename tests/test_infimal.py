@@ -37,8 +37,8 @@ import pdesctl.automata as automata
 import pdesctl.cli as cli
 import pdesctl.infimal as infimal
 import reference_infimal as reference
-from pdesctl.automata import JointSupport, require_same_alphabet
-from pdesctl.supervisor import _closed_loop, _merge_classes, quotient_classes
+from pdesctl.automata import JointSupport, _first_members, require_same_alphabet
+from pdesctl.supervisor import _closed_loop, quotient_classes
 from oracles import equivalent_classes
 from reference_infimal import SINK, NormalPair, reference_infimal_pipeline
 from conftest import (
@@ -496,15 +496,17 @@ class TestQuotient:
 
     def test_unstable_partitions_raise(self):
         # merging two cells with different rows, or two cells with equal
-        # rows that are not equivalent, breaks the stability check; the
-        # partition into single cells passes it
+        # rows that are not equivalent, breaks the stability check; cells
+        # with keys of their own keep their own blocks
         seen = {"rows": 0, "moves": 0}
         for plant, spec in seeded_pairs():
             support = infimal_co_support(plant, spec)
             obs = observer(support)
             factors = reweight_infimal(plant, spec, support, obs)
-            classes, first = _merge_classes(obs, factors, list(range(obs.count)))
+            classes, first = quotient_classes(obs, list(range(obs.count)))
             assert first == list(range(obs.count)) and (classes.initial, classes.trans) == (obs.initial, obs.trans)
+            observable = [e for e in plant.alphabet.events if e in plant.alphabet.observable]
+            moves = [[obs.trans.get((c, e), -1) for e in observable] for c in range(obs.count)]
             equivalent = equivalent_classes(obs, factors)
             for c in range(obs.count):
                 # the first cell of each kind that c is not equivalent to
@@ -517,7 +519,7 @@ class TestQuotient:
                     block[d] = c
                     dense = {}
                     with pytest.raises(InvariantError, match="not a stable partition"):
-                        _merge_classes(obs, factors, [dense.setdefault(b, len(dense)) for b in block])
+                        _first_members(factors, moves, [dense.setdefault(b, len(dense)) for b in block])
                     seen[kind] += 1
         assert min(seen.values()) >= 200, seen
 
