@@ -13,8 +13,8 @@ edges in that order without scanning the alphabet.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -353,15 +353,14 @@ def explore(initial: Iterable[State], successors: Callable[[State], Iterable[Sta
     """Breadth-first search: every state reachable from the initial ones,
     once each, in discovery order.  ``successors(s)`` is called once per
     state in that order, so it may record transitions as it goes."""
-    seen = dict.fromkeys(initial)
-    queue = deque(seen)
-    pop, push = queue.popleft, queue.append
-    while queue:
-        for nxt in successors(pop()):
+    order = list(dict.fromkeys(initial))
+    seen = set(order)
+    for state in order:  # grows as the walk finds states
+        for nxt in successors(state):
             if nxt not in seen:
-                seen[nxt] = None
-                push(nxt)
-    return list(seen)
+                seen.add(nxt)
+                order.append(nxt)
+    return order
 
 
 def numbered_walk(initial: State, successors: Callable[[State], Iterable[Tuple[str, State, EpsProb]]]):
@@ -391,9 +390,10 @@ class JointSupport:
     event order), and ``_out[i]`` is its row {event: (target, ONE)} in
     event order.  The rows have the shape of `Pdes` rows, so `observer`
     reads a joint support as it reads an automaton.  Only the targets of
-    ``a`` and ``b`` are read."""
+    ``a`` and ``b`` are read.  No table maps a pair to its number: only
+    the witnesses of the checks look one up."""
 
-    __slots__ = ("alphabet", "initial", "pairs", "index", "_out")
+    __slots__ = ("alphabet", "initial", "pairs", "_out")
 
     def __init__(self, a: Pdes, b: Pdes):
         require_same_alphabet(a, b)
@@ -405,7 +405,6 @@ class JointSupport:
         self.alphabet = a.alphabet
         self.initial = 0
         self.pairs, self._out = numbered_walk((a.initial, b.initial), successors)
-        self.index = {pair: i for i, pair in enumerate(self.pairs)}
 
     def access(self) -> List[Word]:
         """Per state, the shortest string reaching it (ties broken by event
@@ -539,23 +538,19 @@ def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] =
     out = a._out
     observable = [e for e in a.alphabet.events if e in a.alphabet.observable]
     reach = _unobservable_reach(a)
-    initial = reach([a.initial])
-    index = {initial: 0}  # numbered as `explore` discovers them
-    trans: Dict[Tuple[int, str], int] = {}
+    numbers = itertools.count()  # the walk takes cells in index order
 
     def successors(cell):
-        i = index[cell]
         if visit is not None:
-            visit(i, cell)
+            visit(next(numbers), cell)
         rows = [out[s] for s in cell]
         for e in observable:
             targets = {row[e][0] for row in rows if e in row}
             if targets:
-                nxt = reach(targets)
-                trans[(i, e)] = index.setdefault(nxt, len(index))
-                yield nxt
+                yield e, reach(targets), ONE
 
-    cells = explore([initial], successors)
+    cells, cell_rows = numbered_walk(reach([a.initial]), successors)
+    trans = {(i, e): j for i, row in enumerate(cell_rows) for e, (j, _) in row.items()}
     return Observer(a.alphabet, 0, len(cells), trans, tuple(cells))
 
 

@@ -76,7 +76,7 @@ class TestingAutomatonTC:
 
     def access(self, pair: Pair) -> Word:
         """The shortest string reaching the pair (ties broken by event order)."""
-        return self.joint.access()[self.joint.index[pair]]
+        return self.joint.access()[self.joint.pairs.index(pair)]
 
 
 @dataclass
@@ -92,7 +92,6 @@ class TestingAutomatonTO:
     """
 
     quads: List[Quad]
-    initial: Quad
     dump_edges: List[Tuple[Quad, str, EpsProb, EpsProb]]
     parent: Dict[int, Optional[Tuple[int, Label]]]
     pair_index: Dict[Pair, int]
@@ -163,17 +162,14 @@ def _ratio_classes(
     plant: Pdes, spec: Pdes, joint: JointSupport
 ) -> Tuple[List[Tuple[int, ...]], List[Tuple[Fraction, int]]]:
     """Per pair of the joint support, its ratio classes over the
-    controllable events (equal class tuples are one object), and the
-    (magnitude quotient, degree difference) of each both-sided class in
-    number order, class _RATIO first."""
+    controllable events, and the (magnitude quotient, degree difference)
+    of each both-sided class in number order, class _RATIO first."""
     controllable = plant.alphabet.controllable_events()
     ratios: Dict[Tuple[Fraction, int], int] = {}
-    interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     classes = []
     for x, q in joint.pairs:
         rx, rq = plant._out[x], spec._out[q]
-        cls = tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable)
-        classes.append(interned.setdefault(cls, cls))
+        classes.append(tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable))
     return classes, list(ratios)
 
 
@@ -193,6 +189,7 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     unobservable = [e for e in alphabet.events if e not in alphabet.observable]
     n = len(pairs)
     parent: Dict[int, Optional[Tuple[int, Label]]] = {0: None}
+    record = parent.setdefault  # the first move found into a quadruple is its parent
     dumps: List[Tuple[int, str]] = []
 
     def successors(key):
@@ -200,26 +197,27 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
         ri, rj = rows[i], rows[j]
         ci, cj = classes[i], classes[j]
         dumped = ()
-        if ci is not cj:
+        if ci != cj:
             dumped = [e for e, a, b in zip(controllable, ci, cj) if a != b and a and b]
             for e in dumped:
                 dumps.append((key, e))
-        moves = []
         for e, (ti, _) in ri.items():
             ej = rj.get(e)
             if ej is not None and e not in dumped:
-                moves.append((ti * n + ej[0], (e, e)))
+                dst = ti * n + ej[0]
+                record(dst, (key, (e, e)))
+                yield dst
         for e in unobservable:
             ei = ri.get(e)
             if ei is not None:
-                moves.append((ei[0] * n + j, (e, None)))
+                dst = ei[0] * n + j
+                record(dst, (key, (e, None)))
+                yield dst
             ej = rj.get(e)
             if ej is not None:
-                moves.append((i * n + ej[0], (None, e)))
-        for dst, label in moves:
-            if dst not in parent:
-                parent[dst] = (key, label)
-        return [dst for dst, _ in moves]
+                dst = i * n + ej[0]
+                record(dst, (key, (None, e)))
+                yield dst
 
     keys = explore([0], successors)
     quads = [pairs[k // n] + pairs[k % n] for k in keys]
@@ -227,7 +225,7 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     for key, e in dumps:
         pair1, pair2 = pairs[key // n], pairs[key % n]
         dump_edges.append((pair1 + pair2, e, *_cross_products(plant, spec, pair1, pair2, e)))
-    return TestingAutomatonTO(quads, quads[0], dump_edges, parent, joint.index)
+    return TestingAutomatonTO(quads, dump_edges, parent, {pair: i for i, pair in enumerate(pairs)})
 
 
 def check_observable(plant: Pdes, spec: Pdes) -> Verdict:

@@ -58,6 +58,12 @@ class TestAlphabet:
     def test_ordering_enforced(self):
         with pytest.raises(InvariantError):
             Alphabet(("u", "c"), frozenset(["c"]), frozenset(["u"]))
+        with pytest.raises(InvariantError, match="duplicate event names"):
+            Alphabet(("c", "u", "c"), frozenset(["c"]), frozenset(["u"]))
+        with pytest.raises(InvariantError, match="controllable events not a subset"):
+            Alphabet(("u",), frozenset(["c"]), frozenset(["u"]))
+        with pytest.raises(InvariantError, match="observable events not a subset"):
+            Alphabet(("c", "u"), frozenset(["c"]), frozenset(["z"]))
         a = Alphabet.make(["c"], ["u"], ["u"])
         assert a.events == ("c", "u")
         assert a.m == 1 and a.n == 2
@@ -397,6 +403,8 @@ class TestLanguage:
         plant, _ = robot
         with pytest.raises(InvariantError):
             plant.eval_language(("bogus",))
+        with pytest.raises(InvariantError, match="unknown event 'bogus'"):
+            plant.delta(plant.initial, ("bogus",))
 
 
 def enumerate_words(alphabet, depth):
@@ -985,6 +993,11 @@ class TestTextFormat:
         with pytest.raises(FormatError) as err:
             loads_automaton(text)
         assert "duplicate" in str(err.value)
+
+    def test_dump_rejects_non_string_states(self, robot):
+        prod = product(*robot)
+        with pytest.raises(InvariantError, match="string state names"):
+            dumps_automaton(prod)
 
     def test_unreachable_states_trimmed_with_warning(self):
         text = FORMAT_SAMPLE.replace("states: x0 x1 x2 x3", "states: x0 x1 x2 x3 zz")

@@ -118,6 +118,12 @@ class TestCheckCommands:
         bad = tmp_path / "bad.pda"
         bad.write_text("states x0\n")
         assert main(["check-ctrl", str(bad), str(bad)]) == 2
+        capsys.readouterr()
+        text = dumps_automaton(robot_plant())
+        assert "initial: x0\n" in text
+        bad.write_text(text.replace("initial: x0\n", ""))
+        assert main(["eval", str(bad), ""]) == 2
+        assert capsys.readouterr().err == "error: missing 'initial:' line\n"
 
 
     def test_duplicate_initial_is_input_error(self, tmp_path, capsys):

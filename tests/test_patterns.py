@@ -31,6 +31,8 @@ class TestPatternDistribution:
             PatternDistribution(1, {0: F(3, 2), 1: F(-1, 2)})
         with pytest.raises(InvariantError, match="nonnegative"):
             PatternDistribution(-1, {0: F(1)})
+        with pytest.raises(InvariantError, match="distribution size does not match m"):
+            marginals_of(PatternDistribution(2, {3: F(1)}), 1, 3)
 
     def test_support(self):
         d = PatternDistribution(2, {3: F(4, 5), 0: F(0), 2: F(1, 5)})

@@ -154,6 +154,11 @@ class TestRejections:
         sup = full_supervisor(branches[0])
         with pytest.raises(InvariantError):
             run_trials(robot[0], sup, TrialConfig(trials=10, max_depth=2, seed=1))
+        with pytest.raises(InvariantError, match="scaling map alphabet does not match the plant"):
+            controlled_automaton(robot[0], ScalingMap(observation_classes(branches[0]), {}))
+        wrong_m = PatternDistribution(sup.alphabet.m + 1, {0: F(1)})
+        with pytest.raises(InvariantError, match="pattern distribution does not match the alphabet"):
+            SupervisorMap(sup.classes, {sup.classes.initial: wrong_m})
 
 
 class TestReportFormat:

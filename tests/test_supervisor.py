@@ -19,6 +19,7 @@ from pdesctl import (
     ScalingMap,
     SynthesisError,
     TrialConfig,
+    ZERO,
     check_controllable,
     check_observable,
     controlled_automaton,
@@ -318,6 +319,7 @@ class TestEquivalenceOfForms:
 
     def test_random_plants(self):
         rng = random.Random(41)
+        left = 0
         for _ in range(25):
             alphabet = random_alphabet(rng, max_events=4)
             plant = random_plant(rng, alphabet, max_states=4)
@@ -326,6 +328,15 @@ class TestEquivalenceOfForms:
             controlled = controlled_automaton(plant, scaling)
             for word in words_in_support(plant, 5):
                 assert controlled.eval_language(word) == controlled_language_value(plant, sup, word)
+            # a word that leaves the plant's support, then goes on
+            for word in words_in_support(plant, 3):
+                x = plant.delta(plant.initial, word)
+                for e in alphabet.events:
+                    if plant.step(x, e) is None:
+                        off = word + (e,) + alphabet.events[:1]
+                        assert controlled_language_value(plant, sup, off) == controlled.eval_language(off) == ZERO
+                        left += 1
+        assert left >= 100, left
 
     def test_marginals_once_per_class_per_call(self, robot, monkeypatch):
         import pdesctl.supervisor as supervisor
