@@ -2,7 +2,7 @@
 partial observation: verification, supervisor synthesis, and infimal
 achievable superlanguages, all in exact arithmetic."""
 
-from .values import EPS, ONE, ZERO, EpsProb, Rat, format_prob, format_rat, parse_prob, parse_rat
+from .values import EPS, ONE, ZERO, EpsProb, format_prob, format_rat, parse_prob, parse_rat
 from .automata import (
     Alphabet,
     AlphabetMismatchError,

@@ -389,14 +389,16 @@ class JointSupport:
     pair ``pairs[i]``, numbered in breadth-first order (ties broken by
     event order), and ``_out[i]`` is its row {event: (target, ONE)} in
     event order.  The rows have the shape of `Pdes` rows, so `observer`
-    reads a joint support as it reads an automaton.  Only the targets of
-    ``a`` and ``b`` are read.  No table maps a pair to its number: only
-    the witnesses of the checks look one up."""
+    reads a joint support as it reads an automaton.  The walk reads only
+    the targets of ``a`` and ``b``; both are kept, so that a pass over the
+    pairs reads their probabilities from the joint alone.  No table maps
+    a pair to its number: only the witnesses of the checks look one up."""
 
-    __slots__ = ("alphabet", "initial", "pairs", "_out")
+    __slots__ = ("a", "b", "alphabet", "initial", "pairs", "_out")
 
     def __init__(self, a: Pdes, b: Pdes):
         require_same_alphabet(a, b)
+        self.a, self.b = a, b
 
         def successors(pair):
             ra, rb = a._out[pair[0]], b._out[pair[1]]
@@ -434,20 +436,20 @@ def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
     support every one-step extension ratio of a is bounded by b's.  The
     first violation leaves a joint-support pair; the witness is the first
     in pair order, then event order."""
-    return _sublanguage(JointSupport(a, b), a, b)
+    return _sublanguage(JointSupport(b, a))
 
 
-def _sublanguage(joint: JointSupport, a: Pdes, b: Pdes, side: int = 0) -> Verdict:
-    """`is_sublanguage(a, b)` read off ``joint``, whose pairs hold a's state
-    at position ``side``: ``JointSupport(b, a)`` walks the pairs of
-    ``JointSupport(a, b)`` swapped, in the same order, so ``side=1`` on it
-    gives the same verdict and witness."""
-    for i, pair in enumerate(joint.pairs):
-        ra, rb = a._out[pair[side]], b._out[pair[1 - side]]
-        for e, (_, pa) in ra.items():
-            pb = rb.get(e, _ABSENT)[1]
-            if pa > pb:
-                return Verdict(False, Witness((joint.access()[i],), e, pa, pb))
+def _sublanguage(joint: JointSupport) -> Verdict:
+    """`is_sublanguage(joint.b, joint.a)`, read off ``joint``: the pairs of
+    ``JointSupport(b, a)`` are those of ``JointSupport(a, b)`` swapped, in
+    the same order, so either joint gives the same verdict and witness."""
+    outer, inner = joint.a._out, joint.b._out
+    for i, (y, x) in enumerate(joint.pairs):
+        row = outer[y]
+        for e, (_, p) in inner[x].items():
+            bound = row.get(e, _ABSENT)[1]
+            if p > bound:
+                return Verdict(False, Witness((joint.access()[i],), e, p, bound))
     return Verdict(True)
 
 

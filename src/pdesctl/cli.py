@@ -28,6 +28,7 @@ from .automata import (
 from .infimal import infimal_pipeline, strip_eps_edges
 from .simulate import TrialConfig, run_trials
 from .supervisor import (
+    NotSublanguageError,
     SynthesisError,
     dumps_scaling_map,
     dumps_supervisor_map,
@@ -129,9 +130,13 @@ def cmd_synthesize(args) -> int:
     plant = _load(args.plant)
     spec = _load(args.spec)
     # synthesis succeeds only where both checks hold, so the checks run
-    # only after it fails, to say which property fails and why
+    # only after it fails, to say which property fails and why; a spec
+    # that is not a sublanguage is not checked, as inf-pco rejects it too
     try:
         scaling = scaling_from_spec(plant, spec)
+    except NotSublanguageError as e:
+        print(f"synthesis failed: {e}")
+        return 1
     except (SynthesisError, InvariantError) as e:
         verdicts = [(title, check(plant, spec)) for title, check in _CHECKS.values()]
         if not all(verdict for _, verdict in verdicts):

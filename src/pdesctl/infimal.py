@@ -171,7 +171,7 @@ def infimal_pipeline(plant: Pdes, spec: Pdes) -> InfimalResult:
     controllable and observable superlanguage of the spec w.r.t. the
     plant.  A spec that is not a sublanguage of the plant raises
     `NotSublanguageError` with the witness of `is_sublanguage`."""
-    _require_sublanguage(JointSupport(plant, spec), plant, spec)
+    _require_sublanguage(JointSupport(plant, spec))
     support = infimal_co_support(plant, spec)
     return InfimalResult(support, refine_to_normal(plant, spec, support).h_n)
 

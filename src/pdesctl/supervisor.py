@@ -113,18 +113,6 @@ class ScalingMap:
         return self.vectors.get(cls, self.default)
 
 
-def _validated(
-    classes: ObservationClasses, vectors: Dict[int, Tuple[Fraction, ...]], default: Optional[Tuple[Fraction, ...]]
-) -> ScalingMap:
-    """A `ScalingMap` of vectors that `validate_scaling_vector` has
-    already returned (``default`` None for all ones), not checked again."""
-    scaling = object.__new__(ScalingMap)
-    object.__setattr__(scaling, "classes", classes)
-    object.__setattr__(scaling, "vectors", vectors)
-    object.__setattr__(scaling, "default", _all_ones(classes.alphabet) if default is None else default)
-    return scaling
-
-
 @dataclass(frozen=True)
 class SupervisorMap:
     """Per-observation-class pattern distributions (the roulette form)."""
@@ -153,11 +141,11 @@ class SupervisorMap:
         return self.dists.get(cls, self.default)
 
 
-def _require_sublanguage(joint: JointSupport, plant: Pdes, spec: Pdes) -> None:
+def _require_sublanguage(joint: JointSupport) -> None:
     """Raise `NotSublanguageError`, with the witness of
     `is_sublanguage(spec, plant)`, unless it holds; ``joint`` is
-    `JointSupport(plant, spec)`."""
-    verdict = _sublanguage(joint, spec, plant, side=1)
+    `JointSupport(plant, spec)`, the joint its caller goes on to read."""
+    verdict = _sublanguage(joint)
     if not verdict:
         w = verdict.witness
         raise NotSublanguageError(
@@ -184,11 +172,11 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     order (members of a cell in order of their shortest strings).
     """
     joint = JointSupport(plant, spec)
-    _require_sublanguage(joint, plant, spec)
+    _require_sublanguage(joint)
     access = joint.access()
     # the strict reading: a supervisor cannot disable an uncontrollable
     # event, so a mismatch the spec omits fails too
-    for i, e, rp, rs in _uncontrollable_mismatches(joint, plant, spec):
+    for i, e, rp, rs in _uncontrollable_mismatches(joint):
         raise NotControllableError(
             f"uncontrollable event {e!r} after {access[i]!r}: plant probability {rp} != spec probability {rs}",
             Witness((access[i],), e, rp, rs),
@@ -196,7 +184,7 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     alphabet = plant.alphabet
     controllable = alphabet.controllable_events()
     # a sublanguage has no _SPEC_ONLY pair; a plant-only event's factor is 0
-    ratios, quotients = _ratio_classes(plant, spec, joint)
+    ratios, quotients = _ratio_classes(joint)
     factor = [Fraction(0)] * _RATIO + [quotient for quotient, _ in quotients]
     keys: List[Tuple[int, ...]] = []  # per class: its factors' ratio classes
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
@@ -217,7 +205,7 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                 if c is None:
                     c, first = ci, i
                 elif ci != c:
-                    products = _cross_products(plant, spec, joint.pairs[first], joint.pairs[i], e)
+                    products = _cross_products(joint, joint.pairs[first], joint.pairs[i], e)
                     raise NotObservableError(
                         f"event {e!r} demands factor {factor[c]} after {access[first]!r} "
                         f"but {factor[ci]} after {access[i]!r}",
@@ -253,7 +241,7 @@ def scaling_from_supervisor(sup: SupervisorMap) -> ScalingMap:
         cls: marginals_of(dist, alphabet.m, alphabet.n) for cls, dist in sup.dists.items()
     }
     default = marginals_of(sup.default, alphabet.m, alphabet.n)
-    return _validated(sup.classes, vectors, default)
+    return ScalingMap(sup.classes, vectors, default)
 
 
 def _closed_loop(plant: Pdes, classes: ObservationClasses, factors) -> Pdes:
@@ -499,7 +487,7 @@ def loads_scaling_map(text: str) -> ScalingMap:
         except (ValueError, InvariantError) as e:
             raise FormatError(str(e), lineno) from None
     default = vectors.pop(None, None)
-    return _validated(classes, vectors, default)
+    return ScalingMap(classes, vectors, default)
 
 
 def dumps_supervisor_map(sup: SupervisorMap) -> str:

@@ -13,8 +13,6 @@ import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-Rat = Fraction
-
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+)|\.(\d+))?$")
 _EPS_RE = re.compile(r"^0\+(?:\^([1-9]\d*))?(?:[·*](.+))?$")
 

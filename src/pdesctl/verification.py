@@ -43,11 +43,12 @@ Label = Tuple[Optional[str], Optional[str]]
 Mismatch = Tuple[int, str, EpsProb, EpsProb]
 
 
-def _uncontrollable_mismatches(joint: JointSupport, plant: Pdes, spec: Pdes) -> Iterator[Mismatch]:
+def _uncontrollable_mismatches(joint: JointSupport) -> Iterator[Mismatch]:
     """Per pair of ``joint = JointSupport(plant, spec)`` in pair order, then
     per uncontrollable event in event order, each (pair index, event,
     plant probability, spec probability) where the two differ; an edge a
     row lacks reads zero."""
+    plant, spec = joint.a, joint.b
     uncontrollable = plant.alphabet.uncontrollable_events()
     for i, (x, q) in enumerate(joint.pairs):
         rx, rq = plant._out[x], spec._out[q]
@@ -88,13 +89,14 @@ class TestingAutomatonTO:
     events, so reachable quadruples correspond exactly to string pairs
     with equal observations.  A quadruple (x1, q1, x2, q2) is keyed by
     ``i * n + j``, where i and j index (x1, q1) and (x2, q2) in the
-    breadth-first order of the n pairs of the joint support.
+    breadth-first order of the n pairs of ``joint``; like
+    `TestingAutomatonTC.access`, `access` looks its pairs up there.
     """
 
+    joint: JointSupport
     quads: List[Quad]
     dump_edges: List[Tuple[Quad, str, EpsProb, EpsProb]]
     parent: Dict[int, Optional[Tuple[int, Label]]]
-    pair_index: Dict[Pair, int]
 
     @property
     def state_count(self) -> int:
@@ -102,8 +104,8 @@ class TestingAutomatonTO:
 
     def access(self, quad: Quad) -> Tuple[Word, Word]:
         """The first-discovered string pair reaching the quadruple."""
-        index = self.pair_index
-        key = index[quad[:2]] * len(index) + index[quad[2:]]
+        pairs = self.joint.pairs
+        key = pairs.index(quad[:2]) * len(pairs) + pairs.index(quad[2:])
         labels = []
         while self.parent[key] is not None:
             key, label = self.parent[key]
@@ -118,7 +120,7 @@ def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
     joint = JointSupport(plant, spec)
     # the paper's reading: only a transition the spec defines dumps, and a
     # defined transition has a positive probability
-    mismatches = _uncontrollable_mismatches(joint, plant, spec)
+    mismatches = _uncontrollable_mismatches(joint)
     dump_edges = [(joint.pairs[i], e, rp, rs) for i, e, rp, rs in mismatches if rs]
     return TestingAutomatonTC(joint, dump_edges)
 
@@ -158,12 +160,12 @@ def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
     return ratios.setdefault(key, _RATIO + len(ratios))
 
 
-def _ratio_classes(
-    plant: Pdes, spec: Pdes, joint: JointSupport
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[Fraction, int]]]:
-    """Per pair of the joint support, its ratio classes over the
-    controllable events, and the (magnitude quotient, degree difference)
-    of each both-sided class in number order, class _RATIO first."""
+def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Tuple[Fraction, int]]]:
+    """Per pair of ``joint = JointSupport(plant, spec)``, its ratio classes
+    over the controllable events, and the (magnitude quotient, degree
+    difference) of each both-sided class in number order, class _RATIO
+    first."""
+    plant, spec = joint.a, joint.b
     controllable = plant.alphabet.controllable_events()
     ratios: Dict[Tuple[Fraction, int], int] = {}
     classes = []
@@ -173,10 +175,12 @@ def _ratio_classes(
     return classes, list(ratios)
 
 
-def _cross_products(plant: Pdes, spec: Pdes, pair1: Pair, pair2: Pair, e: str) -> Tuple[EpsProb, EpsProb]:
+def _cross_products(joint: JointSupport, pair1: Pair, pair2: Pair, e: str) -> Tuple[EpsProb, EpsProb]:
     """rho_G(s1,e)·rho_K(s2,e) and rho_G(s2,e)·rho_K(s1,e) for strings s1
     and s2 reaching the pairs (plant state, spec state) ``pair1`` and
-    ``pair2``: the two sides of observability's condition."""
+    ``pair2`` of ``joint = JointSupport(plant, spec)``: the two sides of
+    observability's condition."""
+    plant, spec = joint.a, joint.b
     (x1, q1), (x2, q2) = pair1, pair2
     return plant.rho(x1, e) * spec.rho(q2, e), plant.rho(x2, e) * spec.rho(q1, e)
 
@@ -184,7 +188,7 @@ def _cross_products(plant: Pdes, spec: Pdes, pair1: Pair, pair2: Pair, e: str) -
 def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     joint = JointSupport(plant, spec)
     alphabet = plant.alphabet
-    pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(plant, spec, joint)[0]
+    pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(joint)[0]
     controllable = alphabet.controllable_events()
     unobservable = [e for e in alphabet.events if e not in alphabet.observable]
     n = len(pairs)
@@ -224,8 +228,8 @@ def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
     dump_edges = []
     for key, e in dumps:
         pair1, pair2 = pairs[key // n], pairs[key % n]
-        dump_edges.append((pair1 + pair2, e, *_cross_products(plant, spec, pair1, pair2, e)))
-    return TestingAutomatonTO(quads, dump_edges, parent, {pair: i for i, pair in enumerate(pairs)})
+        dump_edges.append((pair1 + pair2, e, *_cross_products(joint, pair1, pair2, e)))
+    return TestingAutomatonTO(joint, quads, dump_edges, parent)
 
 
 def check_observable(plant: Pdes, spec: Pdes) -> Verdict:

@@ -311,7 +311,7 @@ def reference_infimal_pipeline(plant: Pdes, spec: Pdes) -> ReferenceResult:
     """The closed support, the normal spec automaton and the reweighted
     result, as the earlier pipeline built them."""
     joint = JointSupport(plant, spec)
-    _require_sublanguage(joint, plant, spec)
+    _require_sublanguage(joint)
     support = saturate(pair_support(joint, spec), plant)
     pair = refine_to_normal(plant, spec, support)
     return ReferenceResult(support, pair.h_n, reweight_infimal(pair))

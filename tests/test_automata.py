@@ -117,6 +117,7 @@ class TestConstruction:
             ("y", "u"): ("x", E(1, 2)),
         })
         assert p.liveness("x") == ONE
+        assert repr(p) == "<Pdes 2 states, 3 transitions>"
 
 
 class TestConstructionChecks:
@@ -502,6 +503,9 @@ class TestSublanguage:
         assert w.strings == (("s3",),)
         assert w.event == "s1"
         assert (w.lhs, w.rhs) == (E(1, 2), E(2, 5))
+        for holds, witness in ((True, w), (False, None)):
+            with pytest.raises(InvariantError, match="witness must be present exactly"):
+                Verdict(holds, witness)
 
     def test_pointwise_domination(self):
         rng = random.Random(23)

@@ -150,6 +150,7 @@ class TestCheckCommands:
         ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3 x0", "line 1: duplicate state 'x0'"),
         ("states: x0 x1 x2 x3", "states: x0 x1 x2 x3\nstates: x1", "line 2: duplicate state 'x1'"),
         ("x1 s1 x0 0.5", "x1 s1 x0 0", "line 10: transitions must have positive probability"),
+        ("x1 s1 x0 0.5", "x1 zz x0 0.5", "line 10: unknown event 'zz'"),
     ])
     def test_alphabet_error_names_its_line(self, tmp_path, capsys, old, new, message):
         text = dumps_automaton(robot_plant())
@@ -241,6 +242,12 @@ class TestSynthesizeFallback:
             robot_spec, robot_plant, 1,
             "synthesis failed: specification is not a sublanguage of the plant at ('s3',) on 's1'\n", "",
             id="not-sublanguage"),
+        pytest.param(
+            # it also fails observability, but inf-pco rejects it too, so
+            # no check is printed and inf-pco is not suggested
+            lambda: robot_spec(("s1", "s2")), lambda: robot_plant(("s1", "s2")), 1,
+            "synthesis failed: specification is not a sublanguage of the plant at ('s3',) on 's1'\n", "",
+            id="not-sublanguage-fails-check"),
         pytest.param(
             robot_plant, lambda: drop_transitions(robot_spec(), [("q0", "s4")]), 1,
             "synthesis failed: uncontrollable event 's4' after (): "
@@ -629,20 +636,26 @@ class TestModuleEntryPoint:
 # -- reference: the check-first `synthesize` ------------------------------
 #
 # `synthesize` as it was before it decided by synthesis: both checks run
-# first, then `scaling_from_spec` walked the joint support three times
+# first (after the sublanguage check, since a spec that is not a
+# sublanguage is reported alone), then `scaling_from_spec` walked the
+# joint support three times
 # (sublanguage check, access strings, observer of the product), with the
 # classes that no observation tells apart then merged by brute force
 # (`oracles.reference_quotient`).  The command must reproduce its exit
 # code, output and map files exactly.
 
 
-def reference_scaling_from_spec(plant, spec):
+def reference_require_sublanguage(plant, spec):
     verdict = is_sublanguage(spec, plant)
     if not verdict:
         w = verdict.witness
         raise NotSublanguageError(
             f"specification is not a sublanguage of the plant at {w.strings[0]!r} on {w.event!r}", w
         )
+
+
+def reference_scaling_from_spec(plant, spec):
+    reference_require_sublanguage(plant, spec)
     alphabet = plant.alphabet
     initial = (plant.initial, spec.initial)
     access = {initial: ()}
@@ -700,6 +713,11 @@ def reference_scaling_from_spec(plant, spec):
 def reference_cmd_synthesize(args):
     plant = cli._load(args.plant)
     spec = cli._load(args.spec)
+    try:  # inf-pco rejects a spec that is not a sublanguage: it is not checked
+        reference_require_sublanguage(plant, spec)
+    except NotSublanguageError as e:
+        print(f"synthesis failed: {e}")
+        return 1
     ctrl = check_controllable(plant, spec)
     obs = check_observable(plant, spec)
     if not ctrl or not obs:

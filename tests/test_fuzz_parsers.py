@@ -24,7 +24,7 @@ from pdesctl import (
 )
 from pdesctl.automata import InvariantError
 from pdesctl.patterns import PatternDistribution, validate_scaling_vector
-from pdesctl.supervisor import ScalingMap, SupervisorMap, _class_line, _parse_header, _validated
+from pdesctl.supervisor import ScalingMap, SupervisorMap, _class_line, _parse_header
 from pdesctl.values import _Table, parse_rat
 from conftest import robot_plant, robot_spec
 
@@ -112,7 +112,7 @@ def reference_loads_scaling_map(text):
             default = vector(fields, lineno)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
-    return _validated(classes, vectors, default)
+    return ScalingMap(classes, vectors, default)
 
 
 def reference_loads_supervisor_map(text):

@@ -39,6 +39,8 @@ class TestPatternDistribution:
         assert d.support() == [(2, F(1, 5)), (3, F(4, 5))]
         assert d.m == 2
         assert d == PatternDistribution(2, {2: F(1, 5), 3: F(4, 5)})
+        ints = PatternDistribution(1, {0: 0, 1: 1}).support()
+        assert ints == [(1, F(1))] and ints[0][1].__class__ is F
 
 
 TINY = F(1, 10**40)

@@ -46,6 +46,7 @@ class TestRationals:
         assert format_rat(F(1, 8)) == "0.125"
         assert format_rat(F(1, 3)) == "1/3"
         assert format_rat(F(7)) == "7"
+        assert format_rat(7) == "7"
         assert format_rat(F(5, 4), "fraction") == "5/4"
 
     @given(st.fractions(min_value=0, max_value=10, max_denominator=1000))
@@ -155,6 +156,8 @@ class TestEpsProb:
         assert ep(1, 2) * ep(2, 5) == ep(1, 5)
         assert ep(1, 1, 1) * ep(1, 2) == ep(1, 2, 1)
         assert ep(0) * ep(1, 1, 1) == ZERO
+        with pytest.raises(TypeError):
+            ep(1, 2) * "1/2"
 
     def test_cmp_examples(self):
         assert ep(1, 1, 1)._cmp(ep(1, 100)) < 0
@@ -168,6 +171,8 @@ class TestEpsProb:
         assert ep(1, 2) + ep(1, 4) == ep(3, 4)
         assert ep(1, 2) + ep(1, 1, 1) == ep(1, 2)
         assert ep(1, 1, 1) + ep(1, 1, 1) == ep(2, 1, 1)
+        with pytest.raises(TypeError):
+            ep(1, 2) + F(1, 2)
 
     def test_canonical_zero(self):
         assert EpsProb(F(0), 5) == ZERO
@@ -177,6 +182,10 @@ class TestEpsProb:
     def test_division(self):
         assert ep(1, 1, 1) / ep(1, 2) == ep(2, 1, 1)
         assert ep(3, 4, 2) / ep(1, 2, 1) == ep(3, 2, 1)
+        assert ep(1, 4, 1) / F(1, 2) == ep(1, 2, 1)
+        assert ep(1, 2) / 2 == ep(1, 4)
+        with pytest.raises(TypeError):
+            ep(1, 2) / "2"
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
         with pytest.raises(ValueError):
