@@ -8,7 +8,6 @@ from .automata import (
     AlphabetMismatchError,
     FormatError,
     InvariantError,
-    Observer,
     Pdes,
     PdesError,
     Verdict,

@@ -1,7 +1,7 @@
 """Deterministic probabilistic automata and their structural operations.
 
-States are arbitrary hashable objects: the text format uses strings,
-`product` pairs, and walks the numbers 0..n-1 with a label table.
+States are arbitrary hashable objects: strings in the text format, and
+the numbers 0..n-1, most with a label table, in the constructions.
 Transition probabilities are exact `EpsProb` values and are strictly
 positive wherever a transition is stored; per-state liveness (the
 dominant-term sum of outgoing probabilities) never exceeds one for
@@ -422,13 +422,13 @@ class JointSupport:
 def product(a: Pdes, b: Pdes) -> Pdes:
     """Synchronous product; each transition carries the minimum of the two
     component probabilities and exists only where that minimum is positive.
-    Its states are the pairs of `JointSupport(a, b)`, in the same order."""
+    Its states are those of `JointSupport(a, b)`, labelled with its pairs."""
     joint = JointSupport(a, b)
-    pairs, rows = joint.pairs, {}
-    for (x, y), row in zip(pairs, joint._out):
+    rows = []
+    for (x, y), row in zip(joint.pairs, joint._out):
         ra, rb = a._out[x], b._out[y]
-        rows[(x, y)] = {e: (pairs[j], min(ra[e][1], rb[e][1])) for e, (j, _) in row.items()}
-    return Pdes._from_rows(a.alphabet, pairs[0], rows, check_liveness=False)
+        rows.append({e: (j, min(ra[e][1], rb[e][1])) for e, (j, _) in row.items()})
+    return Pdes._from_rows(a.alphabet, 0, rows, joint.pairs, check_liveness=False)
 
 
 def is_sublanguage(a: Pdes, b: Pdes) -> Verdict:
@@ -484,12 +484,15 @@ def language_equivalent(a: Pdes, b: Pdes) -> bool:
 @dataclass(frozen=True)
 class ObservationClasses:
     """A DFA over observable events whose states index observation classes:
-    the class of a string is where its observation leads from ``initial``."""
+    the class of a string is where its observation leads from ``initial``.
+    From `observer`, ``cells[i]`` is class i's cell of source states, closed
+    under unobservable reach; the cells do not count in equality."""
 
     alphabet: Alphabet
     initial: int
     count: int
     trans: Dict[Tuple[int, str], int]
+    cells: Tuple[FrozenSet[State], ...] = field(default=(), compare=False, repr=False)
 
     def step(self, cls: Optional[int], event: str) -> Optional[int]:
         """Advance one event: unobservable events keep the class, observable
@@ -508,15 +511,6 @@ class ObservationClasses:
         return cls
 
 
-@dataclass(frozen=True)
-class Observer(ObservationClasses):
-    """Subset-construction observer of a PDES under its observable events:
-    class i is the cell ``cells[i]``, a frozenset of source states closed
-    under unobservable reach."""
-
-    cells: Tuple[FrozenSet[State], ...]
-
-
 def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]]:
     """The closure of a set of states under unobservable events, as a
     function that closes each distinct set once: its table lives as long
@@ -532,7 +526,7 @@ def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]
     return lambda states: closures[frozenset(states)]
 
 
-def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] = None) -> Observer:
+def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] = None) -> ObservationClasses:
     """Standard subset construction on the logic part of the automaton
     (or of a `JointSupport`, which has the same rows).  If given,
     ``visit(i, cell)`` is called on each cell in index order before its
@@ -553,7 +547,7 @@ def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] =
 
     cells, cell_rows = numbered_walk(reach([a.initial]), successors)
     trans = {(i, e): j for i, row in enumerate(cell_rows) for e, (j, _) in row.items()}
-    return Observer(a.alphabet, 0, len(cells), trans, tuple(cells))
+    return ObservationClasses(a.alphabet, 0, len(cells), trans, tuple(cells))
 
 
 def observer_automaton(a: Pdes) -> Pdes:
@@ -690,9 +684,18 @@ def _header_alphabet(lines: List[Tuple[int, str, List[str]]]) -> Alphabet:
     )
 
 
+def _require_tokens(kind: str, names: Iterable[str]) -> None:
+    """Raise `InvariantError` on the first name that a reader would not
+    read back as itself: one whitespace-free token without ``#``."""
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise InvariantError(f"{kind} {name!r} is not one token without whitespace or '#'")
+
+
 def _alphabet_lines(alphabet: Alphabet) -> List[str]:
     """The controllable, uncontrollable, observable and unobservable lines
     that declare the alphabet, events in alphabet order."""
+    _require_tokens("event", alphabet.events)
     return [
         "controllable: " + " ".join(alphabet.controllable_events()),
         "uncontrollable: " + " ".join(alphabet.uncontrollable_events()),
@@ -775,10 +778,11 @@ def loads_automaton(text: str) -> Pdes:
 
 def dumps_automaton(a: Pdes) -> str:
     """Serialize to the text format; states must be strings (use
-    `canonical_names` first for constructed automata)."""
-    for s in a.states:
-        if not isinstance(s, str):
-            raise InvariantError("serialization needs string state names; call canonical_names()")
+    `canonical_names` first for constructed automata), and states and
+    events single tokens without ``#``, as the reader splits them."""
+    if not all(isinstance(s, str) for s in a.states):
+        raise InvariantError("serialization needs string state names; call canonical_names()")
+    _require_tokens("state", a.states)
     lines = ["states: " + " ".join(a.states), f"initial: {a.initial}"] + _alphabet_lines(a.alphabet)
     for src, e, dst, p in a.transitions():
         lines.append(f"trans: {src} {e} {dst} {format_prob(p)}")

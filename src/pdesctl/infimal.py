@@ -60,7 +60,7 @@ from typing import Dict, List
 from .automata import (
     InvariantError,
     JointSupport,
-    Observer,
+    ObservationClasses,
     Pdes,
     numbered_walk,
     observer,
@@ -104,7 +104,7 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)
 
 
-def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: Observer) -> List[Dict[str, EpsProb]]:
+def reweight_infimal(plant: Pdes, spec: Pdes, support: Pdes, obs: ObservationClasses) -> List[Dict[str, EpsProb]]:
     """One factor row per cell of ``obs = observer(support)``, for the
     closure ``support = infimal_co_support(plant, spec)``: each controllable
     event that some state of the cell enables maps to the largest

@@ -33,7 +33,6 @@ from .automata import (
     InvariantError,
     JointSupport,
     ObservationClasses,
-    Observer,
     Pdes,
     PdesError,
     Witness,
@@ -71,17 +70,11 @@ class NotObservableError(SynthesisError):
     pass
 
 
-def _classes(obs: Observer) -> ObservationClasses:
-    """The observer's classes without its cells, so that a map holding
-    them equals the one read back from its file."""
-    return ObservationClasses(obs.alphabet, obs.initial, obs.count, obs.trans)
-
-
 def observation_classes(plant: Pdes, spec: Optional[Pdes] = None) -> ObservationClasses:
     """Observation classes: the observer of the synchronized pair graph,
-    which is the joint support of plant and spec (the plant is paired
-    with itself when no specification is given)."""
-    return _classes(observer(JointSupport(plant, spec if spec is not None else plant)))
+    which is the joint support of plant and spec, or of the plant itself
+    when no specification is given."""
+    return observer(JointSupport(plant, spec) if spec is not None else plant)
 
 
 def _all_ones(alphabet: Alphabet) -> Tuple[Fraction, ...]:

@@ -702,8 +702,10 @@ class TestWalkReference:
         eps = 0
         for a, b in walk_pairs(271, 600):
             prod, ref = product(a, b), reference_product(a, b)
-            assert prod.states == ref.states
-            assert list(prod.transition_map().items()) == list(ref.transition_map().items())
+            labels = prod.labels
+            assert tuple(labels) == ref.states
+            labelled = [((labels[s], e), (labels[d], p)) for (s, e), (d, p) in prod.transition_map().items()]
+            assert labelled == list(ref.transition_map().items())
             assert dumps_automaton(prod.canonical_names()) == dumps_automaton(ref.canonical_names())
             eps += a.has_eps_probabilities() or b.has_eps_probabilities()
         assert eps >= 100, eps

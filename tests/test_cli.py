@@ -678,13 +678,14 @@ def reference_scaling_from_spec(plant, spec):
                     f"plant probability {rp} != spec probability {rs}",
                     Witness((access[(x, q)],), e, rp, rs),
                 )
-    obs = observer(product(plant, spec))
+    prod = product(plant, spec)
+    obs = observer(prod)
     vectors = {}
     for cls, cell in enumerate(obs.cells):
         factors = []
         for e in alphabet.controllable_events():
             ratio = first = None
-            for x, q in sorted(cell, key=access.__getitem__):
+            for x, q in sorted((prod.labels[i] for i in cell), key=access.__getitem__):
                 if plant.step(x, e) is None:
                     continue
                 rp, rs = plant.rho(x, e), spec.rho(q, e)

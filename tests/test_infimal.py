@@ -942,6 +942,13 @@ def reference_self_loops(a):
     return Pdes(a.alphabet, a.initial, trans, states=a.states, check_liveness=False)
 
 
+def pair_product(a, b):
+    """`product(a, b)` on its labels, the pairs, so that two products name
+    a pair they share alike."""
+    prod = product(a, b)
+    return prod.rename(dict(enumerate(prod.labels)))
+
+
 def reference_infimal(plant, spec):
     """The two-automaton construction: plant-side and spec-side refinements
     are both paired with the product of their observers (the spec observer
@@ -957,8 +964,8 @@ def reference_infimal(plant, spec):
     )
     obs_plant = observer_automaton(plant_refined)
     obs_spec = observer_automaton(spec_extended)
-    g_n = _pair_with_observer(plant_refined, product(obs_plant, reference_self_loops(obs_spec)))
-    h_n = _pair_with_observer(spec_extended, product(obs_plant, obs_spec))
+    g_n = _pair_with_observer(plant_refined, pair_product(obs_plant, reference_self_loops(obs_spec)))
+    h_n = _pair_with_observer(spec_extended, pair_product(obs_plant, obs_spec))
 
     alphabet = plant.alphabet
     trans = h_n.transition_map()

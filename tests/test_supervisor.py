@@ -82,6 +82,20 @@ class TestObservationClasses:
         classes = observation_classes(plant, spec)
         assert classes.step(classes.initial, "s4") == classes.initial
 
+    def test_plant_alone_is_the_plant_paired_with_itself(self):
+        """Without a spec the classes are the plant's own observer: the
+        classes of the plant paired with itself, cell for cell through the
+        pairs (x, x)."""
+        gen = load_gen()
+        rng = random.Random(337)
+        for i in range(300):
+            plant = gen.random_plant(rng, 2 + i % 12)
+            classes = observation_classes(plant)
+            joint = JointSupport(plant, plant)
+            paired = observer(joint)
+            assert (classes.initial, classes.count, classes.trans) == (paired.initial, paired.count, paired.trans)
+            assert list(classes.cells) == [frozenset(joint.pairs[j][0] for j in cell) for cell in paired.cells]
+
 
 class TestScalingFromSpec:
     def test_robot_vectors(self, robot):
@@ -394,6 +408,11 @@ class TestSynthesisRoundTrip:
             done += 1
 
 
+# names that the line readers would not read back as one name: split at
+# whitespace, or cut at the comment sign
+UNREADABLE_NAMES = ["a b", "a\tb", "a\nb", "a#b", "#", ""]
+
+
 class TestSerialization:
     def test_scaling_roundtrip(self, robot):
         plant, spec = robot
@@ -442,6 +461,26 @@ class TestSerialization:
             assert again.transition_map() == loads(text).transition_map()
         else:
             assert again == loads(text) == value
+
+    @pytest.mark.parametrize("name", UNREADABLE_NAMES)
+    def test_automaton_dump_rejects_a_state_its_reader_splits_or_cuts(self, name):
+        alphabet = Alphabet.make(["c"], ["u"], ["c", "u"])
+        a = Pdes(alphabet, "x", {("x", "c"): (name, E(1, 2))})
+        with pytest.raises(InvariantError, match=re.escape(f"state {name!r} is not one token")):
+            dumps_automaton(a)
+
+    @pytest.mark.parametrize("name", UNREADABLE_NAMES)
+    @pytest.mark.parametrize("kind", ["automaton", "scaling", "supervisor"])
+    def test_dumps_reject_an_event_their_readers_split_or_cut(self, kind, name):
+        alphabet = Alphabet.make([name], ["u"], [name, "u"])
+        scaling = ScalingMap(ObservationClasses(alphabet, 0, 1, {}), {})
+        dumps, value = {
+            "automaton": (dumps_automaton, Pdes(alphabet, "x", {("x", name): ("x", E(1, 2))})),
+            "scaling": (dumps_scaling_map, scaling),
+            "supervisor": (dumps_supervisor_map, supervisor_from_scaling(scaling)),
+        }[kind]
+        with pytest.raises(InvariantError, match=re.escape(f"event {name!r} is not one token")):
+            dumps(value)
 
     def test_scaling_file_mentions_exact_factor(self, robot):
         plant, spec = robot
@@ -631,6 +670,39 @@ class TestAchievability:
             assert language_equivalent(infimal_pipeline(plant, spec).result, spec), checked
             checked += 1
         assert checked >= 380, checked
+
+    def test_the_spec_is_its_own_infimum_exactly_when_synthesis_succeeds(self):
+        """The converse on sublanguages.  With ordinary probabilities in
+        both automata, synthesis succeeds exactly when the spec is its own
+        infimum, and every failure has a larger infimum.  Where both checks
+        hold and synthesis fails, it is one of two gaps: the strict
+        reading of controllability, with a larger infimum, or
+        infinitesimal probabilities, with the spec its own infimum."""
+        rng = random.Random(331)
+        seen = collections.Counter()
+        for i in range(450):
+            plant, spec = synthesis_pair(rng, i)
+            if not is_sublanguage(spec, plant):
+                continue
+            own_infimum = language_equivalent(infimal_pipeline(plant, spec).result, spec)
+            try:
+                scaling_from_spec(plant, spec)
+                failure = None
+            except (SynthesisError, InvariantError) as e:
+                failure = e
+            if not (plant.has_eps_probabilities() or spec.has_eps_probabilities()):
+                assert own_infimum == (failure is None), i
+                seen["synthesized" if failure is None else "larger"] += 1
+            if failure is not None and check_controllable(plant, spec).holds and check_observable(plant, spec).holds:
+                if isinstance(failure, NotControllableError):
+                    assert not own_infimum, i
+                    seen["strict gap"] += 1
+                else:
+                    assert str(failure) == "synthesis requires ordinary probabilities", i
+                    assert own_infimum, i
+                    seen["eps gap"] += 1
+        assert seen["synthesized"] >= 250 and seen["larger"] >= 50, seen
+        assert seen["strict gap"] >= 20 and seen["eps gap"] >= 8, seen
 
     def test_class_check_is_observability(self):
         rng = random.Random(313)
