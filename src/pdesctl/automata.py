@@ -13,7 +13,6 @@ edges in that order without scanning the alphabet.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -471,14 +470,10 @@ def is_subautomaton(a: Pdes, b: Pdes) -> bool:
 
 
 def language_equivalent(a: Pdes, b: Pdes) -> bool:
-    """Exact equality of generated languages: at every pair of the joint
-    support, both rows define the same events with the same probabilities."""
-    joint = JointSupport(a, b)
-    for x, q in joint.pairs:
-        ra, rb = a._out[x], b._out[q]
-        if ra.keys() != rb.keys() or any(rb[e][1] != p for e, (_, p) in ra.items()):
-            return False
-    return True
+    """Exact equality of generated languages: each is a sublanguage of the
+    other, since two rows bound each other's ratios exactly when they
+    define the same events with the same probabilities."""
+    return is_sublanguage(a, b).holds and is_sublanguage(b, a).holds
 
 
 @dataclass(frozen=True)
@@ -526,19 +521,19 @@ def _unobservable_reach(a: Pdes) -> Callable[[Iterable[State]], FrozenSet[State]
     return lambda states: closures[frozenset(states)]
 
 
-def observer(a: Pdes, visit: Optional[Callable[[int, FrozenSet[State]], None]] = None) -> ObservationClasses:
+def observer(a: Pdes, visit: Optional[Callable[[FrozenSet[State]], None]] = None) -> ObservationClasses:
     """Standard subset construction on the logic part of the automaton
     (or of a `JointSupport`, which has the same rows).  If given,
-    ``visit(i, cell)`` is called on each cell in index order before its
-    successors are built; an exception it raises stops the construction."""
+    ``visit(cell)`` is called on each cell before its successors are
+    built, in index order, as `numbered_walk` takes them; an exception it
+    raises stops the construction."""
     out = a._out
     observable = [e for e in a.alphabet.events if e in a.alphabet.observable]
     reach = _unobservable_reach(a)
-    numbers = itertools.count()  # the walk takes cells in index order
 
     def successors(cell):
         if visit is not None:
-            visit(next(numbers), cell)
+            visit(cell)
         rows = [out[s] for s in cell]
         for e in observable:
             targets = {row[e][0] for row in rows if e in row}
@@ -560,12 +555,14 @@ def observer_automaton(a: Pdes) -> Pdes:
     return Pdes._from_rows(a.alphabet.restrict_to_observable(), obs.initial, rows, obs.cells, check_liveness=False)
 
 
-def _refine(keys: Sequence[Hashable], rows: Sequence[Sequence[int]]) -> List[int]:
+def _refine(keys: Sequence[Hashable], rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
     """Moore refinement of states 0..n-1 with one key ``keys[s]`` and
     equally long target rows ``rows[s]``, -1 for a missing move: the first
     partition groups equal keys, and each round splits the blocks by their
     members' target blocks until the count stops changing.  Returns each
-    state's block, numbered by first members."""
+    state's block, numbered by first members, and each block's first
+    member from `_first_members`, which raises `InvariantError` unless the
+    partition is stable."""
     sigs: Dict[Hashable, int] = {}
     block = [sigs.setdefault(key, len(sigs)) for key in keys]
     count = len(sigs)
@@ -575,7 +572,7 @@ def _refine(keys: Sequence[Hashable], rows: Sequence[Sequence[int]]) -> List[int
         of = (block + [-1]).__getitem__  # a missing move, -1, reads the -1 appended
         block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[map(of, col) for col in columns])]
         if len(sigs) == count:
-            return block
+            return block, _first_members(keys, rows, block)
         count = len(sigs)
 
 
@@ -606,8 +603,8 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
     numbers in event order (the states themselves when they are 0..n-1,
     -1 for a missing event), and each state's key numbers its (event,
     probability) signature, read as the integers (numerator, denominator,
-    degree).  `_refine` splits the keys' partition and `_first_members`
-    checks it, as for `quotient_classes`.  Blocks are numbered in the order
+    degree).  `_refine` splits the keys' partition and checks it, as for
+    `quotient_classes`.  Blocks are numbered in the order
     of their first members, whose rows they take, and named
     ``f"{prefix}{b}"`` when a prefix is given.  On an automaton numbered
     breadth first in event order (as `numbered_walk` numbers a walk in
@@ -630,8 +627,7 @@ def minimize(a: Pdes, prefix: Optional[str] = None) -> Pdes:
             targets[position[e]] = index[dst]
         keys.append(signatures.setdefault(tuple(sig), len(signatures)))
         rows.append(targets)
-    block = _refine(keys, rows)
-    first = _first_members(keys, rows, block)
+    block, first = _refine(keys, rows)
     names = range(len(first)) if prefix is None else [f"{prefix}{b}" for b in range(len(first))]
     quotient = {
         names[b]: {e: (names[block[index[dst]]], p) for e, (dst, p) in out[states[s]].items()}

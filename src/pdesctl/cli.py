@@ -151,7 +151,11 @@ def cmd_synthesize(args) -> int:
         return 1
     sup = supervisor_from_scaling(scaling)
     _write(args.scaling_out, dumps_scaling_map(scaling))
-    _write(args.supervisor_out, dumps_supervisor_map(sup))
+    try:
+        _write(args.supervisor_out, dumps_supervisor_map(sup))
+    except FormatError:
+        os.remove(args.scaling_out)  # both maps or neither
+        raise
     print(f"scaling map written to {args.scaling_out}")
     print(f"supervisor written to {args.supervisor_out}")
     return 0

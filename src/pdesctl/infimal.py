@@ -78,8 +78,8 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     States are numbered in breadth-first order; state i is labelled
     (plant state, spec state or None once the string has left the spec,
     cell of `observer(spec)` or None once the observation has left the
-    spec's).  A plant edge is kept when the spec has it too, when it is
-    uncontrollable, or when some spec state of the cell enables it; a
+    spec's).  A plant edge is kept as S_K keeps it: when it is
+    uncontrollable, or when some spec state of the cell enables it.  A
     spec edge the plant lacks raises `InvariantError`."""
     require_same_alphabet(plant, spec)
     alphabet = plant.alphabet
@@ -95,9 +95,9 @@ def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
             if e not in rx:
                 raise InvariantError(f"the spec leaves the plant's support on {e!r}")
         for e, (dst, _) in rx.items():
-            eq = rq.get(e)
-            if eq is None and e in controllable and (o is None or e not in enabled[o]):
+            if e in controllable and (o is None or e not in enabled[o]):
                 continue
+            eq = rq.get(e)
             yield e, (dst, eq[0] if eq is not None else None, obs.step(o, e)), ONE
 
     labels, rows = numbered_walk((plant.initial, spec.initial, obs.initial), successors)

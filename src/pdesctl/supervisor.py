@@ -24,7 +24,6 @@ from .automata import (
     _ABSENT,
     _ALPHABET_DIRECTIVES,
     _alphabet_lines,
-    _first_members,
     _header_alphabet,
     _refine,
     _sublanguage,
@@ -47,7 +46,7 @@ from .patterns import (
     validate_scaling_vector,
 )
 from .values import EpsProb, ONE, ZERO, _Table, format_rat, parse_rat
-from .verification import _ANY, _PLANT_ONLY, _RATIO, _cross_products, _ratio_classes, _uncontrollable_mismatches
+from .verification import _ANY, _PLANT_ONLY, _cross_products, _ratio_classes, _uncontrollable_mismatches
 
 
 class SynthesisError(PdesError):
@@ -177,12 +176,11 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     alphabet = plant.alphabet
     controllable = alphabet.controllable_events()
     # a sublanguage has no _SPEC_ONLY pair; a plant-only event's factor is 0
-    ratios, quotients = _ratio_classes(joint)
-    factor = [Fraction(0)] * _RATIO + [quotient for quotient, _ in quotients]
+    ratios, factor = _ratio_classes(joint)
     keys: List[Tuple[int, ...]] = []  # per class: its factors' ratio classes
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 
-    def class_key(cls: int, cell) -> None:
+    def class_key(cell) -> None:
         members = sorted(cell, key=access.__getitem__)
         key = []
         for k, e in enumerate(controllable):
@@ -275,12 +273,11 @@ def quotient_classes(classes: ObservationClasses, keys) -> Tuple[ObservationClas
     This is exact supervisor reduction (Vaz and Wonham, 1986; Su and
     Wonham, 2004): only equivalent classes merge.  Returns the block DFA,
     each block taking the moves of its first member, and the first member
-    of each block, through the stability check of `_first_members`."""
+    of each block, as `_refine` checks them."""
     alphabet, trans = classes.alphabet, classes.trans
     observable = [e for e in alphabet.events if e in alphabet.observable]
     rows = [[trans.get((c, e), -1) for e in observable] for c in range(classes.count)]
-    block = _refine(keys, rows)
-    first = _first_members(keys, rows, block)
+    block, first = _refine(keys, rows)
     merged = {(b, e): block[t] for b, c in enumerate(first) for e, t in zip(observable, rows[c]) if t >= 0}
     return ObservationClasses(alphabet, block[classes.initial], len(first), merged), first
 

@@ -160,11 +160,11 @@ def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
     return ratios.setdefault(key, _RATIO + len(ratios))
 
 
-def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Tuple[Fraction, int]]]:
+def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Fraction]]:
     """Per pair of ``joint = JointSupport(plant, spec)``, its ratio classes
-    over the controllable events, and the (magnitude quotient, degree
-    difference) of each both-sided class in number order, class _RATIO
-    first."""
+    over the controllable events, and the factor each class number stands
+    for: 0 for _ANY, _SPEC_ONLY and _PLANT_ONLY, and the magnitude quotient
+    of each both-sided class."""
     plant, spec = joint.a, joint.b
     controllable = plant.alphabet.controllable_events()
     ratios: Dict[Tuple[Fraction, int], int] = {}
@@ -172,7 +172,7 @@ def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Tup
     for x, q in joint.pairs:
         rx, rq = plant._out[x], spec._out[q]
         classes.append(tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable))
-    return classes, list(ratios)
+    return classes, [Fraction(0)] * _RATIO + [quotient for quotient, _ in ratios]
 
 
 def _cross_products(joint: JointSupport, pair1: Pair, pair2: Pair, e: str) -> Tuple[EpsProb, EpsProb]:

@@ -744,19 +744,19 @@ class TestObserver:
         for _ in range(50):
             plant = random_plant(rng, random_alphabet(rng), max_states=6)
             seen = []
-            obs = observer(plant, lambda i, cell: seen.append((i, cell)))
-            assert seen == list(enumerate(obs.cells))
+            obs = observer(plant, seen.append)
+            assert seen == list(obs.cells)
             stop = rng.randrange(len(obs.cells))
             calls = []
 
-            def visit(i, cell):
-                calls.append(i)
-                if i == stop:
+            def visit(cell):
+                calls.append(cell)
+                if len(calls) > stop:
                     raise LookupError
 
             with pytest.raises(LookupError):
                 observer(plant, visit)
-            assert calls == list(range(stop + 1))
+            assert calls == list(obs.cells[: stop + 1])
 
     def test_visit_stops_before_successors(self):
         # stopping at the first cell reads no row outside it
@@ -773,7 +773,7 @@ class TestObserver:
 
             probe = SimpleNamespace(alphabet=plant.alphabet, initial=plant.initial, _out=Rows(plant._out))
 
-            def visit(i, cell):
+            def visit(cell):
                 raise LookupError
 
             with pytest.raises(LookupError):

@@ -563,6 +563,16 @@ class TestUnwritableOutput:
         assert f"cannot write {bad}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_flag", ["--scaling-out", "--supervisor-out"])
+    def test_synthesize_writes_both_maps_or_neither(self, robot_files, tmp_path, capsys, bad_flag):
+        g, h = robot_files
+        bad = str(tmp_path / "missing" / "out.map")
+        maps = {"--scaling-out": str(tmp_path / "k.map"), "--supervisor-out": str(tmp_path / "sp.map")}
+        maps[bad_flag] = bad
+        assert main(["synthesize", g, h, *sum(maps.items(), ())]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+        assert not any(map(os.path.exists, maps.values()))
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):

@@ -332,6 +332,23 @@ class TestCoSupport:
             grown += not language_equivalent(support, spec.logic())
         assert grown >= 200, grown
 
+    def test_spec_cells_hold_their_states_and_closure_cells_one_spec_cell(self):
+        # a label (x, q, o) on the spec has q in the spec observer's cell o,
+        # so that cell enables each controllable spec edge at q; and the
+        # states of one cell of the closure's observer share their o
+        on_spec = multi = 0
+        for plant, spec in seeded_pairs():
+            support = infimal_co_support(plant, spec)
+            spec_cells = observer(spec).cells
+            for _, q, o in support.labels:
+                if q is not None:
+                    assert q in spec_cells[o]
+                    on_spec += 1
+            for cell in observer(support).cells:
+                assert len({support.labels[s][2] for s in cell}) == 1, cell
+                multi += len(cell) > 1
+        assert on_spec >= 1500 and multi >= 500, (on_spec, multi)
+
 
 def block_rows(plant, h_n):
     """The factor row of each block of h_n's labels (plant state, block),
