@@ -59,7 +59,6 @@ from .verification import (
     check_observable,
 )
 from .infimal import (
-    InfimalResult,
     infimal_co_support,
     infimal_pipeline,
     refine_to_normal,

@@ -164,7 +164,7 @@ def cmd_synthesize(args) -> int:
 def cmd_inf_pco(args) -> int:
     plant = _load(args.plant)
     spec = _load(args.spec)
-    result = infimal_pipeline(plant, spec).result
+    result = infimal_pipeline(plant, spec)
     if args.strip_eps:
         result = strip_eps_edges(result)
     _emit(dumps_automaton(minimize(result, prefix="x")), args.out)

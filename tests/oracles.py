@@ -11,9 +11,11 @@ controlled plant over (plant state, class) pairs as states, for
 `pdesctl.supervisor.controlled_automaton`.  `equivalent_classes` finds
 the classes a supervisor cannot tell apart by walking class pairs, and
 `reference_quotient` merges them, for `pdesctl.supervisor.quotient_classes`.
+`infimal_values` gives the infimum's value on every short string from the
+P-supervisor's definition, for `pdesctl.infimal`.
 """
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from pdesctl.automata import (
     InvariantError,
@@ -23,6 +25,9 @@ from pdesctl.automata import (
     Verdict,
     Witness,
     Word,
+    ONE,
+    ZERO,
+    EpsProb,
     explore,
     language_equivalent,
     require_same_alphabet,
@@ -231,3 +236,90 @@ def reference_quotient(scaling: ScalingMap) -> ScalingMap:
         {(block[c], e): block[t] for (c, e), t in classes.trans.items()},
     )
     return ScalingMap(merged, {block[c]: vectors[c] for c in number}, scaling.default)
+
+
+def _unobservable_closure(alphabet, configs, step: Callable) -> FrozenSet:
+    """The configurations that ``configs`` reach by unobservable moves,
+    ``step(c, e)`` being c's move on e or None."""
+    unobservable = [e for e in alphabet.events if e not in alphabet.observable]
+    return frozenset(explore(configs, lambda c: [d for d in (step(c, e) for e in unobservable) if d is not None]))
+
+
+def infimal_values(plant: Pdes, spec: Pdes, depth: int) -> Dict[Word, EpsProb]:
+    """The value of the infimal probabilistic controllable and observable
+    superlanguage on every plant string of at most ``depth`` events whose
+    prefixes it keeps, and on each one-event extension, straight from the
+    definitions: no automaton is built and no construction is shared.
+
+    A P-supervisor sees the observation t of a string and scales each
+    controllable event e by a factor f(t, e): the controlled plant's value
+    of se is its value of s times the plant's probability p of e, times
+    f(t, e) when e is controllable.  S_K enables e after t when some spec
+    string with observation t continues with e.  Each string s with
+    observation t in S_K's loop whose plant state has e demands a least
+    factor: where se is in the spec's support, the spec's probability of
+    e over p, which bounds the spec's ratio by the loop's (the
+    `is_sublanguage` order); off the spec, where the edge needs only a
+    positive factor, the infinitesimal ``EpsProb(1 / |p|, 1)``.  The
+    least supervisor takes the largest demand.
+
+    The strings with one observation are tracked as the set of (plant
+    state, spec state or None) they reach, closed under unobservable moves
+    until no new pair appears, so strings of any length count; the spec
+    states alone give what S_K enables."""
+    alphabet = plant.alphabet
+    controllable = alphabet.controllable
+
+    def loop_step(enabled):
+        """A pair's move on e in S_K's loop, where S_K enables ``enabled``."""
+        def step(pair, e):
+            x, q = pair
+            y = plant.target(x, e)
+            if y is None or (e in controllable and e not in enabled):
+                return None
+            return y, spec.target(q, e) if q is not None else None
+        return step
+
+    def demand(x, q, e):
+        p = plant.rho(x, e)
+        if q is not None and spec.target(q, e) is not None:
+            return spec.rho(q, e) / p
+        return EpsProb(1 / p.magnitude, 1)
+
+    observations = {}
+
+    def observe(t: Word):
+        """The spec states and the loop pairs that the strings with
+        observation t reach, what S_K enables after t, and f(t, .)."""
+        if t not in observations:
+            if t:
+                states, pairs, enabled, _ = observe(t[:-1])
+                e = t[-1]
+                states = {spec.target(q, e) for q in states} - {None}
+                pairs = {loop_step(enabled)(pair, e) for pair in pairs} - {None}
+            else:
+                states, pairs = {spec.initial}, {(plant.initial, spec.initial)}
+            states = _unobservable_closure(alphabet, states, spec.target)
+            enabled = {e for e in controllable if any(spec.target(q, e) is not None for q in states)}
+            pairs = _unobservable_closure(alphabet, pairs, loop_step(enabled))
+            factors: Dict[str, EpsProb] = {}
+            for x, q in pairs:
+                for e in enabled:
+                    if plant.target(x, e) is not None:
+                        factors[e] = max(factors.get(e, ZERO), demand(x, q, e))
+            observations[t] = states, pairs, enabled, factors
+        return observations[t]
+
+    values: Dict[Word, EpsProb] = {(): ONE}
+    todo: List[Tuple[Word, Word, State]] = [((), (), plant.initial)]  # string, observation, plant state
+    while todo:
+        s, t, x = todo.pop()
+        factors = observe(t)[3]
+        for e in alphabet.events:
+            p = plant.rho(x, e)
+            if e in controllable:
+                p = p * factors.get(e, ZERO)
+            values[s + (e,)] = values[s] * p
+            if not p.is_zero and len(s) < depth:
+                todo.append((s + (e,), t + (e,) if e in alphabet.observable else t, plant.target(x, e)))
+    return values

@@ -18,6 +18,10 @@ An off-spec edge's ratio is ``EPS / p`` for plant probability p, which is
 ordinary or undefined when p is infinitesimal; compare with the package
 only on plants with ordinary probabilities.
 
+`closure_automaton` builds L(S_K/G), whose observer cells
+`pdesctl.infimal.infimal_co_support` walks without it, as an automaton
+over (plant state, spec state, cell of the spec's observer).
+
 `NormalPair` checks that an automaton labelled (plant state, cell) is
 normal: its label cells are its observer cells.  The reference's
 automaton is, and so is the package's closed loop over the closure's
@@ -36,6 +40,7 @@ from pdesctl.automata import (
     _unobservable_reach,
     explore,
     minimize_logic,
+    numbered_walk,
     observer,
     require_same_alphabet,
 )
@@ -125,6 +130,40 @@ def saturate(support: Pdes, plant: Pdes) -> Pdes:
 def infimal_co_support(plant: Pdes, spec: Pdes) -> Pdes:
     """The closed support, over the Moore-minimal states of the last round."""
     return saturate(pair_support(JointSupport(plant, spec), spec), plant)
+
+
+def closure_automaton(plant: Pdes, spec: Pdes) -> Pdes:
+    """Generator of L(S_K/G), the infimal prefix-closed controllable and
+    observable superlanguage of the spec's support within the plant's.
+    Only the supports of the two automata are read.
+
+    States are numbered in breadth-first order; state i is labelled
+    (plant state, spec state or None once the string has left the spec,
+    cell of `observer(spec)` or None once the observation has left the
+    spec's).  A plant edge is kept as S_K keeps it: when it is
+    uncontrollable, or when some spec state of the cell enables it.  A
+    spec edge the plant lacks raises `InvariantError`."""
+    require_same_alphabet(plant, spec)
+    alphabet = plant.alphabet
+    controllable = alphabet.controllable
+    obs = observer(spec)
+    enabled = [{e for q in cell for e in spec._out[q] if e in controllable} for cell in obs.cells]
+
+    def successors(label):
+        x, q, o = label
+        rx = plant._out[x]
+        rq = spec._out[q] if q is not None else {}
+        for e in rq:
+            if e not in rx:
+                raise InvariantError(f"the spec leaves the plant's support on {e!r}")
+        for e, (dst, _) in rx.items():
+            if e in controllable and (o is None or e not in enabled[o]):
+                continue
+            eq = rq.get(e)
+            yield e, (dst, eq[0] if eq is not None else None, obs.step(o, e)), ONE
+
+    labels, rows = numbered_walk((plant.initial, spec.initial, obs.initial), successors)
+    return Pdes._from_rows(alphabet, 0, rows, labels, check_liveness=False)
 
 
 class _Sink:

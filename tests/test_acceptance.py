@@ -130,8 +130,7 @@ BRANCH_GOLDEN = [
 def test_criterion_4_infimal_pipeline_golden_output():
     with criterion(4, "infimal superlanguage pipeline reproduces the expected automaton"):
         plant, spec = branch_plant(), branch_spec()
-        res = infimal_pipeline(plant, spec)
-        tilde = res.result
+        tilde = infimal_pipeline(plant, spec)
         for word, event, expect in BRANCH_GOLDEN:
             lw = tilde.eval_language(word)
             le = tilde.eval_language(word + (event,))

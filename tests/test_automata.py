@@ -347,7 +347,7 @@ class TestEventOrder:
             g, h = reversed_rows(plant), loads_automaton(reversed_text(spec))
             assert list(product(g, h).transitions()) == list(product(plant, spec).transitions())
             assert dumps_automaton(minimize(g, "x")) == dumps_automaton(minimize(plant, "x"))
-            got, want = infimal_pipeline(g, h).result, infimal_pipeline(plant, spec).result
+            got, want = infimal_pipeline(g, h), infimal_pipeline(plant, spec)
             assert got.labels == want.labels and list(got.transitions()) == list(want.transitions())
         # the last pair is achievable: synthesis, its closed loop and simulation
         scaling = scaling_from_spec(g, h)
@@ -1064,5 +1064,5 @@ class TestTextFormat:
 class TestObserverPartition:
     def test_normal_automaton_cells_partition(self, branches):
         plant, spec = branches
-        for a in (infimal_pipeline(plant, spec).result, reference_infimal_pipeline(plant, spec).spec_normal):
+        for a in (infimal_pipeline(plant, spec), reference_infimal_pipeline(plant, spec).spec_normal):
             assert is_partition(observer(a).cells, a.states)

@@ -329,7 +329,7 @@ class TestInfPco:
         plant, spec, golden = (
             loads_automaton((DATA / f"infimal_{name}.pda").read_text()) for name in ("plant", "spec", "golden")
         )
-        assert language_equivalent(golden, infimal_pipeline(plant, spec).result)
+        assert language_equivalent(golden, infimal_pipeline(plant, spec))
         assert len(minimize(golden).states) == len(golden.states)
 
     def test_outputs_are_minimal_quotients(self, tmp_path):
@@ -345,7 +345,7 @@ class TestInfPco:
                 spec = eps_scaled(rng, spec)
             g = write(tmp_path, "g.pda", plant)
             h = write(tmp_path, "h.pda", spec)
-            result = infimal_pipeline(plant, spec).result
+            result = infimal_pipeline(plant, spec)
             stripped += result.has_eps_probabilities()
             for flag, expected in (([], result), (["--strip-eps"], strip_eps_edges(result))):
                 out = tmp_path / "tilde.pda"

@@ -11,6 +11,7 @@ from pdesctl import (
     EpsProb,
     InvariantError,
     NotSublanguageError,
+    ObservationClasses,
     ONE,
     Pdes,
     ScalingMap,
@@ -39,7 +40,7 @@ import pdesctl.infimal as infimal
 import reference_infimal as reference
 from pdesctl.automata import JointSupport, _first_members, require_same_alphabet
 from pdesctl.supervisor import _closed_loop, quotient_classes
-from oracles import equivalent_classes
+from oracles import equivalent_classes, infimal_values
 from reference_infimal import SINK, NormalPair, reference_infimal_pipeline
 from conftest import (
     E,
@@ -243,12 +244,12 @@ BRANCH_EXCLUDED = [
 class TestCoSupport:
     def test_achievable_spec_is_fixpoint(self, robot):
         plant, spec = robot
-        support = infimal_co_support(plant.logic(), spec.logic())
+        support = reference.closure_automaton(plant.logic(), spec.logic())
         assert language_equivalent(support, spec.logic())
 
     def test_branch_saturation(self, branches):
         plant, spec = branches
-        support = infimal_co_support(plant.logic(), spec.logic())
+        support = reference.closure_automaton(plant.logic(), spec.logic())
         for word in BRANCH_ADDED:
             assert support.supports(word), word
         for word in BRANCH_EXCLUDED:
@@ -264,20 +265,21 @@ class TestCoSupport:
             alphabet = Alphabet.make(events, [], events)
             plant = random_plant(rng, alphabet, max_states=4)
             spec = random_subspec(rng, plant)
-            support = infimal_co_support(plant.logic(), spec.logic())
+            support = reference.closure_automaton(plant.logic(), spec.logic())
             assert language_equivalent(support, spec.logic())
 
     def test_rejects_support_escaping_plant(self, loops):
         plant, spec = loops
-        with pytest.raises(InvariantError, match="leaves the plant's support"):
-            infimal_co_support(spec.logic(), plant.logic())
+        for build in (infimal_co_support, reference.closure_automaton):
+            with pytest.raises(InvariantError, match="leaves the plant's support"):
+                build(spec.logic(), plant.logic())
 
     def test_states_track_plant_spec_and_spec_cell(self, branches):
         # each state is numbered in breadth-first order and labelled
         # (x, q, o): where the plant, the spec and the spec's observer are
         # after any string reaching it, None once off the spec
         plant, spec = branches
-        support = infimal_co_support(plant, spec)
+        support = reference.closure_automaton(plant, spec)
         assert is_breadth_first(support)
         obs = observer(spec)
         words = {support.initial: ()}
@@ -292,11 +294,11 @@ class TestCoSupport:
             assert o == obs.locate(word)
         assert any(q is None for _, q, _ in support.labels)
 
-    def test_builds_one_automaton_and_the_spec_observer(self, branches, monkeypatch):
+    def test_builds_no_automaton_and_observes_only_the_spec(self, branches, monkeypatch):
         plant, spec = branches
         built, observed = count_builds(monkeypatch)
         infimal_co_support(plant, spec)
-        assert len(built) == 1 and observed == [spec]
+        assert not built and observed == [spec]
 
     def test_result_is_controllable_and_observable(self):
         rng = random.Random(223)
@@ -304,7 +306,7 @@ class TestCoSupport:
             alphabet = random_alphabet(rng, max_events=3)
             plant = random_plant(rng, alphabet, max_states=4)
             spec = random_subspec(rng, plant)
-            support = infimal_co_support(plant.logic(), spec.logic())
+            support = reference.closure_automaton(plant.logic(), spec.logic())
             depth = len(support.states) * len(plant.states) + 2
             assert support_controllable_brute(support, plant.logic(), depth)
             assert support_observable_brute(support, plant.logic(), min(depth, 12))
@@ -315,10 +317,10 @@ class TestCoSupport:
             alphabet = random_alphabet(rng, max_events=3)
             plant = random_plant(rng, alphabet, max_states=4)
             spec = random_subspec(rng, plant)
-            inf_support = infimal_co_support(plant.logic(), spec.logic())
+            inf_support = reference.closure_automaton(plant.logic(), spec.logic())
             for _ in range(3):
                 seed = random_superspec_logic(rng, plant, spec)
-                member = infimal_co_support(plant.logic(), seed)
+                member = reference.closure_automaton(plant.logic(), seed)
                 assert is_sublanguage(inf_support, member).holds
 
     def test_one_round_is_a_fixpoint(self):
@@ -326,7 +328,7 @@ class TestCoSupport:
         # adds nothing, and it generates what the rounds end in
         grown = 0
         for plant, spec in seeded_pairs():
-            support = infimal_co_support(plant, spec)
+            support = reference.closure_automaton(plant, spec)
             assert reference.saturate_once(support, plant) is None
             assert language_equivalent(support, reference.infimal_co_support(plant, spec))
             grown += not language_equivalent(support, spec.logic())
@@ -335,10 +337,11 @@ class TestCoSupport:
     def test_spec_cells_hold_their_states_and_closure_cells_one_spec_cell(self):
         # a label (x, q, o) on the spec has q in the spec observer's cell o,
         # so that cell enables each controllable spec edge at q; and the
-        # states of one cell of the closure's observer share their o
+        # states of one cell of the closure's observer share their o and
+        # have distinct (x, q), so the cell is one o and a set of pairs
         on_spec = multi = 0
         for plant, spec in seeded_pairs():
-            support = infimal_co_support(plant, spec)
+            support = reference.closure_automaton(plant, spec)
             spec_cells = observer(spec).cells
             for _, q, o in support.labels:
                 if q is not None:
@@ -346,8 +349,33 @@ class TestCoSupport:
                     on_spec += 1
             for cell in observer(support).cells:
                 assert len({support.labels[s][2] for s in cell}) == 1, cell
+                assert len({support.labels[s][:2] for s in cell}) == len(cell), cell
                 multi += len(cell) > 1
         assert on_spec >= 1500 and multi >= 500, (on_spec, multi)
+
+    def test_cells_are_the_closure_observer_cells(self):
+        # the walk's cells, moves and numbering are those of the observer
+        # of the closure built as an automaton, read through its labels
+        seen = {"eps": 0, "off_spec": 0, "left_spec_observation": 0}
+        for plant, spec in seeded_pairs():
+            cells = infimal_co_support(plant, spec)
+            closure = reference.closure_automaton(plant, spec)
+            obs = observer(closure)
+            assert cells.classes == obs
+            assert len(cells.classes.cells) == len(obs.cells)
+            for (o, members), cell in zip(cells.classes.cells, obs.cells):
+                assert len(members) == len(cell)
+                assert {cells.states[i] + (o,) for i in members} == {closure.labels[s] for s in cell}
+            # S_K keeps every uncontrollable edge, and a controllable one
+            # where some spec state of the cell enables it
+            uncontrollable = set(plant.alphabet.uncontrollable_events())
+            kept = [uncontrollable | {e for q in cell for e in spec.enabled(q)} for cell in observer(spec).cells]
+            assert cells.kept == {None: uncontrollable, **dict(enumerate(kept))}
+            assert len(set(cells.states)) == len(cells.states) == len({label[:2] for label in closure.labels})
+            seen["eps"] += spec.has_eps_probabilities()
+            seen["off_spec"] += any(q is None for _, q in cells.states)
+            seen["left_spec_observation"] += any(o is None for o, _ in cells.classes.cells)
+        assert min(seen.values()) >= 80, seen
 
 
 def block_rows(plant, h_n):
@@ -380,8 +408,7 @@ def unquotiented_loop(plant, spec):
     with no cells merged: the closed loop over the cells themselves,
     labelled (plant state, cell)."""
     support = infimal_co_support(plant, spec)
-    obs = observer(support)
-    return _closed_loop(plant, obs, reweight_infimal(plant, spec, support, obs))
+    return _closed_loop(plant, support.classes, reweight_infimal(plant, spec, support))
 
 
 class TestRefineToNormal:
@@ -390,14 +417,13 @@ class TestRefineToNormal:
         support = infimal_co_support(plant, spec)
         pair = refine_to_normal(plant, spec, support)
         assert pair.g_n is plant
-        assert language_equivalent(pair.h_n.logic(), support)
+        assert language_equivalent(pair.h_n.logic(), reference.closure_automaton(plant, spec))
         rows = block_rows(plant, pair.h_n)
         assert is_breadth_first(pair.h_n)
         labels = pair.h_n.labels
         assert len(set(labels)) == len(labels) == len(pair.h_n.states)
         # each block's row is the row of the closure cells merged into it
-        obs = observer(support)
-        factors = reweight_infimal(plant, spec, support, obs)
+        factors = reweight_infimal(plant, spec, support)
         for row in rows.values():
             assert any(all(f.get(e, ZERO) == factor for e, factor in row.items()) for f in factors)
         # every edge follows the plant edge of the tracked plant state
@@ -415,14 +441,13 @@ class TestRefineToNormal:
         assert language_equivalent(pair.h_n, plant)
         assert not pair.h_n.has_eps_probabilities()
 
-    def test_builds_only_the_result_and_one_observer(self, branches, monkeypatch):
+    def test_builds_only_the_result(self, branches, monkeypatch):
         plant, spec = branches
         support = infimal_co_support(plant, spec)
         built, observed = count_builds(monkeypatch)
         refine_to_normal(plant, spec, support)
-        # the factors are a table, and the cells of the result are read
-        # from its labels: the one observer is the closure's
-        assert len(built) == 1 and observed == [support]
+        # the factors are a table, and the cells are the walk's
+        assert len(built) == 1 and not observed
 
     def test_labels_are_the_observer_cells(self):
         # the quotiented loop: each block is a union of its observer cells,
@@ -475,7 +500,7 @@ class TestQuotient:
         pairs = [*seeded_pairs(seed=7, count=1500), *eps_plant_pairs(11, 300)]
         merged = 0
         for plant, spec in pairs:
-            result = infimal_pipeline(plant, spec).result
+            result = infimal_pipeline(plant, spec)
             full = unquotiented_loop(plant, spec)
             assert language_equivalent(result, full)
             assert inf_pco_text(result) == inf_pco_text(full)
@@ -487,8 +512,8 @@ class TestQuotient:
         seen = {"merged": 0, "kept_apart": 0}
         for plant, spec in seeded_pairs(count=300):
             support = infimal_co_support(plant, spec)
-            obs = observer(support)
-            factors = reweight_infimal(plant, spec, support, obs)
+            obs = support.classes
+            factors = reweight_infimal(plant, spec, support)
             classes, first = quotient_classes(obs, [frozenset(row.items()) for row in factors])
             rows = [factors[c] for c in first]
             # the block of each cell, found by walking the two DFAs side by
@@ -518,8 +543,8 @@ class TestQuotient:
         seen = {"rows": 0, "moves": 0}
         for plant, spec in seeded_pairs():
             support = infimal_co_support(plant, spec)
-            obs = observer(support)
-            factors = reweight_infimal(plant, spec, support, obs)
+            obs = support.classes
+            factors = reweight_infimal(plant, spec, support)
             classes, first = quotient_classes(obs, list(range(obs.count)))
             assert first == list(range(obs.count)) and (classes.initial, classes.trans) == (obs.initial, obs.trans)
             observable = [e for e in plant.alphabet.events if e in plant.alphabet.observable]
@@ -559,10 +584,12 @@ BRANCH_RESULT_RATIOS = [
 
 
 def factor_table(plant, spec):
-    support = infimal_co_support(plant, spec)
-    obs = observer(support)
-    rows = reweight_infimal(plant, spec, support, obs)
-    return support, obs, {(i, e): factor for i, row in enumerate(rows) for e, factor in row.items()}
+    """The closure built as an automaton, its observer, and the factors of
+    the walk's cells, which are that observer's cells in its numbering
+    (`TestCoSupport.test_cells_are_the_closure_observer_cells`)."""
+    support = reference.closure_automaton(plant, spec)
+    rows = reweight_infimal(plant, spec, infimal_co_support(plant, spec))
+    return support, observer(support), {(i, e): factor for i, row in enumerate(rows) for e, factor in row.items()}
 
 
 class TestReweight:
@@ -570,12 +597,12 @@ class TestReweight:
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
         for word, e, expect in BRANCH_RESULT_RATIOS:
-            assert ratio(res.result, word, e) == EpsProb(expect), (word, e)
+            assert ratio(res, word, e) == EpsProb(expect), (word, e)
 
     def test_identity_when_spec_equals_plant(self, robot):
         plant, _ = robot
         res = infimal_pipeline(plant, plant)
-        assert language_equivalent(res.result, plant)
+        assert language_equivalent(res, plant)
 
     def test_cell_maximum_hand_check(self, branches):
         # the first observation cell mixes the infinitesimal branch entry
@@ -583,25 +610,25 @@ class TestReweight:
         # is 1/2 of the plant's 1/5
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        assert res.result.eval_language(("s2",)) == E(1, 10)
+        assert res.eval_language(("s2",)) == E(1, 10)
 
     def test_structure_is_the_closure(self, branches):
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        assert language_equivalent(res.result.logic(), res.support)
+        assert language_equivalent(res.logic(), reference.closure_automaton(plant, spec))
 
     def test_sandwich(self, branches):
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        assert is_sublanguage(spec, res.result).holds
-        assert is_sublanguage(reference_infimal_pipeline(plant, spec).spec_normal, res.result).holds
-        assert is_sublanguage(res.result, plant).holds
+        assert is_sublanguage(spec, res).holds
+        assert is_sublanguage(reference_infimal_pipeline(plant, spec).spec_normal, res).holds
+        assert is_sublanguage(res, plant).holds
 
     def test_result_achievable_wrt_normal_plant(self, branches):
         plant, spec = branches
         res = infimal_pipeline(plant, spec)
-        assert check_controllable(plant, res.result).holds
-        assert check_observable(plant, res.result).holds
+        assert check_controllable(plant, res).holds
+        assert check_observable(plant, res).holds
 
     def test_factors_are_attained_and_enabled(self):
         # each (cell, controllable event) some state of the cell enables has
@@ -670,27 +697,26 @@ class TestReweight:
         support, obs, factors = factor_table(plant, spec)
         assert obs.count == 1 and len(support.states) == 4
         assert factors == {(0, "c"): EpsProb(F(2), 1)}
-        result = infimal_pipeline(plant, spec).result
+        result = infimal_pipeline(plant, spec)
         assert result.eval_language(("c", "c", "c")) == EPS * EPS * EPS * EPS
         assert check_controllable(plant, result).holds and check_observable(plant, result).holds
 
     def test_builds_nothing(self, branches, monkeypatch):
         plant, spec = branches
         support = infimal_co_support(plant, spec)
-        obs = observer(support)
         built, observed = count_builds(monkeypatch)
-        reweight_infimal(plant, spec, support, obs)
+        reweight_infimal(plant, spec, support)
         assert not built and not observed
 
 
 class TestPipeline:
     def test_spec_equals_plant(self, robot):
         plant, _ = robot
-        assert language_equivalent(infimal_pipeline(plant, plant).result, plant)
+        assert language_equivalent(infimal_pipeline(plant, plant), plant)
 
     def test_achievable_spec_returned_unchanged(self, robot):
         plant, spec = robot
-        assert language_equivalent(infimal_pipeline(plant, spec).result, spec)
+        assert language_equivalent(infimal_pipeline(plant, spec), spec)
 
     def test_rejects_non_sublanguage(self, robot):
         plant, spec = robot
@@ -713,7 +739,7 @@ class TestPipeline:
             )
         assert failing >= 150, failing
 
-    def test_one_joint_support_and_two_observers(self, branches, monkeypatch):
+    def test_one_joint_support_and_one_observer(self, branches, monkeypatch):
         built = []
         init = JointSupport.__init__
 
@@ -723,11 +749,11 @@ class TestPipeline:
 
         monkeypatch.setattr(JointSupport, "__init__", counting)
         _, observed = count_builds(monkeypatch)
-        res = infimal_pipeline(*branches)
+        infimal_pipeline(*branches)
         # (plant, spec) once, for the verdict; the spec's observer for the
-        # closure and the closure's for the factors and the cells
+        # cells, which give the factors too
         assert built == [branches]
-        assert observed == [branches[1], res.support]
+        assert observed == [branches[1]]
 
     def test_random_pipelines_validate(self):
         rng = random.Random(229)
@@ -737,12 +763,12 @@ class TestPipeline:
             plant = random_plant(rng, alphabet, max_states=4)
             spec = random_subspec(rng, plant)
             res = infimal_pipeline(plant, spec)
-            assert is_sublanguage(spec, res.result).holds
-            assert is_sublanguage(res.result, plant).holds
-            assert check_controllable(plant, res.result).holds
-            assert check_observable(plant, res.result).holds
+            assert is_sublanguage(spec, res).holds
+            assert is_sublanguage(res, plant).holds
+            assert check_controllable(plant, res).holds
+            assert check_observable(plant, res).holds
             # the factors never alter the closure's logical structure
-            assert language_equivalent(res.result.logic(), res.support)
+            assert language_equivalent(res.logic(), reference.closure_automaton(plant, spec))
             done += 1
 
     def test_no_lowered_factor_keeps_the_spec(self):
@@ -757,7 +783,7 @@ class TestPipeline:
             alphabet = random_alphabet(rng)
             plant = random_plant(rng, alphabet)
             spec = random_subspec(rng, plant)
-            result = infimal_pipeline(plant, spec).result
+            result = infimal_pipeline(plant, spec)
             if result.has_eps_probabilities():
                 continue
             scaling = scaling_from_spec(plant, result)
@@ -779,7 +805,7 @@ class TestPipeline:
         # some pairs and is not least on others
         seen = {"reference_fails": 0, "strictly_below": 0}
         for plant, spec in eps_plant_pairs(263, 300):
-            result = infimal_pipeline(plant, spec).result
+            result = infimal_pipeline(plant, spec)
             assert is_sublanguage(spec, result).holds
             assert is_sublanguage(result, plant).holds
             assert check_controllable(plant, result).holds
@@ -794,6 +820,49 @@ class TestPipeline:
         assert seen["reference_fails"] >= 5 and seen["strictly_below"] >= 3, seen
 
 
+class TestInfimality:
+    """The result against the P-supervisor's definition, string by string
+    (`oracles.infimal_values`), and the order it is least in."""
+
+    def test_values_are_those_of_the_least_factors(self):
+        seen = {"eps_spec": 0, "eps_plant": 0, "unachievable": 0, "cut": 0}
+        for plant, spec in [*seeded_pairs(), *eps_plant_pairs(263, 300)]:
+            result = infimal_pipeline(plant, spec)
+            values = infimal_values(plant, spec, 4)
+            for word, value in values.items():
+                assert result.eval_language(word) == value, word
+            seen["eps_spec"] += spec.has_eps_probabilities()
+            seen["eps_plant"] += plant.has_eps_probabilities()
+            seen["unachievable"] += not language_equivalent(result, spec)
+            # a plant edge the result drops: S_K disables it
+            seen["cut"] += any(value.is_zero and plant.supports(word) for word, value in values.items())
+        assert min(seen.values()) >= 80, seen
+
+    def test_least_in_the_sublanguage_order_not_pointwise(self):
+        # a and b are unobservable, so c after a and c after b share one
+        # factor: the spec asks 1 after a and 1/4 after b, and the infimum
+        # takes 1.  A supervisor that enables a fully and c at 1/2 keeps
+        # every string at or above the spec's value, yet gives bc less than
+        # the infimum does.  It is no superlanguage of the spec in the
+        # `is_sublanguage` order, in which the infimum is least.
+        alphabet = Alphabet.make(["a", "b", "c"], [], ["c"])
+        plant = Pdes(alphabet, "x0", {("x0", "a"): ("x1", E(1, 2)), ("x0", "b"): ("x2", E(1, 2)),
+                                      ("x1", "c"): ("x3", E(1, 2)), ("x2", "c"): ("x4", E(1, 2))})
+        spec = Pdes(alphabet, "q0", {("q0", "a"): ("q1", E(1, 4)), ("q0", "b"): ("q2", E(1, 4)),
+                                     ("q1", "c"): ("q3", E(1, 2)), ("q2", "c"): ("q4", E(1, 8))})
+        result = infimal_pipeline(plant, spec)
+        one_class = ObservationClasses(alphabet, 0, 1, {})
+        pointwise = controlled_automaton(plant, ScalingMap(one_class, {0: (F(1), F(1, 2), F(1, 2))}))
+        words = [(), ("a",), ("b",), ("a", "c"), ("b", "c")]
+        assert all(pointwise.eval_language(w) >= spec.eval_language(w) for w in words)
+        assert check_controllable(plant, pointwise).holds and check_observable(plant, pointwise).holds
+        assert [result.eval_language(w) for w in words] == [ONE, E(1, 4), E(1, 4), E(1, 8), E(1, 8)]
+        assert pointwise.eval_language(("b", "c")) == E(1, 16)
+        assert is_sublanguage(spec, result).holds
+        assert not is_sublanguage(spec, pointwise).holds
+        assert not is_sublanguage(result, pointwise).holds
+
+
 class TestAgainstReference:
     """The one-walk pipeline against the earlier three-stage pipeline
     (`reference_infimal`), which it replaces, on plants with ordinary
@@ -805,10 +874,10 @@ class TestAgainstReference:
             res = infimal_pipeline(plant, spec)
             ref = reference_infimal_pipeline(plant, spec)
             for strip in (False, True):
-                assert inf_pco_text(res.result, strip) == inf_pco_text(ref.result, strip)
+                assert inf_pco_text(res, strip) == inf_pco_text(ref.result, strip)
             seen["eps"] += spec.has_eps_probabilities()
-            seen["unachievable"] += not language_equivalent(res.result, spec)
-            seen["fewer_states"] += len(res.result.states) < len(ref.result.states)
+            seen["unachievable"] += not language_equivalent(res, spec)
+            seen["fewer_states"] += len(res.states) < len(ref.result.states)
         assert min(seen.values()) >= 100, seen
 
     def test_cli_text_is_the_named_reference_quotient(self, tmp_path, capsys):
@@ -829,7 +898,7 @@ class TestAgainstReference:
         # order, so naming them by number is the canonical naming
         seen = {"merged": 0, "stripped": 0}
         for plant, spec in [*seeded_pairs(), *eps_plant_pairs(271, 300)]:
-            result = infimal_pipeline(plant, spec).result
+            result = infimal_pipeline(plant, spec)
             stripped = strip_eps_edges(result)
             for a in (result, stripped):
                 assert is_breadth_first(a)
@@ -848,9 +917,9 @@ class TestAgainstReference:
         spec = gen.random_subspec(rng, plant)
         res = infimal_pipeline(plant, spec)
         ref = reference_infimal_pipeline(plant, spec)
-        assert not language_equivalent(res.result, spec)
+        assert not language_equivalent(res, spec)
         for strip in (False, True):
-            assert inf_pco_text(res.result, strip) == inf_pco_text(ref.result, strip)
+            assert inf_pco_text(res, strip) == inf_pco_text(ref.result, strip)
 
 
 # -- the chain of whole automata, kept as a reference --------------------
@@ -972,7 +1041,7 @@ def reference_infimal(plant, spec):
     self-loop completed on the plant side), and the reweighting reads
     probabilities and targets from the plant side, adopting any edge the
     spec side lacks.  Returns the result and the number of adopted edges."""
-    support = infimal_co_support(plant.logic(), spec.logic())
+    support = reference.closure_automaton(plant.logic(), spec.logic())
     logic_g, logic_h_total = plant.logic(), _complete_to_sink(spec.logic())
     spec_extended = reference_spec_extended(plant, spec, support)
     plant_refined = _assign_probs(
@@ -1032,7 +1101,7 @@ class TestNormalReference:
         for plant, spec in pairs:
             ref, adopted = reference_infimal(plant, spec)
             assert adopted == 0
-            res = infimal_pipeline(plant, spec).result
+            res = infimal_pipeline(plant, spec)
             assert language_equivalent(res, ref)
             assert len(res.states) <= len(ref.states)
             assert check_controllable(plant, res).holds
@@ -1223,5 +1292,5 @@ class TestStripEps:
         assert language_equivalent(stripped, spec)
         # the tightened result has no infinitesimal edges here, so the
         # stripper leaves it alone
-        result = infimal_pipeline(plant, spec).result
+        result = infimal_pipeline(plant, spec)
         assert language_equivalent(strip_eps_edges(result), result)

@@ -667,7 +667,7 @@ class TestAchievability:
         oracle for `synthesize` on it."""
         checked = 0
         for plant, spec in achievable_pairs():
-            assert language_equivalent(infimal_pipeline(plant, spec).result, spec), checked
+            assert language_equivalent(infimal_pipeline(plant, spec), spec), checked
             checked += 1
         assert checked >= 380, checked
 
@@ -684,7 +684,7 @@ class TestAchievability:
             plant, spec = synthesis_pair(rng, i)
             if not is_sublanguage(spec, plant):
                 continue
-            own_infimum = language_equivalent(infimal_pipeline(plant, spec).result, spec)
+            own_infimum = language_equivalent(infimal_pipeline(plant, spec), spec)
             try:
                 scaling_from_spec(plant, spec)
                 failure = None
