@@ -204,6 +204,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """A count flag's value: an int of at least 1, checked here so that
+    argparse's message names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdesctl",
@@ -236,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo run of a plant under a supervisor")
     p.add_argument("--plant", required=True)
     p.add_argument("--supervisor", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--trials", type=_at_least_one, required=True)
+    p.add_argument("--depth", type=_at_least_one, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

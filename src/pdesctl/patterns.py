@@ -33,24 +33,33 @@ class PatternDistribution:
     def __init__(self, m: int, probs: Mapping[int, Fraction]):
         if m < 0:
             raise InvariantError("m must be nonnegative")
+        # one pass over the entries: zero entries are dropped, and the rest
+        # are range- and sign-checked and summed as one unreduced integer
+        # ratio num/den (den only grows when a denominator differs from it)
+        size = 1 << m
         support = []
+        num, den = 0, 1
+        in_range = nonnegative = True
         for j, p in probs.items():
             if p.__class__ is not Fraction:
                 p = Fraction(p)
-            if p.numerator:
+            n = p.numerator
+            if n:
+                d = p.denominator
+                in_range = in_range and 0 <= j < size
+                nonnegative = nonnegative and n > 0
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
                 support.append((j, p))
-        support.sort()
-        if any(not 0 <= j < 2**m for j, _ in support):
+        if not in_range:
             raise InvariantError(f"pattern index out of range for m = {m}")
-        # the sum as one unreduced integer ratio num/den
-        num, den = 0, 1
-        for _, p in support:
-            n, d = p.numerator, p.denominator
-            if n < 0:
-                raise InvariantError("pattern probabilities must be nonnegative")
-            num, den = num * d + n * den, den * d
+        if not nonnegative:
+            raise InvariantError("pattern probabilities must be nonnegative")
         if num != den:
             raise InvariantError("pattern probabilities must sum to exactly 1")
+        support.sort()
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_support", tuple(support))
 

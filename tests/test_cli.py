@@ -411,6 +411,21 @@ class TestSimulateCommand:
         line = next(l for l in out.splitlines() if l.startswith("s3.s1\t"))
         assert float(line.split("\t")[3]) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("flag", ["--trials", "--depth"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_names_the_flag(self, robot_files, tmp_path, capsys, flag, value):
+        g, _ = robot_files
+        good = tmp_path / "good.map"
+        good.write_text(ROBOT_MAP)
+        argv = {"--trials": "10", "--depth": "2"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", "--plant", g, "--supervisor", str(good), *[x for kv in argv.items() for x in kv]])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be at least 1, got {value}\n" in err
+        assert "max_depth" not in err and "Traceback" not in err
+
 
 ROBOT_MAP = """\
 controllable: s1 s2

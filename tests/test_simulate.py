@@ -21,6 +21,7 @@ from pdesctl import (
 )
 from pdesctl import simulate
 from conftest import E, build, loop_alphabet, loop_plant, loop_spec, random_fraction, random_plant, random_subspec
+from reference_simulate import BitPool, reference_trials
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -202,24 +203,117 @@ class TestExactTargets:
             zero_factor += any(0 in v[:m] for v in [default, *vectors.values()])
         assert outside and zero_factor
 
+    def test_strings_thirty_events_deep(self):
+        """At depth 30 and beyond the unreduced integer products are at
+        their largest; each target is still the exact controlled value."""
+        alphabet = loop_alphabet()
+        plant = build(alphabet, "x0", [
+            ("x0", "s1", "x1", E(1, 3)),
+            ("x0", "s3", "x0", E(2, 3)),
+            ("x1", "s2", "x0", E(3, 7)),
+            ("x1", "s3", "x1", E(4, 7)),
+        ])
+        classes = observation_classes(plant, loop_spec())
+        vectors = {0: (F(5, 6), F(7, 8), F(1)), 2: (F(9, 10), F(1), F(1))}
+        sup = supervisor_from_scaling(ScalingMap(classes, vectors, (F(11, 12), F(12, 13), F(1))))
+        report = run_trials(plant, sup, TrialConfig(trials=40, max_depth=36, seed=30))
+        deep = [word for word in report.rows if len(word) >= 30]
+        assert len(deep) >= 10
+        assert any(classes.locate(word) is None for word in deep)
+        for word, row in report.rows.items():
+            assert row.target.__class__ is F
+            assert row.target == controlled_language_value(plant, sup, word).magnitude, word
+
+
+def big_roulette(rng, m, big):
+    """A roulette over random patterns whose weights share the denominator
+    ``big``: drawing below it takes more bits than one hash block holds."""
+    patterns = rng.sample(range(2**m), rng.randint(1, 2**m))
+    cuts = sorted(rng.randrange(1, big) for _ in patterns[1:])
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [big])]
+    return PatternDistribution(m, {j: F(w, big) for j, w in zip(patterns, weights)})
+
+
+def big_rows(plant, big):
+    """The plant with each probability rounded down to a multiple of
+    1/big, so each row's denominator is big."""
+    return build(plant.alphabet, plant.initial, [
+        (x, e, dst, E(p.magnitude.numerator * big // p.magnitude.denominator, big))
+        for x, e, dst, p in plant.transitions()
+    ])
+
+
+def spy_blocks(monkeypatch):
+    """Record, for each BLAKE2b block `run_trials` hashes, whether it is
+    salted, i.e. a block past the first of its key."""
+    salted = []
+    real = simulate.blake2b
+
+    def blake2b(key, **kwargs):
+        salted.append("salt" in kwargs)
+        return real(key, **kwargs)
+
+    monkeypatch.setattr(simulate, "blake2b", blake2b)
+    return salted
+
+
+class TestReferenceSampler:
+    """`run_trials` takes its draws inline and its targets as the trials
+    reach each string; its reports equal those of the reference sampler,
+    which calls `BitPool.below` per draw and computes the targets in a
+    second walk."""
+
+    def test_random_plants_and_maps(self, monkeypatch):
+        salted = spy_blocks(monkeypatch)
+        rng = random.Random(1618)
+        outside = big_plants = big_maps = 0
+        for case in range(120):
+            m = rng.randint(1, 3)
+            events = [f"e{i}" for i in range(m + rng.randint(1, 2))]
+            observable = [e for e in events if rng.random() < 0.6] or [events[0]]
+            alphabet = Alphabet.make(events[:m], events[m:], observable)
+            plant = random_plant(rng, alphabet, max_states=6)
+            classes = observation_classes(plant, random_subspec(rng, plant))
+            big = 2**600 + rng.randint(1, 99)
+            if rng.random() < 0.3:
+                plant = big_rows(plant, big)
+                big_plants += 1
+            if rng.random() < 0.3:
+                dists = {cls: big_roulette(rng, m, big) for cls in range(classes.count) if rng.random() < 0.8}
+                sup = SupervisorMap(classes, dists, big_roulette(rng, m, big))
+                big_maps += 1
+            else:
+                def vector():
+                    return tuple(random_fraction(rng) for _ in range(m)) + (F(1),) * (len(events) - m)
+
+                vectors = {cls: vector() for cls in range(classes.count) if rng.random() < 0.8}
+                sup = supervisor_from_scaling(ScalingMap(classes, vectors, vector()))
+            cfg = TrialConfig(trials=rng.randint(1, 80), max_depth=rng.randint(1, 8), seed=case)
+            report = run_trials(plant, sup, cfg)
+            assert report == reference_trials(plant, sup, cfg), case
+            outside += any(classes.locate(word) is None for word in report.rows)
+        assert outside >= 20 and big_plants >= 20 and big_maps >= 20, (outside, big_plants, big_maps)
+        assert salted.count(True) >= 1000
+
 
 class TestExactDraws:
     """Every draw is a uniform integer below a common denominator, taken
-    from the hash blocks of the trial's key."""
+    from the hash blocks of the trial's key, as the reference pool takes
+    it."""
 
     def test_draws_lie_below_n_and_repeat_for_one_key(self):
         ns = [1, 2, 3, 5, 8, 1000, 2**64 + 1, 1, 3**400, 6, 7**300]
-        pool = simulate._BitPool(b"5:12")
+        pool = BitPool(b"5:12")
         draws = [pool.below(n) for n in ns]
         assert all(0 <= d < n for d, n in zip(draws, ns))
         assert pool.blocks > 1  # 3**400 and 7**300 need more than one block
-        again = simulate._BitPool(b"5:12")
+        again = BitPool(b"5:12")
         assert [again.below(n) for n in ns] == draws
-        other = simulate._BitPool(b"5:13")
+        other = BitPool(b"5:13")
         assert [other.below(n) for n in ns] != draws
 
     def test_one_choice_takes_no_bits(self):
-        pool = simulate._BitPool(b"0:0")
+        pool = BitPool(b"0:0")
         pool.below(6)
         before = (pool.bits, pool.left, pool.blocks)
         assert pool.below(1) == 0
@@ -231,7 +325,7 @@ class TestExactDraws:
         keys = 3000
         counts = [0, 0, 0]
         for key in range(keys):
-            counts[simulate._BitPool(b"7:%d" % key).below(3)] += 1
+            counts[BitPool(b"7:%d" % key).below(3)] += 1
         stderr = (keys * (1 / 3) * (2 / 3)) ** 0.5
         assert all(abs(c - keys / 3) <= 4 * stderr for c in counts), counts
 
@@ -246,14 +340,7 @@ class TestExactDraws:
         classes = observation_classes(plant)
         roulette = PatternDistribution(2, {0: F(1, big), 1: F(2**599, big), 3: F(2**599, big)})
         sup = SupervisorMap(classes, {}, roulette)
-        salted = []
-        real = simulate.blake2b
-
-        def blake2b(key, **kwargs):
-            salted.append("salt" in kwargs)  # a block past the first
-            return real(key, **kwargs)
-
-        monkeypatch.setattr(simulate, "blake2b", blake2b)
+        salted = spy_blocks(monkeypatch)
         trials = 2000
         report = run_trials(plant, sup, TrialConfig(trials=trials, max_depth=4, seed=3))
         assert salted.count(False) == trials and salted.count(True) > trials
