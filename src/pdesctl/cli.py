@@ -16,6 +16,7 @@ from typing import List, Optional
 from .automata import (
     FormatError,
     InvariantError,
+    JointSupport,
     Pdes,
     PdesError,
     Verdict,
@@ -37,7 +38,7 @@ from .supervisor import (
     supervisor_from_scaling,
 )
 from .values import format_prob
-from .verification import check_controllable, check_observable
+from .verification import _check_controllable, _check_observable
 
 
 def _color_enabled() -> bool:
@@ -113,17 +114,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# command -> (the property it checks, its check)
+# command -> (the property it checks, its check on the joint support of
+# plant and spec)
 _CHECKS = {
-    "check-ctrl": ("probabilistic controllability", check_controllable),
-    "check-obs": ("probabilistic observability", check_observable),
+    "check-ctrl": ("probabilistic controllability", _check_controllable),
+    "check-obs": ("probabilistic observability", _check_observable),
 }
 
 
 def cmd_check(args) -> int:
     plant = _load(args.plant)
     spec = _load(args.spec)
-    return _print_verdict(args.property, args.check(plant, spec))
+    return _print_verdict(args.property, args.check(JointSupport(plant, spec)))
 
 
 def cmd_synthesize(args) -> int:
@@ -138,7 +140,7 @@ def cmd_synthesize(args) -> int:
         print(f"synthesis failed: {e}")
         return 1
     except (SynthesisError, InvariantError) as e:
-        verdicts = [(title, check(plant, spec)) for title, check in _CHECKS.values()]
+        verdicts = [(title, check(e._joint)) for title, check in _CHECKS.values()]
         if not all(verdict for _, verdict in verdicts):
             for title, verdict in verdicts:
                 if not verdict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .automata import (
     _ABSENT,
@@ -34,6 +34,7 @@ from .automata import (
     ObservationClasses,
     Pdes,
     PdesError,
+    State,
     Witness,
     numbered_walk,
     observer,
@@ -161,14 +162,27 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     any uncontrollable-probability mismatch means it is not probabilistic
     controllable.  A sublanguage failure is reported before a mismatch, a
     mismatch before a conflict, each at the first pair in breadth-first
-    order (members of a cell in order of their shortest strings).
+    order (members of a cell in order of their shortest strings).  The
+    exception of a failure keeps the joint support in ``_joint``, so that
+    the checks explaining it read the same one.
     """
     joint = JointSupport(plant, spec)
+    try:
+        return _scaling_from_joint(joint)
+    except (SynthesisError, InvariantError) as e:
+        e._joint = joint
+        raise
+
+
+def _scaling_from_joint(joint: JointSupport) -> ScalingMap:
+    """`scaling_from_spec` of ``joint = JointSupport(plant, spec)``."""
+    plant, spec = joint.a, joint.b
     _require_sublanguage(joint)
-    access = joint.access()
     # the strict reading: a supervisor cannot disable an uncontrollable
-    # event, so a mismatch the spec omits fails too
+    # event, so a mismatch the spec omits fails too; the shortest strings
+    # are found only to report a failure
     for i, e, rp, rs in _uncontrollable_mismatches(joint):
+        access = joint.access()
         raise NotControllableError(
             f"uncontrollable event {e!r} after {access[i]!r}: plant probability {rp} != spec probability {rs}",
             Witness((access[i],), e, rp, rs),
@@ -177,12 +191,25 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     controllable = alphabet.controllable_events()
     # a sublanguage has no _SPEC_ONLY pair; a plant-only event's factor is 0
     ratios, factor = _ratio_classes(joint)
+    # a ratio class keeps only the degree difference, so the pairs with an
+    # infinitesimal controllable edge are listed apart: a cell holding one
+    # fails, as synthesis requires ordinary probabilities
+    eps_plant, eps_spec = (_eps_states(a, controllable) for a in (plant, spec))
+    eps = {i for i, (x, q) in enumerate(joint.pairs) if x in eps_plant or q in eps_spec}
     keys: List[Tuple[int, ...]] = []  # per class: its factors' ratio classes
     uncontrollable_factors = (Fraction(1),) * (alphabet.n - alphabet.m)
 
     def class_key(cell) -> None:
+        # per controllable event, the ratio classes of the members that
+        # have it; a cell passes with at most one each and no ε member
+        columns = [set(column) - {_ANY} for column in zip(*{ratios[i] for i in cell})]
+        if eps.isdisjoint(cell) and all(len(column) < 2 for column in columns):
+            keys.append(tuple([column.pop() if column else _PLANT_ONLY for column in columns]))
+            return
+        # the failure reported is the first met in order of the members'
+        # shortest strings, event by event
+        access = joint.access()
         members = sorted(cell, key=access.__getitem__)
-        key = []
         for k, e in enumerate(controllable):
             c = first = None
             for i in members:
@@ -190,7 +217,6 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                 if ci == _ANY:
                     continue
                 x, q = joint.pairs[i]
-                # a class keeps only the degree difference, so read the edges
                 if plant._out[x][e][1].eps_degree or spec._out[q].get(e, _ABSENT)[1].eps_degree:
                     raise InvariantError("synthesis requires ordinary probabilities")
                 if c is None:
@@ -202,8 +228,6 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
                         f"but {factor[ci]} after {access[i]!r}",
                         Witness((access[first], access[i]), e, *products),
                     )
-            key.append(_PLANT_ONLY if c is None else c)
-        keys.append(tuple(key))
 
     # each class is checked as the subset construction reaches it, so a
     # conflict stops the construction there; classes with equal vectors
@@ -211,6 +235,11 @@ def scaling_from_spec(plant: Pdes, spec: Pdes) -> ScalingMap:
     classes, first = quotient_classes(observer(joint, class_key), keys)
     vectors = {b: tuple([factor[r] for r in keys[c]]) + uncontrollable_factors for b, c in enumerate(first)}
     return ScalingMap(classes, vectors)
+
+
+def _eps_states(a: Pdes, events) -> FrozenSet[State]:
+    """The states of ``a`` with an infinitesimal edge on one of ``events``."""
+    return frozenset(s for s, row in a._out.items() if any(row[e][1].eps_degree for e in events if e in row))
 
 
 def supervisor_from_scaling(scaling: ScalingMap) -> SupervisorMap:

@@ -5,6 +5,11 @@ symbolic positive infinitesimal (written ``0+`` in the text formats).
 The infinitesimal marks transitions that exist for logical closure
 reasons but carry no committed probability mass; it compares below
 every ordinary positive rational and multiplies by adding degrees.
+
+Values are ordered and compared on integers: a `Fraction` is always
+reduced with a positive denominator, so two magnitudes are equal exactly
+when their numerators and denominators are, and ordered as the
+cross-products of numerator and the other's denominator.
 """
 
 from __future__ import annotations
@@ -120,7 +125,10 @@ class EpsProb:
             return True
         if other.__class__ is not EpsProb:
             return NotImplemented
-        return self.eps_degree == other.eps_degree and self.magnitude == other.magnitude
+        return (
+            self.eps_degree == other.eps_degree
+            and self.magnitude.as_integer_ratio() == other.magnitude.as_integer_ratio()
+        )
 
     def __hash__(self):
         return hash((self.magnitude, self.eps_degree))
@@ -139,30 +147,30 @@ class EpsProb:
 
     def _cmp(self, other: "EpsProb") -> int:
         """-1, 0 or 1 under the total order."""
-        a, b = self.magnitude, other.magnitude
-        if not a:
-            return -1 if b else 0
-        if not b:
+        an, ad = self.magnitude.as_integer_ratio()
+        bn, bd = other.magnitude.as_integer_ratio()
+        if not an:
+            return -1 if bn else 0
+        if not bn:
             return 1
         da, db = self.eps_degree, other.eps_degree
         if da != db:
             # higher degree means a smaller value
             return -1 if da > db else 1
-        if a is b or a == b:
-            return 0
-        return -1 if a < b else 1
+        lhs, rhs = an * bd, bn * ad
+        return (lhs > rhs) - (lhs < rhs)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other) < 0 if other.__class__ is EpsProb else NotImplemented
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other) <= 0 if other.__class__ is EpsProb else NotImplemented
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other) > 0 if other.__class__ is EpsProb else NotImplemented
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other) >= 0 if other.__class__ is EpsProb else NotImplemented
 
     def __mul__(self, other):
         """Magnitudes multiply, degrees add."""

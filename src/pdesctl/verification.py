@@ -15,14 +15,22 @@ probabilities.  So `scaling_from_spec` succeeding implies both checks
 hold, and `synthesize` runs them only to explain a failed synthesis.
 
 Observability's ratio is written once too, `_ratio_classes`: equal
-classes mean equal cross-products.  `build_to` dumps where two classes
-differ, and `scaling_from_spec` reads the same classes as its factors.
+classes mean equal cross-products.  A class is the spec/plant ratio of an
+edge pair as a reduced integer triple (numerator, denominator, degree
+difference), so classes are told apart by integer hashing alone, and each
+class's `Fraction` factor is built once.  `build_to` dumps where two
+classes differ, and `scaling_from_spec` reads the same classes as its
+factors.
+
+Each check has a private entry point taking the joint support, so that
+`synthesize` explains a failure on the joint that synthesis built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .automata import (
@@ -117,7 +125,10 @@ class TestingAutomatonTO:
 
 
 def build_tc(plant: Pdes, spec: Pdes) -> TestingAutomatonTC:
-    joint = JointSupport(plant, spec)
+    return _build_tc(JointSupport(plant, spec))
+
+
+def _build_tc(joint: JointSupport) -> TestingAutomatonTC:
     # the paper's reading: only a transition the spec defines dumps, and a
     # defined transition has a positive probability
     mismatches = _uncontrollable_mismatches(joint)
@@ -129,7 +140,11 @@ def check_controllable(plant: Pdes, spec: Pdes) -> Verdict:
     """Probabilistic controllability: along the spec's support, every
     spec-defined uncontrollable transition carries exactly the plant's
     probability."""
-    tc = build_tc(plant, spec)
+    return _check_controllable(JointSupport(plant, spec))
+
+
+def _check_controllable(joint: JointSupport) -> Verdict:
+    tc = _build_tc(joint)
     if not tc.dump_edges:
         return Verdict(True)
     pair, e, rp, rs = tc.dump_edges[0]
@@ -144,20 +159,24 @@ _PLANT_ONLY = 2  # the ratio is zero
 _RATIO = 3
 
 
-def _ratio_class(g, h, ratios: Dict[Tuple[Fraction, int], int]) -> int:
+def _ratio_class(g, h, ratios: Dict[Tuple[int, int, int], int]) -> int:
     """Class of a plant edge g and a spec edge h, each (target,
     probability) or None.  For two such pairs the cross-products
     rho_g1·rho_h2 and rho_g2·rho_h1 agree exactly when the classes are
     equal or either is _ANY.  A both-sided class stands for the spec/plant
-    ratio as (magnitude quotient, degree difference), numbered in
-    ``ratios``."""
+    ratio as the reduced integer triple (numerator, denominator, degree
+    difference), numbered in ``ratios``: two ratios are equal exactly when
+    their triples are."""
     if g is None:
         return _ANY if h is None else _SPEC_ONLY
     if h is None:
         return _PLANT_ONLY
     gp, hp = g[1], h[1]
-    key = (hp.magnitude / gp.magnitude, hp.eps_degree - gp.eps_degree)
-    return ratios.setdefault(key, _RATIO + len(ratios))
+    gn, gd = gp.magnitude.as_integer_ratio()
+    hn, hd = hp.magnitude.as_integer_ratio()
+    num, den = hn * gd, hd * gn
+    d = gcd(num, den)
+    return ratios.setdefault((num // d, den // d, hp.eps_degree - gp.eps_degree), _RATIO + len(ratios))
 
 
 def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Fraction]]:
@@ -167,12 +186,12 @@ def _ratio_classes(joint: JointSupport) -> Tuple[List[Tuple[int, ...]], List[Fra
     of each both-sided class."""
     plant, spec = joint.a, joint.b
     controllable = plant.alphabet.controllable_events()
-    ratios: Dict[Tuple[Fraction, int], int] = {}
+    ratios: Dict[Tuple[int, int, int], int] = {}
     classes = []
     for x, q in joint.pairs:
         rx, rq = plant._out[x], spec._out[q]
-        classes.append(tuple(_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable))
-    return classes, [Fraction(0)] * _RATIO + [quotient for quotient, _ in ratios]
+        classes.append(tuple([_ratio_class(rx.get(e), rq.get(e), ratios) for e in controllable]))
+    return classes, [Fraction(0)] * _RATIO + [Fraction(num, den) for num, den, _ in ratios]
 
 
 def _cross_products(joint: JointSupport, pair1: Pair, pair2: Pair, e: str) -> Tuple[EpsProb, EpsProb]:
@@ -186,8 +205,11 @@ def _cross_products(joint: JointSupport, pair1: Pair, pair2: Pair, e: str) -> Tu
 
 
 def build_to(plant: Pdes, spec: Pdes) -> TestingAutomatonTO:
-    joint = JointSupport(plant, spec)
-    alphabet = plant.alphabet
+    return _build_to(JointSupport(plant, spec))
+
+
+def _build_to(joint: JointSupport) -> TestingAutomatonTO:
+    alphabet = joint.alphabet
     pairs, rows, classes = joint.pairs, joint._out, _ratio_classes(joint)[0]
     controllable = alphabet.controllable_events()
     unobservable = [e for e in alphabet.events if e not in alphabet.observable]
@@ -236,7 +258,11 @@ def check_observable(plant: Pdes, spec: Pdes) -> Verdict:
     """Probabilistic observability: any two support strings with the same
     observation induce proportionally consistent controllable transition
     probabilities (equal cross-products)."""
-    to = build_to(plant, spec)
+    return _check_observable(JointSupport(plant, spec))
+
+
+def _check_observable(joint: JointSupport) -> Verdict:
+    to = _build_to(joint)
     if not to.dump_edges:
         return Verdict(True)
     quad, e, lhs, rhs = to.dump_edges[0]

@@ -403,6 +403,22 @@ def eps_plant_pairs(seed, count):
         yield plant, spec
 
 
+def seeded_pairs(seed=251, count=600):
+    """The robot and branches pairs, then seeded pairs on plants with
+    ordinary probabilities, a third of them with infinitesimal spec
+    values."""
+    rng = random.Random(seed)
+    pairs = [(robot_plant(), robot_spec()), (branch_plant(), branch_spec())]
+    for i in range(count):
+        alphabet = random_alphabet(rng, max_events=3)
+        plant = random_plant(rng, alphabet, max_states=2 + i % 5)
+        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
+        if i % 3 == 0:
+            spec = eps_scaled(rng, spec)
+        pairs.append((plant, spec))
+    return pairs
+
+
 def wild_pair(rng):
     """A random plant with some infinitesimal probabilities, and a spec
     that deletes, lowers (also by infinitesimal factors) and sometimes

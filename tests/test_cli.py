@@ -41,6 +41,7 @@ from pdesctl import (
     supervisor_from_scaling,
 )
 from pdesctl import cli
+from pdesctl.automata import JointSupport
 from pdesctl.cli import main
 from conftest import (
     E,
@@ -276,6 +277,30 @@ class TestSynthesizeFallback:
         assert main(argv) == code
         assert capsys.readouterr() == (out, err)
         assert not any(path.exists() for path in maps)
+
+    @pytest.mark.parametrize("plant, spec, code", [
+        pytest.param(robot_plant, lambda: drop_transitions(robot_spec(), [("q0", "s4")]), 1, id="strict-controllability"),
+        pytest.param(loop_plant, loop_spec, 1, id="fails-controllability"),
+        pytest.param(lambda: robot_plant(("s1", "s2")), lambda: robot_spec(("s1", "s2")), 1, id="fails-observability"),
+        pytest.param(robot_plant, eps_robot_spec, 2, id="eps-passes-checks"),
+        pytest.param(lambda: robot_plant(("s1", "s2")), lambda: eps_robot_spec(("s1", "s2")), 1, id="eps-fails-check"),
+    ])
+    def test_one_joint_support(self, tmp_path, monkeypatch, plant, spec, code):
+        """Synthesis and the two checks that explain its failure read one
+        joint support of the plant and spec."""
+        g, h = write(tmp_path, "g.pda", plant()), write(tmp_path, "h.pda", spec())
+        built = []
+        init = JointSupport.__init__
+
+        def counting(self, a, b):
+            built.append((dumps_automaton(a), dumps_automaton(b)))
+            init(self, a, b)
+
+        monkeypatch.setattr(JointSupport, "__init__", counting)
+        argv = ["synthesize", g, h, "--scaling-out", str(tmp_path / "k.map"),
+                "--supervisor-out", str(tmp_path / "sp.map")]
+        assert main(argv) == code
+        assert built == [(Path(g).read_text(), Path(h).read_text())]
 
 class TestInfPco:
     def test_writes_result(self, tmp_path, capsys):

@@ -47,7 +47,6 @@ from conftest import (
     branch_plant,
     branch_spec,
     eps_plant_pairs,
-    eps_scaled,
     is_partition,
     load_gen,
     observation_scaled_spec,
@@ -56,6 +55,7 @@ from conftest import (
     random_subspec,
     robot_plant,
     robot_spec,
+    seeded_pairs,
     walk_pairs,
 )
 
@@ -115,22 +115,6 @@ def count_builds(monkeypatch):
     for module in (automata, infimal):
         monkeypatch.setattr(module, "observer", counting_observer)
     return built, observed
-
-
-def seeded_pairs(seed=251, count=600):
-    """The robot and branches pairs, then seeded pairs on plants with
-    ordinary probabilities, a third of them with infinitesimal spec
-    values."""
-    rng = random.Random(seed)
-    pairs = [(robot_plant(), robot_spec()), (branch_plant(), branch_spec())]
-    for i in range(count):
-        alphabet = random_alphabet(rng, max_events=3)
-        plant = random_plant(rng, alphabet, max_states=2 + i % 5)
-        spec = random_subspec(rng, plant, touch_uncontrollable=i % 2 == 0)
-        if i % 3 == 0:
-            spec = eps_scaled(rng, spec)
-        pairs.append((plant, spec))
-    return pairs
 
 
 # -- support-level (non-probabilistic) oracles ---------------------------

@@ -47,6 +47,7 @@ from conftest import (
     E,
     build,
     drop_transitions,
+    eps_plant_pairs,
     load_gen,
     observation_scaled_spec,
     random_alphabet,
@@ -59,6 +60,7 @@ from conftest import (
     with_eps,
 )
 from oracles import brute_observable, equivalent_classes, reference_controlled_automaton
+from reference_synthesis import reference_scaling_from_spec
 
 F = Fraction
 
@@ -180,6 +182,38 @@ class TestScalingFromSpec:
             scaling_from_spec(model(E(1), E(1)), model(E(1, 2), E(1, 4)))
         assert str(exc.value) == "event 'c' demands factor 1/4 after ('a', 'u') but 1/2 after ('u',)"
         assert exc.value.witness.strings == (("a", "u"), ("u",))
+
+    def test_outcome_is_that_of_the_sorting_reference(self):
+        """Cells are sorted by their members' shortest strings only when
+        they fail; every failure's type, message and witness, and every
+        map, are those of the reference that sorts every cell."""
+        rng = random.Random(337)
+        cases = [synthesis_pair(rng, i) for i in range(1200)] + list(eps_plant_pairs(347, 300))
+        for i in range(400):
+            # sub-specs keeping the uncontrollable edges: mostly conflicts
+            plant = random_plant(rng, random_alphabet(rng, max_events=4), max_states=2 + i % 5)
+            cases.append((plant, random_subspec(rng, plant, touch_uncontrollable=False)))
+        seen = collections.Counter()
+        for plant, spec in cases:
+            try:
+                expected = reference_scaling_from_spec(plant, spec)
+            except (SynthesisError, InvariantError) as e:
+                expected = e
+            try:
+                got = scaling_from_spec(plant, spec)
+            except (SynthesisError, InvariantError) as e:
+                got = e
+            assert type(got) is type(expected)
+            if isinstance(expected, ScalingMap):
+                assert got == expected
+                assert dumps_scaling_map(got) == dumps_scaling_map(expected)
+                continue
+            assert str(got) == str(expected)
+            assert getattr(got, "witness", None) == getattr(expected, "witness", None)
+            seen[type(expected).__name__] += 1
+            seen["failing"] += 1
+        assert seen["failing"] >= 600, seen
+        assert seen["NotObservableError"] >= 100 and seen["InvariantError"] >= 40, seen
 
 class TestSupervisorFromScaling:
     def test_robot_distribution(self, robot):

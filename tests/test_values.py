@@ -1,5 +1,8 @@
+import collections
 import copy
+import operator
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from pdesctl import EPS, ONE, ZERO, EpsProb, format_prob, format_rat, parse_prob, parse_rat
 from pdesctl.values import _RAT_RE
+from reference_synthesis import reference_cmp
 
 F = Fraction
 
@@ -220,6 +224,54 @@ class TestEpsProb:
     def test_dominant_sum_bounds(self, a, b):
         s = a + b
         assert s >= a or s >= b
+
+
+class TestIntegerOrder:
+    """The order and equality decided on integers match the `Fraction`
+    reference, including magnitudes far beyond machine words."""
+
+    @staticmethod
+    def random_value(rng):
+        if rng.random() < 0.1:
+            return ZERO
+        if rng.random() < 0.3:
+            den = rng.randrange(2**600, 2**640)
+        else:
+            den = rng.randint(1, 12)
+        return EpsProb(F(rng.randint(1, 2 * den), den), rng.randint(0, 3))
+
+    def test_order_and_equality_match_the_reference(self):
+        rng = random.Random(331)
+        seen = collections.Counter()
+        for _ in range(6000):
+            a = self.random_value(rng)
+            # a fresh copy of a or a value of the same degree, often equal
+            b = rng.choice([EpsProb(F(a.magnitude.numerator, a.magnitude.denominator), a.eps_degree),
+                            EpsProb(a.magnitude * F(rng.randint(1, 3), rng.randint(1, 3)), a.eps_degree),
+                            self.random_value(rng)])
+            expected = reference_cmp(a, b)
+            assert a._cmp(b) == expected, (a, b)
+            assert [a < b, a <= b, a > b, a >= b] == [expected < 0, expected <= 0, expected > 0, expected >= 0]
+            assert (a == b) == (expected == 0) == ((a.magnitude, a.eps_degree) == (b.magnitude, b.eps_degree))
+            assert (a != b) == (expected != 0)
+            seen["equal"] += expected == 0 and a is not b and bool(a)
+            seen["zero"] += not (a and b)
+            seen["same_degree"] += a.eps_degree == b.eps_degree and bool(a) and bool(b) and expected != 0
+            seen["degree_decides"] += a.eps_degree != b.eps_degree and bool(a) and bool(b)
+            seen["wide"] += max(a.magnitude.denominator, b.magnitude.denominator) > 2**600 and bool(a) and bool(b)
+        assert min(seen.values()) >= 300, seen
+
+    @pytest.mark.parametrize("other", [F(1, 3), F(1, 2), 0, 1, 0.5, None, "1/2"])
+    def test_ordering_against_other_types_raises_type_error(self, other):
+        p = ep(1, 2)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(p, other)
+            with pytest.raises(TypeError):
+                compare(other, p)
+        with pytest.raises(TypeError):
+            sorted([p, other])
+        assert p != other
 
 
 class TestEpsProbValue:

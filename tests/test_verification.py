@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from pdesctl import (
     ZERO,
@@ -21,7 +22,7 @@ from pdesctl import (
     scaling_from_spec,
 )
 from pdesctl.automata import JointSupport
-from pdesctl.verification import _ANY, _ratio_class
+from pdesctl.verification import _ANY, _SPEC_ONLY, _ratio_class, _ratio_classes
 from conftest import (
     E,
     drop_transitions,
@@ -31,10 +32,12 @@ from conftest import (
     random_plant,
     random_subspec,
     robot_spec,
+    seeded_pairs,
     synthesis_pair,
     wild_pair,
 )
 from oracles import brute_controllable, brute_observable
+from reference_synthesis import reference_ratio_classes
 
 F = Fraction
 
@@ -318,6 +321,30 @@ class TestKernelReference:
             lhs = (g1 or ZERO) * (h2 or ZERO)
             rhs = (g2 or ZERO) * (h1 or ZERO)
             assert agree == (lhs == rhs), (g1, h1, g2, h2)
+
+    def test_ratio_classes_match_the_fraction_reference(self):
+        """Classes keyed by reduced integer triples number the pairs' edge
+        ratios as `Fraction` quotients do, with the same factors."""
+        rng = random.Random(149)
+        seen = {"eps_spec": 0, "eps_plant": 0, "degree_differs": 0, "reduced": 0, "spec_only": 0}
+        for plant, spec in seeded_pairs() + [wild_pair(rng) for _ in range(400)]:
+            joint = JointSupport(plant, spec)
+            classes, factors = _ratio_classes(joint)
+            assert (classes, factors) == reference_ratio_classes(joint)
+            assert all(type(f) is F for f in factors)
+            seen["eps_spec"] += spec.has_eps_probabilities()
+            seen["eps_plant"] += plant.has_eps_probabilities()
+            seen["spec_only"] += any(_SPEC_ONLY in row for row in classes)
+            controllable = plant.alphabet.controllable_events()
+            for x, q in joint.pairs:
+                for e in controllable:
+                    g, h = plant.step(x, e), spec.step(q, e)
+                    if g and h:
+                        gm, hm = g[1].magnitude, h[1].magnitude
+                        seen["degree_differs"] += g[1].eps_degree != h[1].eps_degree
+                        # the cross-products are not already a reduced pair
+                        seen["reduced"] += gcd(hm.numerator * gm.denominator, hm.denominator * gm.numerator) > 1
+        assert min(seen.values()) >= 15, seen
 
     def test_matches_reference_loops(self):
         rng = random.Random(131)
